@@ -15,8 +15,10 @@ distribution with one of three M-step variants:
   log-likelihood; with k = 1 this is exactly the score-function
   (REINFORCE-style) update, and as k grows it approaches the closed form.
 
-Runs are deterministic given the seed: per-iteration sampling seeds derive
-from a fixed SeedSequence and reductions happen in sample-index order.
+Runs are deterministic given the seed for a fixed BLAS library and thread
+count: per-iteration sampling seeds derive from a fixed SeedSequence, and
+the weighted sums go through BLAS, whose summation order may change with
+the library or the number of threads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     RunAbortedError,
     StepSizeError,
 )
-from .models import ExpectationParams, SearchModel, repair_params
+from .models import ExpectationParams, SearchModel
 
 DEFAULT_MAX_CONSECUTIVE_PROJECTIONS = 20
 
@@ -178,8 +180,7 @@ def m_step_closed_form(pop: Population, model: SearchModel) -> ExpectationParams
     total = float(pop.shaped_w.sum())
     if not total > 0.0:
         raise DegenerateWeightsError("sum of shaped weights must be positive")
-    T = model.sufficient_stats_batch(pop.samples)
-    theta = (pop.shaped_w @ T) / total
+    theta = model.weighted_stats(pop.samples, pop.shaped_w) / total
     try:
         return model.with_params(theta).params
     except DegenerateModelError as exc:
@@ -193,7 +194,10 @@ def m_step_map(
 
     With the conjugate prior at lambda2 = 1/gamma - 1, lambda1 = lambda2 *
     theta_prev, this convex combination is the exact maximizer of the MAP
-    refit objective; gamma = 1 returns theta_tilde unchanged.
+    refit objective; gamma = 1 returns theta_tilde unchanged.  A convex
+    combination of valid expectation parameters is valid in every family,
+    so no repair runs here; ``run`` repairs the result with the model's own
+    floors.
     """
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
@@ -202,7 +206,7 @@ def m_step_map(
             f"cannot smooth {theta_tilde.family_tag!r} with {theta_prev.family_tag!r}"
         )
     combo = (1.0 - gamma) * theta_prev.values + gamma * theta_tilde.values
-    return repair_params(ExpectationParams(combo, theta_prev.family_tag))
+    return ExpectationParams(combo, theta_prev.family_tag)
 
 
 def m_step_gradient(

@@ -25,6 +25,7 @@ the two conventions agree only when the mean is unchanged.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -173,6 +174,13 @@ class SearchModel:
 
     def sufficient_stats_batch(self, Z) -> np.ndarray:
         raise NotImplementedError
+
+    def weighted_stats(self, Z, w) -> np.ndarray:
+        """Weighted sum of sufficient statistics, sum_i w_i T(z_i).
+
+        Families override this when they can form the sum without
+        materializing the (n, n_params) statistics matrix."""
+        return w @ self.sufficient_stats_batch(Z)
 
     def grad_log_density(self, z) -> np.ndarray:
         """Score with respect to the expectation parameters at one point.
@@ -332,8 +340,13 @@ class BernoulliProductModel(SearchModel):
         }
 
 
+@functools.lru_cache(maxsize=None)
 def _tril_indices(d: int):
-    return np.tril_indices(d)
+    # Cached and shared by every caller, hence read-only.
+    rows, cols = np.tril_indices(d)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def vech(M: np.ndarray) -> np.ndarray:
@@ -381,7 +394,7 @@ class GaussianModel(SearchModel):
         _require_finite(S, "second_moment")
         S = 0.5 * (S + S.T)
         C0 = S - np.outer(m, m)
-        C = self._repair_cov(C0, eig_floor, jitter_scale)
+        C, L = self._repair_cov(C0, eig_floor, jitter_scale)
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
         self._mean = _readonly(m)
@@ -389,10 +402,11 @@ class GaussianModel(SearchModel):
         self._cov = _readonly(C)
         self._eig_floor = float(eig_floor)
         self._jitter_scale = float(jitter_scale)
-        self._chol = _readonly(np.linalg.cholesky(C))
+        self._chol = _readonly(L)
 
     @staticmethod
-    def _repair_cov(C: np.ndarray, eig_floor: float, jitter_scale: float) -> np.ndarray:
+    def _repair_cov(C: np.ndarray, eig_floor: float, jitter_scale: float):
+        """Return the repaired covariance and its lower Cholesky factor."""
         d = C.shape[0]
         if not np.all(np.isfinite(C)):
             raise DegenerateModelError("covariance contains non-finite entries")
@@ -401,8 +415,7 @@ class GaussianModel(SearchModel):
             lam_min = float(np.linalg.eigvalsh(C)[0])
             if lam_min >= eig_floor:
                 try:
-                    np.linalg.cholesky(C)
-                    return C
+                    return C, np.linalg.cholesky(C)
                 except np.linalg.LinAlgError:
                     pass
             if attempt == MAX_JITTER_DOUBLINGS:
@@ -482,6 +495,12 @@ class GaussianModel(SearchModel):
         outer = Z[:, :, None] * Z[:, None, :]
         idx = _tril_indices(self.dim)
         return np.concatenate([Z, outer[:, idx[0], idx[1]]], axis=1)
+
+    def weighted_stats(self, Z, w) -> np.ndarray:
+        # Weighted first and second moments: O(n d + d^2) memory instead of
+        # the (n, d, d) outer-product tensor.
+        Z = self._as_batch(Z)
+        return np.concatenate([w @ Z, vech((Z.T * w) @ Z)])
 
     def _precision(self) -> np.ndarray:
         return cho_solve((self._chol, True), np.eye(self.dim))
@@ -720,25 +739,6 @@ class CategoricalProductModel(SearchModel):
             "arity": self.arity,
             "params": [float(v) for v in self._param_values()],
         }
-
-
-def repair_params(params: ExpectationParams) -> ExpectationParams:
-    """Apply the owning family's repair (floors / PSD jitter) to a bare
-    parameter vector, using family defaults.  Dispatches on the tag."""
-    tag = params.family_tag
-    kind, _, shape = tag.partition(":")
-    if kind == "bernoulli":
-        d = int(shape)
-        model = BernoulliProductModel(np.full(d, 0.5))
-    elif kind == "gaussian":
-        d = int(shape)
-        model = GaussianModel(np.zeros(d), np.eye(d))
-    elif kind == "categorical":
-        d, K = (int(x) for x in shape.split("x"))
-        model = CategoricalProductModel(np.full((d, K), 1.0 / K))
-    else:
-        raise FamilyMismatchError(f"unknown family tag {tag!r}")
-    return model.with_params(params).params
 
 
 def model_from_json_dict(doc: dict) -> SearchModel:

@@ -3,6 +3,7 @@ independent numerical check), and full runs."""
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,6 +144,22 @@ def test_closed_form_uniform_weights_is_mle():
     )
 
 
+def test_closed_form_gaussian_memory_is_linear_in_n():
+    # Weighted moments need O(N d + d^2) memory; the (N, d, d) outer-product
+    # tensor at d=100, N=1000 alone is 80 MB.
+    d, n = 100, 1000
+    model = GaussianModel.from_mean_cov(np.zeros(d), np.eye(d))
+    Z = model.sample(n, 3)
+    pop = make_pop(Z, np.random.default_rng(4).uniform(0.1, 1.0, size=n))
+    tracemalloc.start()
+    try:
+        m_step_closed_form(pop, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def _bernoulli_grid_mle(pop, floor=1e-3, step=1e-5):
     """Independent numerical maximizer: per-coordinate grid search of the
     weighted log-likelihood (the objective is separable across bits)."""
@@ -212,6 +229,13 @@ def test_map_convex_combination_value():
     tilde = ExpectationParams(np.array([0.9]), "bernoulli:1")
     out = m_step_map(prev, tilde, 0.3)
     assert out.values[0] == pytest.approx(0.62, abs=1e-15)
+
+
+def test_map_keeps_model_floor():
+    # 5e-4 is valid under floor 1e-4; the default floor 1e-3 must not apply.
+    prev = BernoulliProductModel([5e-4], floor=1e-4).params
+    out = m_step_map(prev, prev, 0.5)
+    assert out.values[0] == 5e-4
 
 
 def test_map_family_mismatch():

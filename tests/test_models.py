@@ -22,7 +22,6 @@ from edaem.models import (
     ExpectationParams,
     GaussianModel,
     model_from_json,
-    repair_params,
     unvech,
     vech,
 )
@@ -67,6 +66,28 @@ def test_sufficient_stats_categorical_one_hot_minimal():
     # value 2 is the dropped redundant coordinate: minimal stats all zero
     np.testing.assert_array_equal(c.sufficient_stats([2]), [0.0, 0.0])
     np.testing.assert_array_equal(c.sufficient_stats([0]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BernoulliProductModel([0.3, 0.62, 0.5]),
+        BernoulliProductModel([0.3]),
+        GaussianModel.from_mean_cov([0.5, -1.0, 2.0], np.diag([1.5, 0.9, 3.0])),
+        GaussianModel.from_mean_cov([0.5], [[2.0]]),
+        CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]),
+        CategoricalProductModel([[0.25, 0.35, 0.4]]),
+    ],
+)
+def test_weighted_stats_equals_weighted_sum_of_stats(model):
+    rng = np.random.default_rng(41)
+    Z = model.sample(64, 43)
+    w = rng.uniform(0.0, 3.0, size=64)
+    w[::5] = 0.0
+    ref = w @ model.sufficient_stats_batch(Z)
+    got = model.weighted_stats(Z, w)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -343,14 +364,6 @@ def test_with_params_length_mismatch():
     b = BernoulliProductModel([0.5, 0.5])
     with pytest.raises(FamilyMismatchError):
         b.with_params(np.array([0.5, 0.5, 0.5]))
-
-
-def test_repair_params_tag_dispatch():
-    p = ExpectationParams(np.array([1.0, 0.2]), "bernoulli:2")
-    out = repair_params(p)
-    np.testing.assert_allclose(out.values, [0.999, 0.2])
-    with pytest.raises(FamilyMismatchError):
-        repair_params(ExpectationParams(np.array([0.5]), "weibull:1"))
 
 
 def test_params_roundtrip_bit_exact():
