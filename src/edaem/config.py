@@ -15,9 +15,9 @@ rejected):
       "early_stop_window": 50            // optional
     }
 
-``model.init`` is "default" (Bernoulli p = 0.5, Gaussian m = 0 / S = I,
-categorical uniform), a flat list in the family's expectation-parameter
-layout, or for the Gaussian an object {"mean": [...], "cov": [[...]]}.
+``model.init`` is "default" (Bernoulli p = 0.5, Gaussian m = 0 / S = I),
+a flat list in the family's expectation-parameter layout, or for the
+Gaussian an object {"mean": [...], "cov": [[...]]}.
 ``update`` is {"kind": "closed_form"}, {"kind": "map_smoothed", "gamma": g}
 with g in (0, 1], or {"kind": "gradient", "alpha": a, "k": k}.
 
@@ -35,12 +35,7 @@ import numpy as np
 
 from .engine import UpdateRule
 from .errors import ConfigError
-from .models import (
-    BernoulliProductModel,
-    CategoricalProductModel,
-    GaussianModel,
-    SearchModel,
-)
+from .models import BernoulliProductModel, GaussianModel, SearchModel
 from .objectives import NEGATED_CONTINUOUS, Objective, parse_objective
 from .shaping import ShapingSpec
 
@@ -55,7 +50,7 @@ _TOP_KEYS = {
     "out_dir",
     "early_stop_window",
 }
-_MODEL_KEYS = {"family", "dim", "arity", "init"}
+_MODEL_KEYS = {"family", "dim", "init"}
 _UPDATE_KEYS = {"kind", "gamma", "alpha", "k"}
 
 
@@ -229,26 +224,8 @@ def _build_model(doc, objective: Objective) -> SearchModel:
         base = GaussianModel(np.zeros(dim), np.eye(dim))
         return base.with_params(values)
 
-    if family == "categorical":
-        if dom.kind != "categorical":
-            raise ConfigError(
-                f"categorical model needs a categorical objective, got {dom.kind}"
-            )
-        arity = doc.get("arity")
-        if not isinstance(arity, int) or arity < 2:
-            raise ConfigError(f"model.arity must be an integer >= 2, got {arity!r}")
-        if dom.arity is not None and arity != dom.arity:
-            raise ConfigError(
-                f"model.arity = {arity} does not match objective arity {dom.arity}"
-            )
-        if init == "default":
-            return CategoricalProductModel(np.full((dim, arity), 1.0 / arity))
-        values = _init_vector(init, dim * (arity - 1), "model.init")
-        base = CategoricalProductModel(np.full((dim, arity), 1.0 / arity))
-        return base.with_params(values)
-
     raise ConfigError(
-        f"model.family must be one of bernoulli, gaussian, categorical; got {family!r}"
+        f"model.family must be one of bernoulli, gaussian; got {family!r}"
     )
 
 

@@ -23,6 +23,7 @@ the library or the number of threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,7 +142,8 @@ class Trace:
 
     @property
     def best_raw_f(self) -> float:
-        return max(r.best_raw_f for r in self.records)
+        """Best raw value over the records; -inf for a run aborted at iteration 0."""
+        return max((r.best_raw_f for r in self.records), default=-math.inf)
 
 
 def e_step(
@@ -156,11 +158,11 @@ def e_step(
         raise ValueError("generation size n must be >= 2")
     Z = model.sample(n, seed)
     raw = objectives_mod.evaluate_batch(objective, Z)
-    bad = np.nonzero(np.isnan(raw))[0]
+    bad = np.nonzero(~np.isfinite(raw))[0]
     if bad.size:
         idx = int(bad[0])
         raise ObjectiveError(
-            f"objective {objective.name!r} returned NaN at sample index {idx}",
+            f"objective {objective.name!r} returned {raw[idx]} at sample index {idx}",
             index=idx,
         )
     w = shaping_mod.shape(shaping_spec, raw)

@@ -38,7 +38,7 @@ class DegenerateObjectiveError(EdaemError):
 
 
 class ObjectiveError(EdaemError):
-    """The objective returned NaN for a sample.
+    """The objective returned a non-finite value (NaN or +-inf) for a sample.
 
     Carries ``index``, the offending sample's position in the generation.
     """

@@ -289,16 +289,20 @@ class BernoulliProductModel(SearchModel):
         return BernoulliProductModel(np.clip(values, 0.0, 1.0), floor=self._floor)
 
     def _as_batch(self, Z) -> np.ndarray:
-        vals = np.asarray(_batchify(Z, self.dim), dtype=np.float64)
+        Z = _batchify(Z, self.dim)
+        if Z.dtype == np.bool_:  # holds only {0,1}, like the model's own samples
+            return Z
+        vals = np.asarray(Z, dtype=np.float64)
         if not np.all((vals == 0.0) | (vals == 1.0)):
             raise DomainError("Bernoulli support is {0,1}^d")
         return vals
 
     def sample(self, n: int, rng_seed: int) -> np.ndarray:
+        """Draw ``n`` points as a bool array, one byte per bit."""
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(rng_seed)
-        return (rng.random((n, self.dim)) < self._probs).astype(np.int64)
+        return rng.random((n, self.dim)) < self._probs
 
     def log_density_batch(self, Z) -> np.ndarray:
         Z = self._as_batch(Z)
@@ -306,7 +310,10 @@ class BernoulliProductModel(SearchModel):
         return Z @ np.log(p) + (1.0 - Z) @ np.log1p(-p)
 
     def sufficient_stats_batch(self, Z) -> np.ndarray:
-        return self._as_batch(Z)
+        return np.asarray(self._as_batch(Z), dtype=np.float64)
+
+    def weighted_stats(self, Z, w) -> np.ndarray:
+        return w @ self._as_batch(Z)
 
     def _score_batch(self, Z) -> np.ndarray:
         Z = self._as_batch(Z)
@@ -337,6 +344,7 @@ class BernoulliProductModel(SearchModel):
             "family": "bernoulli",
             "dim": self.dim,
             "params": [float(v) for v in self._probs],
+            "floor": self._floor,
         }
 
 
@@ -582,6 +590,8 @@ class GaussianModel(SearchModel):
             "family": "gaussian",
             "dim": self.dim,
             "params": [float(v) for v in self._param_values()],
+            "eig_floor": self._eig_floor,
+            "jitter_scale": self._jitter_scale,
         }
 
 
@@ -738,24 +748,29 @@ class CategoricalProductModel(SearchModel):
             "dim": self.dim,
             "arity": self.arity,
             "params": [float(v) for v in self._param_values()],
+            "floor": self._floor,
         }
 
 
 def model_from_json_dict(doc: dict) -> SearchModel:
+    """Inverse of ``to_json_dict``; floors missing from ``doc`` take their defaults."""
     family = doc.get("family")
     dim = int(doc.get("dim", 0))
     params = np.asarray(doc.get("params", []), dtype=np.float64)
     if family == "bernoulli":
-        return BernoulliProductModel(params)
+        return BernoulliProductModel(params, doc.get("floor", PROB_FLOOR))
     if family == "gaussian":
         m = params[:dim]
         S = unvech(params[dim:], dim)
-        return GaussianModel(m, S)
+        return GaussianModel(
+            m, S, doc.get("eig_floor", EIG_FLOOR), doc.get("jitter_scale", JITTER_SCALE)
+        )
     if family == "categorical":
         K = int(doc["arity"])
         head = params.reshape(dim, K - 1)
         last = 1.0 - head.sum(axis=1)
-        return CategoricalProductModel(np.concatenate([head, last[:, None]], axis=1))
+        P = np.concatenate([head, last[:, None]], axis=1)
+        return CategoricalProductModel(P, doc.get("floor", PROB_FLOOR))
     raise FamilyMismatchError(f"unknown family {family!r}")
 
 

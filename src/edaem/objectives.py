@@ -33,7 +33,8 @@ class Domain:
         if Z.ndim != 2 or Z.shape[1] != self.dim:
             raise DomainError(f"expected points of dimension {self.dim}")
         if self.kind == "binary":
-            if not np.all((Z == 0) | (Z == 1)):
+            # bool holds only {0,1}; skip the scan on such input.
+            if Z.dtype != np.bool_ and not np.all((Z == 0) | (Z == 1)):
                 raise DomainError("binary objective expects entries in {0,1}")
         elif self.kind == "categorical":
             if not np.all((Z >= 0) & (Z < self.arity) & (Z == Z.astype(np.int64))):
@@ -75,7 +76,9 @@ def onemax(dim: int) -> Objective:
     return Objective(
         name=f"onemax:{dim}",
         domain=Domain("binary", dim),
-        batch_eval=lambda Z: np.asarray(Z, dtype=np.float64).sum(axis=1),
+        # Integer partial sums below 2**53 are exact, so summing in float64
+        # without a float64 copy of Z gives identical values for any dtype.
+        batch_eval=lambda Z: np.sum(Z, axis=1, dtype=np.float64),
         known_opt=(np.ones(dim, dtype=np.int64), float(dim)),
     )
 
@@ -102,7 +105,6 @@ def trap(block_size: int, n_blocks: int) -> Objective:
     dim = k * b
 
     def _eval(Z):
-        Z = np.asarray(Z, dtype=np.int64)
         units = Z.reshape(Z.shape[0], b, k).sum(axis=2)
         return np.where(units == k, float(k), k - 1.0 - units).sum(axis=1)
 

@@ -529,6 +529,62 @@ def test_run_abort_attaches_partial_trace():
     assert len(err.value.trace.records) < 10
 
 
+def test_run_aborts_on_infinite_objective_with_partial_trace():
+    from edaem.errors import RunAbortedError
+
+    calls = []
+
+    def _eval(Z):
+        calls.append(None)
+        vals = np.sum(Z, axis=1, dtype=np.float64)
+        if len(calls) >= 3:
+            vals[1] = np.inf
+        return vals
+
+    obj = objectives.Objective(
+        name="inf:4", domain=objectives.Domain("binary", 4), batch_eval=_eval
+    )
+    cfg = runcfg(
+        model=BernoulliProductModel(np.full(4, 0.5)),
+        objective=obj,
+        shaping=shaping.ShapingSpec.parse("rank"),
+        rule=UpdateRule("closed_form"),
+        n_samples=10,
+        iterations=6,
+        seed=0,
+    )
+    with pytest.raises(RunAbortedError) as err:
+        run(cfg)
+    assert isinstance(err.value.__cause__, ObjectiveError)
+    assert err.value.__cause__.index == 1
+    assert [r.iteration for r in err.value.trace.records] == [0, 1]
+
+
+def test_empty_trace_best_is_minus_infinity():
+    trace = engine.Trace(records=[], final_model=BernoulliProductModel([0.5]))
+    assert trace.best_raw_f == -np.inf
+
+
+def test_bernoulli_iteration_memory_is_one_byte_per_bit():
+    # One e_step + closed-form M-step + free energy at d=2000, N=1000.  The
+    # float64 uniforms behind the draws take 16 MB; any int64 or float64
+    # copy of the generation kept alive alongside them adds another 16 MB.
+    d, n = 2000, 1000
+    model = BernoulliProductModel(np.full(d, 0.5))
+    obj = objectives.onemax(d)
+    spec = shaping.ShapingSpec.parse("quantile:0.5")
+    tracemalloc.start()
+    try:
+        pop = e_step(model, obj, spec, n, 7)
+        nxt = model.with_params(m_step_closed_form(pop, model))
+        engine._free_energy(pop, nxt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pop.samples.dtype == np.bool_
+    assert peak < 24e6
+
+
 def test_free_energy_estimate_with_identity_shaping():
     # with f == w the estimate is the sampled free energy of the particle
     # posterior; cross-check against a direct computation

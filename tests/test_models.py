@@ -135,6 +135,39 @@ def test_bernoulli_domain_error():
         m.log_density([0, 2])
 
 
+def _bits_as(dtype, n=40, d=7, seed=3):
+    return np.random.default_rng(seed).integers(0, 2, size=(n, d)).astype(dtype)
+
+
+def test_bernoulli_sample_is_bool_on_the_uniform_stream():
+    p = np.array([0.2, 0.5, 0.9, 0.05, 0.7])
+    Z = BernoulliProductModel(p).sample(300, 17)
+    assert Z.dtype == np.bool_
+    assert np.array_equal(Z, np.random.default_rng(17).random((300, 5)) < p)
+
+
+def test_bernoulli_bool_int_float_inputs_agree_exactly():
+    m = BernoulliProductModel([0.3, 0.62, 0.5, 0.11, 0.9, 0.45, 0.7])
+    w = np.random.default_rng(5).uniform(0.0, 2.0, size=40)
+    ref = _bits_as(np.float64)
+    for dtype in (np.bool_, np.int64):
+        Z = _bits_as(dtype)
+        for got, want in [
+            (m.log_density_batch(Z), m.log_density_batch(ref)),
+            (m.sufficient_stats_batch(Z), m.sufficient_stats_batch(ref)),
+            (m.weighted_stats(Z, w), m.weighted_stats(ref, w)),
+            (m._score_batch(Z), m._score_batch(ref)),
+        ]:
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0, 2]]), np.array([[0.5, 1.0]])])
+def test_bernoulli_as_batch_rejects_non_binary(bad):
+    with pytest.raises(DomainError):
+        BernoulliProductModel([0.5, 0.5])._as_batch(bad)
+
+
 def test_categorical_domain_error():
     c = CategoricalProductModel([[0.5, 0.5]])
     with pytest.raises(DomainError):
@@ -407,3 +440,32 @@ def test_json_roundtrip_and_stability(model):
     # byte stability
     assert model.to_json() == text
     assert back.to_json() == text
+
+
+@pytest.mark.parametrize(
+    "model,attrs",
+    [
+        (BernoulliProductModel([0.25, 0.75], floor=1e-4), ("floor",)),
+        (
+            GaussianModel.from_mean_cov(
+                [0.5, -1.0], [[1.5, 0.4], [0.4, 0.9]], eig_floor=1e-6, jitter_scale=1e-8
+            ),
+            ("_eig_floor", "_jitter_scale"),
+        ),
+        (
+            CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]], floor=1e-2),
+            ("floor",),
+        ),
+    ],
+)
+def test_json_roundtrips_non_default_floors(model, attrs):
+    back = model_from_json(model.to_json())
+    for attr in attrs:
+        assert getattr(back, attr) == getattr(model, attr)
+    assert back.to_json() == model.to_json()
+
+
+def test_json_without_floors_loads_defaults():
+    doc = json.loads(BernoulliProductModel([0.25, 0.75], floor=1e-4).to_json())
+    del doc["floor"]
+    assert model_from_json(json.dumps(doc)).floor == 1e-3

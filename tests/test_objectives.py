@@ -7,6 +7,7 @@ import pytest
 
 from edaem.errors import ConfigError, DomainError
 from edaem.objectives import (
+    Domain,
     evaluate,
     evaluate_batch,
     leadingones,
@@ -86,6 +87,25 @@ def test_domain_errors():
         evaluate(sphere_max(3), [1.0, float("inf"), 0.0])
     with pytest.raises(DomainError):
         evaluate(onemax(3), [1, 0])
+
+
+@pytest.mark.parametrize("obj", [onemax(12), leadingones(12), trap(3, 4)])
+def test_binary_objectives_agree_across_input_dtypes(obj):
+    bits = np.random.default_rng(11).integers(0, 2, size=(64, 12))
+    bits[0] = 1  # at least one row at the optimum
+    ref = evaluate_batch(obj, bits.astype(np.float64))
+    for dtype in (np.bool_, np.int64):
+        got = evaluate_batch(obj, bits.astype(dtype))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0, 2, 1]]), np.array([[0.5, 1.0, 0.0]])])
+def test_binary_domain_rejects_non_binary_values(bad):
+    with pytest.raises(DomainError):
+        Domain("binary", 3).check(bad)
+    with pytest.raises(DomainError):
+        evaluate_batch(onemax(3), bad)
 
 
 @pytest.mark.parametrize(
