@@ -9,9 +9,9 @@ Subcommands:
                    [--out DIR] [--seed INT] [--jobs INT] [--threshold X]
 
 Exit codes: 0 success; 1 diagnostics found a failing check; 2 config or
-argument violation; 3 runtime degeneracy; 4 I/O failure.  Failures emit a
-machine-readable JSON object on stderr.  Set EDAEM_LOG=debug|info|warning
-for verbosity.
+argument violation; 3 the run raised (a degeneracy or any other error);
+4 I/O failure.  Failures emit a machine-readable JSON object on stderr.
+Set EDAEM_LOG=debug|info|warning for verbosity.
 
 The CLI composes library calls only; every number it writes is computable
 from (config, seed) through the public engine/oracle API.
@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import oracle
 from .config import RunConfig
 from .engine import run as engine_run
-from .errors import ConfigError, EdaemError, RunAbortedError
+from .errors import ConfigError
 from .fixtures import MC_N_LIST, MC_SEEDS, load_fixture_set
 from .traceio import write_trace
 
@@ -83,9 +83,8 @@ def cmd_run(args) -> int:
         return _fail(exc, EXIT_CONFIG)
     try:
         trace = engine_run(config)
-    except RunAbortedError as exc:
-        return _fail(exc, EXIT_RUNTIME)
-    except EdaemError as exc:
+    except Exception as exc:
+        logger.debug("run failed", exc_info=True)
         return _fail(exc, EXIT_RUNTIME)
     try:
         csv_path, json_path = write_trace(trace, out_dir, config.raw)
@@ -214,7 +213,8 @@ def _sweep_child(payload):
     try:
         config = RunConfig.from_dict(doc)
         trace = engine_run(config)
-    except EdaemError as exc:
+    except Exception as exc:
+        logger.debug("sweep point %d failed", index, exc_info=True)
         row["status"] = f"error:{type(exc).__name__}"
         return row
     row["best_raw_f"] = repr(trace.best_raw_f)

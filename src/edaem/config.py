@@ -164,16 +164,14 @@ def _build_rule(doc) -> UpdateRule:
         gamma = doc.get("gamma")
         if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
             raise ConfigError(f"update.gamma must be a number in (0, 1], got {gamma!r}")
-        if not 0.0 < float(gamma) <= 1.0:
-            raise ConfigError(f"update.gamma must lie in (0, 1], got {gamma}")
         return UpdateRule("map_smoothed", gamma=float(gamma))
     if kind == "gradient":
         alpha, k = doc.get("alpha"), doc.get("k")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not alpha > 0:
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
             raise ConfigError(f"update.alpha must be a number > 0, got {alpha!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool):
             raise ConfigError(f"update.k must be an integer >= 1, got {k!r}")
-        return UpdateRule("gradient", alpha=float(alpha), k=int(k))
+        return UpdateRule("gradient", alpha=float(alpha), k=k)
     raise ConfigError(
         f"update.kind must be one of closed_form, map_smoothed, gradient; got {kind!r}"
     )

@@ -15,6 +15,9 @@ distribution with one of three M-step variants:
   log-likelihood; with k = 1 this is exactly the score-function
   (REINFORCE-style) update, and as k grows it approaches the closed form.
 
+The M-steps return unrepaired parameters; ``run`` builds the next model
+from them once, which applies the family's floors and covariance jitter.
+
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
 the weighted sums go through BLAS, whose summation order may change with
@@ -43,7 +46,8 @@ from .errors import (
 )
 from .models import ExpectationParams, SearchModel
 
-DEFAULT_MAX_CONSECUTIVE_PROJECTIONS = 20
+# Gradient projections allowed in a row before StepSizeError.
+MAX_CONSECUTIVE_PROJECTIONS = 20
 
 
 @dataclass(frozen=True)
@@ -117,16 +121,15 @@ class UpdateRule:
 class IterationRecord:
     """Per-iteration summary.
 
-    ``theta`` is the post-update parameter vector; ``best_raw_f`` the
-    generation max; ``weighted_mean_shaped_f`` the particle-posterior mean
-    of the shaped values; ``free_energy_estimate`` the sampled free-energy
-    surrogate (entropy of the normalized weights stands in for H[q]);
-    ``free_energy_map`` additionally includes the unnormalized log-prior
-    and is set only in MAP mode.
+    ``best_raw_f`` is the generation max; ``weighted_mean_shaped_f`` the
+    particle-posterior mean of the shaped values; ``free_energy_estimate``
+    the sampled free-energy surrogate (entropy of the normalized weights
+    stands in for H[q]); ``free_energy_map`` additionally includes the
+    unnormalized log-prior and is set only in MAP mode.  Only the final
+    parameters are kept, in :attr:`Trace.final_model`.
     """
 
     iteration: int
-    theta: ExpectationParams
     best_raw_f: float
     mean_raw_f: float
     weighted_mean_shaped_f: float
@@ -178,15 +181,13 @@ def e_step(
 
 def m_step_closed_form(pop: Population, model: SearchModel) -> ExpectationParams:
     """Weighted maximum-likelihood refit: the weighted mean of sufficient
-    statistics, followed by family repair."""
+    statistics, unrepaired (it may sit past a family floor)."""
     total = float(pop.shaped_w.sum())
     if not total > 0.0:
         raise DegenerateWeightsError("sum of shaped weights must be positive")
-    theta = model.weighted_stats(pop.samples, pop.shaped_w) / total
-    try:
-        return model.with_params(theta).params
-    except DegenerateModelError as exc:
-        raise DegenerateUpdateError(f"closed-form update not repairable: {exc}") from exc
+    return ExpectationParams(
+        model.weighted_stats(pop.samples, pop.shaped_w) / total, model.family_tag
+    )
 
 
 def m_step_map(
@@ -195,14 +196,12 @@ def m_step_map(
     """Smoothed update (1 - gamma) * theta_prev + gamma * theta_tilde.
 
     With the conjugate prior at lambda2 = 1/gamma - 1, lambda1 = lambda2 *
-    theta_prev, this convex combination is the exact maximizer of the MAP
-    refit objective; gamma = 1 returns theta_tilde unchanged.  A convex
-    combination of valid expectation parameters is valid in every family,
-    so no repair runs here; ``run`` repairs the result with the model's own
-    floors.
+    theta_prev and theta_tilde the unrepaired weighted mean, this convex
+    combination is (lambda1 + sum_i w_i T(z_i)) / (lambda2 + sum_i w_i),
+    the exact maximizer of the MAP refit objective; gamma = 1 returns
+    theta_tilde unchanged.  ``run`` repairs the result once.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
+    UpdateRule("map_smoothed", gamma=gamma)
     if theta_prev.family_tag != theta_tilde.family_tag:
         raise FamilyMismatchError(
             f"cannot smooth {theta_tilde.family_tag!r} with {theta_prev.family_tag!r}"
@@ -212,40 +211,28 @@ def m_step_map(
 
 
 def m_step_gradient(
-    pop: Population,
-    model: SearchModel,
-    alpha: float,
-    k: int,
-    max_consecutive_projections: int = DEFAULT_MAX_CONSECUTIVE_PROJECTIONS,
+    pop: Population, model: SearchModel, alpha: float, k: int
 ) -> ExpectationParams:
     """k ascent steps of size alpha on sum_i w_i log p(z_i | theta).
 
     Gradients are recomputed at the current iterate; after each step the
     parameters are projected back onto the valid domain (floors / PSD).
-    Projection firing more than ``max_consecutive_projections`` times in a
+    Projection firing more than ``MAX_CONSECUTIVE_PROJECTIONS`` times in a
     row raises :class:`StepSizeError`, a hint that alpha is too large.
     """
-    if alpha <= 0.0:
-        raise ConfigError(f"alpha must be > 0, got {alpha}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    UpdateRule("gradient", alpha=alpha, k=k)
     current = model
     consecutive = 0
     for _ in range(k):
         scores = current._score_batch(pop.samples)
         grad = pop.shaped_w @ scores
         proposed = current.params.values + alpha * grad
-        try:
-            projected = current.with_params(proposed)
-        except DegenerateModelError as exc:
-            raise DegenerateUpdateError(
-                f"gradient update not repairable: {exc}"
-            ) from exc
+        projected = current.with_params(proposed)
         if np.array_equal(projected.params.values, proposed):
             consecutive = 0
         else:
             consecutive += 1
-            if consecutive > max_consecutive_projections:
+            if consecutive > MAX_CONSECUTIVE_PROJECTIONS:
                 raise StepSizeError(
                     f"projection fired {consecutive} times in a row; "
                     f"step size alpha={alpha} is likely too large"
@@ -278,12 +265,15 @@ def run(config) -> Trace:
     """Execute ``config.iterations`` rounds of e_step + the configured
     M-step, recording one :class:`IterationRecord` per iteration.
 
-    Any step error aborts with :class:`RunAbortedError` carrying the trace
+    The next model is built (and repaired) once per iteration; an
+    unrepairable update raises :class:`DegenerateUpdateError`.  Any step
+    error aborts with :class:`RunAbortedError` carrying the trace
     accumulated so far.  Supports optional early stopping when the best raw
     value has not improved for ``config.early_stop_window`` iterations.
     """
     model = config.model
     rule = config.rule
+    window = config.early_stop_window
     records: list = []
     seeds = np.random.SeedSequence(config.seed).generate_state(
         config.iterations, dtype=np.uint64
@@ -296,14 +286,19 @@ def run(config) -> Trace:
                 model, config.objective, config.shaping, config.n_samples, int(seeds[t])
             )
             theta_prev = model.params
-            if rule.kind == "closed_form":
-                theta_next = m_step_closed_form(pop, model)
-            elif rule.kind == "map_smoothed":
-                theta_tilde = m_step_closed_form(pop, model)
-                theta_next = m_step_map(theta_prev, theta_tilde, rule.gamma)
-            else:
-                theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
-            next_model = model.with_params(theta_next)
+            try:
+                if rule.kind == "closed_form":
+                    theta_next = m_step_closed_form(pop, model)
+                elif rule.kind == "map_smoothed":
+                    theta_tilde = m_step_closed_form(pop, model)
+                    theta_next = m_step_map(theta_prev, theta_tilde, rule.gamma)
+                else:
+                    theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
+                next_model = model.with_params(theta_next)
+            except DegenerateModelError as exc:
+                raise DegenerateUpdateError(
+                    f"{rule.kind} update not repairable: {exc}"
+                ) from exc
 
             fe = _free_energy(pop, next_model)
             fe_map = None
@@ -315,7 +310,6 @@ def run(config) -> Trace:
             records.append(
                 IterationRecord(
                     iteration=t,
-                    theta=next_model.params,
                     best_raw_f=best,
                     mean_raw_f=float(pop.raw_f.mean()),
                     weighted_mean_shaped_f=float(pop.norm_w @ pop.shaped_w),
@@ -331,13 +325,11 @@ def run(config) -> Trace:
                 stale = 0
             else:
                 stale += 1
-            window = getattr(config, "early_stop_window", None)
             if window is not None and stale >= window:
                 break
     except (
         DegenerateWeightsError,
         DegenerateUpdateError,
-        DegenerateModelError,
         ObjectiveError,
         StepSizeError,
     ) as exc:

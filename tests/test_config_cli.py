@@ -200,6 +200,21 @@ def test_cmd_run_io_failure_exit_4(tmp_path, capsys):
     assert err["exit_code"] == 4
 
 
+def _raise_linalg_error(config):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def test_cmd_run_non_edaem_error_exit_3(tmp_path, capsys, monkeypatch):
+    # exit 1 is reserved for failed diagnostic checks
+    monkeypatch.setattr(cli, "engine_run", _raise_linalg_error)
+    cfg = write_config(tmp_path, base_doc())
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "LinAlgError"
+    assert err["exit_code"] == 3
+
+
 def test_cmd_run_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, base_doc())
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -345,6 +360,18 @@ def test_cmd_sweep_continues_past_child_failures(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
     assert rows[0]["status"].startswith("error:")
     assert rows[1]["status"] == "ok"
+
+
+def test_cmd_sweep_marks_non_edaem_child_errors(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "engine_run", _raise_linalg_error)
+    cfg = write_config(tmp_path, sweep_doc())
+    code = cli.main(
+        ["sweep", "--config", cfg, "--param", "gamma", "--values", "0.3,0.9",
+         "--out", str(tmp_path / "sw"), "--jobs", "1"]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    assert [r["status"] for r in rows] == ["error:LinAlgError"] * 2
 
 
 def test_cmd_sweep_parallel_matches_serial(tmp_path):

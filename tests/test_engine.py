@@ -21,8 +21,10 @@ from edaem.engine import (
 )
 from edaem.errors import (
     ConfigError,
+    DegenerateUpdateError,
     FamilyMismatchError,
     ObjectiveError,
+    RunAbortedError,
     StepSizeError,
 )
 from edaem.models import (
@@ -30,6 +32,7 @@ from edaem.models import (
     CategoricalProductModel,
     ExpectationParams,
     GaussianModel,
+    SearchModel,
 )
 
 IDENTITY = shaping.ShapingSpec("identity")
@@ -297,6 +300,21 @@ def test_map_matches_grid_argmax_of_map_objective():
             assert np.max(np.abs(ours - grid)) <= 1e-4
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+def test_map_blends_unrepaired_refit(gamma):
+    # Bit 0 is never set, so the refit's weighted mean is 0, below the
+    # floor.  The MAP maximizer blends that 0, not the floored 1e-3.
+    rng = np.random.default_rng(17)
+    Z = rng.integers(0, 2, size=(16, 2))
+    Z[:, 0] = 0
+    pop = make_pop(Z, rng.uniform(0.05, 1.0, size=16))
+    model = BernoulliProductModel([0.5, 0.5])
+    prev = model.params
+    ours = m_step_map(prev, m_step_closed_form(pop, model), gamma).values
+    grid = _bernoulli_grid_map(pop, prev.values, gamma)
+    assert np.max(np.abs(ours - grid)) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # gradient M-step
 # ---------------------------------------------------------------------------
@@ -437,8 +455,8 @@ def test_run_gamma_one_equals_closed_form_trace():
     a = _go(UpdateRule("closed_form"))
     b = _go(UpdateRule("map_smoothed", gamma=1.0))
     assert len(a.records) == len(b.records)
+    assert np.array_equal(a.final_model.params.values, b.final_model.params.values)
     for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.theta.values, rb.theta.values)
         assert ra.best_raw_f == rb.best_raw_f
         assert ra.free_energy_estimate == rb.free_energy_estimate
         assert ra.ess == rb.ess
@@ -456,9 +474,39 @@ def test_run_identical_seeds_identical_traces():
         seed=9,
     )
     a, b = run(cfg()), run(cfg())
+    assert np.array_equal(a.final_model.params.values, b.final_model.params.values)
     for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.theta.values, rb.theta.values)
         assert ra.free_energy_estimate == rb.free_energy_estimate
+
+
+@pytest.mark.parametrize(
+    "rule", [UpdateRule("closed_form"), UpdateRule("map_smoothed", gamma=0.8)]
+)
+def test_run_builds_one_model_per_iteration(monkeypatch, rule):
+    calls = {"with_params": 0, "e_step": 0}
+    with_params, e_step_fn = SearchModel.with_params, engine.e_step
+
+    def counting_with_params(self, params):
+        calls["with_params"] += 1
+        return with_params(self, params)
+
+    def counting_e_step(*args, **kwargs):
+        calls["e_step"] += 1
+        return e_step_fn(*args, **kwargs)
+
+    monkeypatch.setattr(SearchModel, "with_params", counting_with_params)
+    monkeypatch.setattr(engine, "e_step", counting_e_step)
+    cfg = runcfg(
+        model=GaussianModel.from_mean_cov(np.zeros(3), np.eye(3)),
+        objective=objectives.sphere_max(3),
+        shaping=shaping.ShapingSpec.parse("quantile:0.25"),
+        rule=rule,
+        n_samples=50,
+        iterations=10,
+        seed=9,
+    )
+    assert len(run(cfg).records) == 10
+    assert calls == {"with_params": 10, "e_step": 10}
 
 
 def test_run_map_mode_records_prior_augmented_free_energy():
@@ -558,6 +606,32 @@ def test_run_aborts_on_infinite_objective_with_partial_trace():
     assert isinstance(err.value.__cause__, ObjectiveError)
     assert err.value.__cause__.index == 1
     assert [r.iteration for r in err.value.trace.records] == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        UpdateRule("closed_form"),
+        UpdateRule("map_smoothed", gamma=0.5),
+        UpdateRule("map_smoothed", gamma=1.0),
+    ],
+)
+def test_run_unrepairable_update_aborts_typed(rule):
+    # At mean 1e6 the refit's covariance S - m m^T cancels to rounding
+    # noise far above a 1e-6 spread, which no jitter repair can fix.
+    cfg = runcfg(
+        model=GaussianModel.from_mean_cov(np.full(3, 1e6), 1e-6 * np.eye(3)),
+        objective=objectives.sphere_max(3),
+        shaping=shaping.ShapingSpec.parse("rank"),
+        rule=rule,
+        n_samples=20,
+        iterations=5,
+        seed=0,
+    )
+    with pytest.raises(RunAbortedError) as err:
+        run(cfg)
+    assert isinstance(err.value.__cause__, DegenerateUpdateError)
+    assert err.value.trace is not None
 
 
 def test_empty_trace_best_is_minus_infinity():
