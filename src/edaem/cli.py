@@ -168,32 +168,27 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _apply_sweep_value(doc: dict, param: str, value) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy
+def _apply_sweep_value(config: RunConfig, param: str, value) -> dict:
+    """A copy of the config document with ``param`` set to ``value``."""
+    doc = json.loads(json.dumps(config.raw))  # deep copy
     if param == "gamma":
-        if doc.get("update", {}).get("kind") != "map_smoothed":
+        if config.rule.kind != "map_smoothed":
             raise ConfigError("sweeping gamma requires update.kind == map_smoothed")
         doc["update"]["gamma"] = value
-    elif param == "alpha":
-        if doc.get("update", {}).get("kind") != "gradient":
-            raise ConfigError("sweeping alpha requires update.kind == gradient")
-        doc["update"]["alpha"] = value
-    elif param == "k":
-        if doc.get("update", {}).get("kind") != "gradient":
-            raise ConfigError("sweeping k requires update.kind == gradient")
-        doc["update"]["k"] = int(value)
+    elif param in ("alpha", "k"):
+        if config.rule.kind != "gradient":
+            raise ConfigError(f"sweeping {param} requires update.kind == gradient")
+        doc["update"][param] = value
     elif param == "N":
-        doc["n_samples"] = int(value)
+        doc["n_samples"] = value
     elif param == "rho":
-        if not str(doc.get("shaping", "")).startswith(("quantile", "q:")):
+        if config.shaping.kind != "quantile":
             raise ConfigError("sweeping rho requires quantile shaping")
         doc["shaping"] = f"quantile:{value}"
-    elif param == "beta":
-        if not str(doc.get("shaping", "")).startswith(("exp", "exponential")):
+    else:  # beta; cmd_sweep has checked --param against SWEEP_PARAMS
+        if config.shaping.kind != "exponential":
             raise ConfigError("sweeping beta requires exponential shaping")
         doc["shaping"] = f"exp:{value}"
-    else:
-        raise ConfigError(f"unknown sweep param {param!r}; valid: {SWEEP_PARAMS}")
     return doc
 
 
@@ -240,20 +235,17 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --values entry: {exc}") from exc
         out_dir = _resolve_out(config, args.out)
-        base_seed = config.seed
+        threshold = args.threshold
+        if threshold is None and config.objective.known_opt is not None:
+            threshold = config.objective.known_opt[1]
         payloads = []
         for i, v in enumerate(values):
-            doc = _apply_sweep_value(config.raw, args.param, v)
-            doc["seed"] = base_seed + i  # each child owns its stream
+            doc = _apply_sweep_value(config, args.param, v)
+            doc["seed"] = config.seed + i  # each child owns its stream
             doc.pop("out_dir", None)
-            payloads.append((i, args.param, v, doc, args.threshold))
+            payloads.append((i, args.param, v, doc, threshold))
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
-
-    threshold = args.threshold
-    if threshold is None and config.objective.known_opt is not None:
-        threshold = config.objective.known_opt[1]
-        payloads = [(i, name, v, d, threshold) for (i, name, v, d, _) in payloads]
 
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

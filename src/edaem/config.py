@@ -217,10 +217,8 @@ def _build_model(doc, objective: Objective) -> SearchModel:
             if cov.shape != (dim, dim):
                 raise ConfigError(f"model.init.cov must be {dim}x{dim}")
             return GaussianModel.from_mean_cov(mean, cov)
-        n = dim + dim * (dim + 1) // 2
-        values = _init_vector(init, n, "model.init")
         base = GaussianModel(np.zeros(dim), np.eye(dim))
-        return base.with_params(values)
+        return base.with_params(_init_vector(init, base.n_params, "model.init"))
 
     raise ConfigError(
         f"model.family must be one of bernoulli, gaussian; got {family!r}"

@@ -17,6 +17,8 @@ distribution with one of three M-step variants:
 
 The M-steps return unrepaired parameters; ``run`` builds the next model
 from them once, which applies the family's floors and covariance jitter.
+Each generation is checked once, when the M-step passes it to the model;
+the free-energy diagnostic reuses it through the unchecked density kernel.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -68,7 +70,7 @@ class Population:
 
     def __post_init__(self):
         total = float(np.sum(self.norm_w))
-        if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
+        if not abs(total - 1.0) <= 1e-12:
             raise DegenerateWeightsError(f"particle posterior sums to {total}, not 1")
 
     @property
@@ -215,40 +217,41 @@ def m_step_gradient(
 ) -> ExpectationParams:
     """k ascent steps of size alpha on sum_i w_i log p(z_i | theta).
 
-    Gradients are recomputed at the current iterate; after each step the
-    parameters are projected back onto the valid domain (floors / PSD).
-    Projection firing more than ``MAX_CONSECUTIVE_PROJECTIONS`` times in a
-    row raises :class:`StepSizeError`, a hint that alpha is too large.
+    Gradients are recomputed at the current iterate.  Between steps the
+    parameters are projected back onto the valid domain (floors / PSD);
+    the last step's proposal is returned unrepaired, like the other
+    M-steps, and ``run`` repairs it once.  Projection firing more than
+    ``MAX_CONSECUTIVE_PROJECTIONS`` times in a row raises
+    :class:`StepSizeError`, a hint that alpha is too large.
     """
     UpdateRule("gradient", alpha=alpha, k=k)
+    Z = model._as_batch(pop.samples)
     current = model
     consecutive = 0
-    for _ in range(k):
-        scores = current._score_batch(pop.samples)
-        grad = pop.shaped_w @ scores
-        proposed = current.params.values + alpha * grad
-        projected = current.with_params(proposed)
-        if np.array_equal(projected.params.values, proposed):
-            consecutive = 0
-        else:
-            consecutive += 1
+    for step in range(k):
+        if step:  # project the previous step's proposal
+            current = current.with_params(theta)
+            fired = not np.array_equal(current.params.values, theta)
+            consecutive = consecutive + 1 if fired else 0
             if consecutive > MAX_CONSECUTIVE_PROJECTIONS:
                 raise StepSizeError(
                     f"projection fired {consecutive} times in a row; "
                     f"step size alpha={alpha} is likely too large"
                 )
-        current = projected
-    return current.params
+        grad = pop.shaped_w @ current._score_batch(Z)
+        theta = current.params.values + alpha * grad
+    return ExpectationParams(theta, model.family_tag)
 
 
 def _free_energy(pop: Population, next_model: SearchModel) -> float:
     """F-hat = sum_i q_i [log p(z_i|theta') + log(w_i * shift)] + H[q],
     with H[q] the discrete entropy of the normalized particle weights and
     0 log 0 = 0.  A diagnostic surrogate: q is an atom mixture, so its
-    differential entropy is undefined."""
+    differential entropy is undefined.  The samples are not re-checked: the
+    M-step that produced ``next_model`` has just checked them."""
     q = pop.norm_w
     act = q > 0.0
-    logp = next_model.log_density_batch(pop.samples[act])
+    logp = next_model._log_density(pop.samples[act])
     logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
     entropy = -float(np.sum(q[act] * np.log(q[act])))
     return float(np.sum(q[act] * (logp + logw)) + entropy)

@@ -99,9 +99,11 @@ def _batchify(Z, dim: int) -> np.ndarray:
 class SearchModel:
     """Common surface of the search distributions.
 
-    Subclasses implement sampling, densities, sufficient statistics, the
-    score with respect to the expectation parameters, and the Fisher
-    information in that parameterization.
+    The public methods live here and are the only input boundary: each
+    checks once (``_as_batch``, or ``n >= 1``), then calls an unchecked
+    family kernel (``_draw``, ``_log_density``, ``_suff_stats``,
+    ``_weighted_stats``, ``_score_batch``) on a checked batch or on the
+    model's own samples.  Families implement the check and the kernels.
     """
 
     family = ""
@@ -158,29 +160,28 @@ class SearchModel:
     def sample(self, n: int, rng_seed: int) -> np.ndarray:
         """Draw ``n`` i.i.d. points; identical (seed, model, n) gives
         bit-identical output."""
-        raise NotImplementedError
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return self._draw(np.random.default_rng(rng_seed), n)
 
     def log_density(self, z) -> float:
         Z = self._as_batch(z)
         if Z.shape[0] != 1:
             raise DomainError("log_density takes a single point; use log_density_batch")
-        return float(self.log_density_batch(Z)[0])
+        return float(self._log_density(Z)[0])
 
     def log_density_batch(self, Z) -> np.ndarray:
-        raise NotImplementedError
+        return self._log_density(self._as_batch(Z))
 
     def sufficient_stats(self, z) -> np.ndarray:
-        return self.sufficient_stats_batch(self._as_batch(z))[0]
+        return self._suff_stats(self._as_batch(z))[0]
 
     def sufficient_stats_batch(self, Z) -> np.ndarray:
-        raise NotImplementedError
+        return self._suff_stats(self._as_batch(Z))
 
     def weighted_stats(self, Z, w) -> np.ndarray:
-        """Weighted sum of sufficient statistics, sum_i w_i T(z_i).
-
-        Families override this when they can form the sum without
-        materializing the (n, n_params) statistics matrix."""
-        return w @ self.sufficient_stats_batch(Z)
+        """Weighted sum of sufficient statistics, sum_i w_i T(z_i)."""
+        return self._weighted_stats(self._as_batch(Z), w)
 
     def grad_log_density(self, z) -> np.ndarray:
         """Score with respect to the expectation parameters at one point.
@@ -221,6 +222,20 @@ class SearchModel:
 
     def _as_batch(self, Z) -> np.ndarray:
         raise NotImplementedError
+
+    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _log_density(self, Z) -> np.ndarray:
+        raise NotImplementedError
+
+    def _suff_stats(self, Z) -> np.ndarray:
+        raise NotImplementedError
+
+    def _weighted_stats(self, Z, w) -> np.ndarray:
+        # Families override this when they can form the sum without
+        # materializing the (n, n_params) statistics matrix.
+        return w @ self._suff_stats(Z)
 
     def _score_batch(self, Z) -> np.ndarray:
         raise NotImplementedError
@@ -297,26 +312,21 @@ class BernoulliProductModel(SearchModel):
             raise DomainError("Bernoulli support is {0,1}^d")
         return vals
 
-    def sample(self, n: int, rng_seed: int) -> np.ndarray:
-        """Draw ``n`` points as a bool array, one byte per bit."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = np.random.default_rng(rng_seed)
+    def _draw(self, rng, n: int) -> np.ndarray:
+        # A bool array, one byte per bit.
         return rng.random((n, self.dim)) < self._probs
 
-    def log_density_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
+    def _log_density(self, Z) -> np.ndarray:
         p = self._probs
         return Z @ np.log(p) + (1.0 - Z) @ np.log1p(-p)
 
-    def sufficient_stats_batch(self, Z) -> np.ndarray:
-        return np.asarray(self._as_batch(Z), dtype=np.float64)
+    def _suff_stats(self, Z) -> np.ndarray:
+        return np.asarray(Z, dtype=np.float64)
 
-    def weighted_stats(self, Z, w) -> np.ndarray:
-        return w @ self._as_batch(Z)
+    def _weighted_stats(self, Z, w) -> np.ndarray:
+        return w @ Z
 
     def _score_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
         p = self._probs
         return Z / p - (1.0 - Z) / (1.0 - p)
 
@@ -369,6 +379,15 @@ def unvech(v: np.ndarray, d: int) -> np.ndarray:
     M[idx] = v
     M = M + M.T - np.diag(np.diag(M))
     return M
+
+
+def _vech_doubled(M: np.ndarray) -> np.ndarray:
+    """vech over the last two axes with the off-diagonals doubled: the
+    coefficients on vech(S) of sum_ij M_ij S_ij for symmetric S."""
+    rows, cols = _tril_indices(M.shape[-1])
+    v = M[..., rows, cols]
+    v[..., rows != cols] *= 2.0
+    return v
 
 
 class GaussianModel(SearchModel):
@@ -468,13 +487,28 @@ class GaussianModel(SearchModel):
     def _param_values(self) -> np.ndarray:
         return np.concatenate([self._mean, vech(self._second_moment)])
 
+    @staticmethod
+    def _unpack(values: np.ndarray, d: int):
+        """Split a parameter vector into the mean and the second moment."""
+        return values[:d], unvech(values[d:], d)
+
     def _from_values(self, values: np.ndarray) -> "GaussianModel":
-        d = self.dim
-        m = values[:d]
-        S = unvech(values[d:], d)
+        m, S = self._unpack(values, self.dim)
         return GaussianModel(
             m, S, eig_floor=self._eig_floor, jitter_scale=self._jitter_scale
         )
+
+    # Derived from the immutable Cholesky factor on first use; closed-form
+    # runs never need the precision, so it is not formed at construction.
+    @functools.cached_property
+    def _precision(self) -> np.ndarray:
+        P = cho_solve((self._chol, True), np.eye(self.dim))
+        P.setflags(write=False)
+        return P
+
+    @functools.cached_property
+    def _log_det(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     def _as_batch(self, Z) -> np.ndarray:
         Z = np.asarray(_batchify(Z, self.dim), dtype=np.float64)
@@ -482,53 +516,38 @@ class GaussianModel(SearchModel):
             raise DomainError("Gaussian support requires finite coordinates")
         return Z
 
-    def sample(self, n: int, rng_seed: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = np.random.default_rng(rng_seed)
+    def _draw(self, rng, n: int) -> np.ndarray:
         X = rng.standard_normal((n, self.dim))
         return X @ self._chol.T + self._mean
 
-    def log_density_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
+    def _log_density(self, Z) -> np.ndarray:
         U = Z - self._mean
         # Solve L y = u per point; the Mahalanobis term is |y|^2 with C = L L^T.
         Yt = solve_triangular(self._chol, U.T, lower=True)
         maha = np.sum(Yt * Yt, axis=0)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-        return -0.5 * (self.dim * math.log(2.0 * math.pi) + log_det + maha)
+        return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + maha)
 
-    def sufficient_stats_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
+    def _suff_stats(self, Z) -> np.ndarray:
         outer = Z[:, :, None] * Z[:, None, :]
         idx = _tril_indices(self.dim)
         return np.concatenate([Z, outer[:, idx[0], idx[1]]], axis=1)
 
-    def weighted_stats(self, Z, w) -> np.ndarray:
+    def _weighted_stats(self, Z, w) -> np.ndarray:
         # Weighted first and second moments: O(n d + d^2) memory instead of
         # the (n, d, d) outer-product tensor.
-        Z = self._as_batch(Z)
         return np.concatenate([w @ Z, vech((Z.T * w) @ Z)])
 
-    def _precision(self) -> np.ndarray:
-        return cho_solve((self._chol, True), np.eye(self.dim))
-
     def _score_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
-        P = self._precision()
+        P = self._precision
         m = self._mean
         U = Z - m
         PU = U @ P
         Pm = P @ m
         grad_m = PU + Pm - PU * (U @ Pm)[:, None]
-        # d log p / dC = -P/2 + (Pu)(Pu)^T/2; tied off-diagonals double.
+        # d log p / dC = -P/2 + (Pu)(Pu)^T/2.
         outer = PU[:, :, None] * PU[:, None, :]
         G = -0.5 * P + 0.5 * outer
-        idx = _tril_indices(self.dim)
-        grad_S = G[:, idx[0], idx[1]]
-        off = idx[0] != idx[1]
-        grad_S[:, off] *= 2.0
-        return np.concatenate([grad_m, grad_S], axis=1)
+        return np.concatenate([grad_m, _vech_doubled(G)], axis=1)
 
     def _fisher(self) -> np.ndarray:
         # In mean coordinates the Fisher information is Cov[T]^{-1}; the
@@ -568,19 +587,12 @@ class GaussianModel(SearchModel):
             )
 
     def natural_params(self) -> np.ndarray:
-        P = self._precision()
-        eta_m = P @ self._mean
-        H = -0.5 * P
-        idx = _tril_indices(self.dim)
-        eta_S = H[idx].copy()
-        eta_S[idx[0] != idx[1]] *= 2.0
-        return np.concatenate([eta_m, eta_S])
+        P = self._precision
+        return np.concatenate([P @ self._mean, _vech_doubled(-0.5 * P)])
 
     def log_partition(self) -> float:
-        P = self._precision()
         m = self._mean
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-        return float(0.5 * m @ P @ m + 0.5 * log_det)
+        return float(0.5 * m @ self._precision @ m + 0.5 * self._log_det)
 
     def log_base_measure(self, z) -> float:
         return -0.5 * self.dim * math.log(2.0 * math.pi)
@@ -663,11 +675,15 @@ class CategoricalProductModel(SearchModel):
     def _param_values(self) -> np.ndarray:
         return self._probs[:, :-1].reshape(-1).copy()
 
-    def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
-        d, K = self.dim, self.arity
+    @staticmethod
+    def _table(values: np.ndarray, d: int, K: int) -> np.ndarray:
+        """The (d, K) table of a parameter vector, last categories restored."""
         head = values.reshape(d, K - 1)
         last = 1.0 - head.sum(axis=1)
-        P = np.concatenate([head, last[:, None]], axis=1)
+        return np.concatenate([head, last[:, None]], axis=1)
+
+    def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
+        P = self._table(values, self.dim, self.arity)
         return CategoricalProductModel(np.clip(P, 0.0, None), floor=self._floor)
 
     def _as_batch(self, Z) -> np.ndarray:
@@ -677,23 +693,18 @@ class CategoricalProductModel(SearchModel):
             raise DomainError(f"categorical support is {{0..{self.arity - 1}}}^d")
         return ints
 
-    def sample(self, n: int, rng_seed: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = np.random.default_rng(rng_seed)
+    def _draw(self, rng, n: int) -> np.ndarray:
         u = rng.random((n, self.dim))
         cum = np.cumsum(self._probs, axis=1)
         Z = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
         return np.minimum(Z, self.arity - 1).astype(np.int64)
 
-    def log_density_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
+    def _log_density(self, Z) -> np.ndarray:
         logs = np.log(self._probs)
         sites = np.arange(self.dim)
         return logs[sites, Z].sum(axis=1)
 
-    def sufficient_stats_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
+    def _suff_stats(self, Z) -> np.ndarray:
         n = Z.shape[0]
         d, K = self.dim, self.arity
         T = np.zeros((n, d, K - 1))
@@ -703,7 +714,6 @@ class CategoricalProductModel(SearchModel):
         return T.reshape(n, d * (K - 1))
 
     def _score_batch(self, Z) -> np.ndarray:
-        Z = self._as_batch(Z)
         n = Z.shape[0]
         d, K = self.dim, self.arity
         G = np.zeros((n, d, K - 1))
@@ -760,16 +770,13 @@ def model_from_json_dict(doc: dict) -> SearchModel:
     if family == "bernoulli":
         return BernoulliProductModel(params, doc.get("floor", PROB_FLOOR))
     if family == "gaussian":
-        m = params[:dim]
-        S = unvech(params[dim:], dim)
+        m, S = GaussianModel._unpack(params, dim)
         return GaussianModel(
             m, S, doc.get("eig_floor", EIG_FLOOR), doc.get("jitter_scale", JITTER_SCALE)
         )
     if family == "categorical":
-        K = int(doc["arity"])
-        head = params.reshape(dim, K - 1)
-        last = 1.0 - head.sum(axis=1)
-        P = np.concatenate([head, last[:, None]], axis=1)
+        # Not clipped like an update: negative entries raise DomainError.
+        P = CategoricalProductModel._table(params, dim, int(doc["arity"]))
         return CategoricalProductModel(P, doc.get("floor", PROB_FLOOR))
     raise FamilyMismatchError(f"unknown family {family!r}")
 

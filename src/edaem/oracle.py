@@ -88,7 +88,7 @@ class TiltedDistribution:
 
     def __post_init__(self):
         total = float(np.sum(self.probs))
-        if not np.isclose(total, 1.0, rtol=0.0, atol=1e-12):
+        if not abs(total - 1.0) <= 1e-12:
             raise DegenerateObjectiveError(f"tilted probabilities sum to {total}")
 
 
@@ -111,13 +111,9 @@ class CheckReport:
         return json.dumps(self.to_json_dict())
 
 
-def _state_log_probs(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
-    return model.log_density_batch(space.states)
-
-
 def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
     """log sum_z p(z|theta) f(z), accumulated stably in log space."""
-    log_p = _state_log_probs(model, space)
+    log_p = model.log_density_batch(space.states)
     with np.errstate(divide="ignore"):
         val = float(logsumexp(log_p, b=space.f_values))
     if not np.isfinite(val):
@@ -126,7 +122,7 @@ def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
 
 
 def exact_tilted(model: SearchModel, space: EnumerableSpace) -> TiltedDistribution:
-    w = np.exp(_state_log_probs(model, space)) * space.f_values
+    w = np.exp(model.log_density_batch(space.states)) * space.f_values
     total = w.sum()
     if not total > 0.0:
         raise DegenerateObjectiveError("E_p[f] is zero under the model support")
@@ -149,10 +145,10 @@ def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
     q = q.probs if isinstance(q, TiltedDistribution) else np.asarray(q, dtype=np.float64)
     if q.shape != (space.n_states,):
         raise DomainError("q must be a distribution over the space's states")
-    if np.any(q < -1e-15) or not np.isclose(q.sum(), 1.0, rtol=0.0, atol=1e-9):
+    if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
         raise DomainError("q must be a probability vector over the states")
     act = q > 0.0
-    log_p = _state_log_probs(model, space)[act]
+    log_p = model.log_density_batch(space.states)[act]
     f_act = space.f_values[act]
     if np.any(f_act <= 0.0):
         return float("-inf")
@@ -173,7 +169,7 @@ def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
 def exact_objective_gradient(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
     """Enumerated gradient of L(theta) = log E_p[f] with respect to the
     expectation parameters: E_p[f * score] / E_p[f]."""
-    p = np.exp(_state_log_probs(model, space))
+    p = np.exp(model.log_density_batch(space.states))
     scores = model.grad_log_density_batch(space.states)
     ef = float(p @ space.f_values)
     if not ef > 0.0:

@@ -347,6 +347,21 @@ def test_cmd_sweep_param_kind_mismatch_exit_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "shaping,param", [("Quantile:0.5", "rho"), ("Exp:1.0", "beta")]
+)
+def test_cmd_sweep_reads_the_parsed_shaping_kind(tmp_path, shaping, param):
+    # the run accepts these spellings, so the sweep must too
+    cfg = write_config(tmp_path, dict(sweep_doc(), shaping=shaping))
+    code = cli.main(
+        ["sweep", "--config", cfg, "--param", param, "--values", "0.25,0.5",
+         "--out", str(tmp_path / "sw")]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
 def test_cmd_sweep_continues_past_child_failures(tmp_path):
     cfg = write_config(tmp_path, sweep_doc())
     code = cli.main(

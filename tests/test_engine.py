@@ -509,6 +509,42 @@ def test_run_builds_one_model_per_iteration(monkeypatch, rule):
     assert calls == {"with_params": 10, "e_step": 10}
 
 
+@pytest.mark.parametrize(
+    "rule,with_params_calls",
+    [
+        (UpdateRule("closed_form"), 10),
+        (UpdateRule("map_smoothed", gamma=0.8), 10),
+        # k - 1 projections between ascent steps, plus run()'s one repair
+        (UpdateRule("gradient", alpha=1e-4, k=3), 30),
+    ],
+)
+def test_run_checks_each_generation_once(monkeypatch, rule, with_params_calls):
+    calls = {"_as_batch": 0, "with_params": 0}
+    as_batch, with_params = GaussianModel._as_batch, SearchModel.with_params
+
+    def counting_as_batch(self, Z):
+        calls["_as_batch"] += 1
+        return as_batch(self, Z)
+
+    def counting_with_params(self, params):
+        calls["with_params"] += 1
+        return with_params(self, params)
+
+    monkeypatch.setattr(GaussianModel, "_as_batch", counting_as_batch)
+    monkeypatch.setattr(SearchModel, "with_params", counting_with_params)
+    cfg = runcfg(
+        model=GaussianModel.from_mean_cov(np.zeros(5), np.eye(5)),
+        objective=objectives.parse_objective("sphere:5"),
+        shaping=shaping.ShapingSpec.parse("quantile:0.25"),
+        rule=rule,
+        n_samples=50,
+        iterations=10,
+        seed=0,
+    )
+    assert len(run(cfg).records) == 10
+    assert calls == {"_as_batch": 10, "with_params": with_params_calls}
+
+
 def test_run_map_mode_records_prior_augmented_free_energy():
     obj = objectives.onemax(4)
     cfg = runcfg(

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from edaem.errors import (
     BoundaryError,
@@ -178,6 +179,42 @@ def test_gaussian_domain_error_on_nan():
     g = GaussianModel.from_mean_cov([0.0], [[1.0]])
     with pytest.raises(DomainError):
         g.log_density([float("nan")])
+
+
+# Interior models, so the score methods reach the input check, each with one
+# point off its support.
+_OFF_SUPPORT = {
+    "bernoulli": (BernoulliProductModel([0.3, 0.62]), [0, 2]),
+    "gaussian": (GaussianModel.from_mean_cov([0.4, -0.7], np.eye(2)), [float("nan"), 0.0]),
+    "categorical": (CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]), [3, 0]),
+}
+
+_PUBLIC_INPUT_METHODS = {
+    "log_density": lambda m, z: m.log_density(z),
+    "log_density_batch": lambda m, z: m.log_density_batch([z, z]),
+    "sufficient_stats": lambda m, z: m.sufficient_stats(z),
+    "sufficient_stats_batch": lambda m, z: m.sufficient_stats_batch([z, z]),
+    "weighted_stats": lambda m, z: m.weighted_stats([z, z], np.ones(2)),
+    "grad_log_density": lambda m, z: m.grad_log_density(z),
+    "grad_log_density_batch": lambda m, z: m.grad_log_density_batch([z, z]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_PUBLIC_INPUT_METHODS))
+@pytest.mark.parametrize("family", sorted(_OFF_SUPPORT))
+def test_every_public_method_rejects_off_support_input(family, method):
+    model, point = _OFF_SUPPORT[family]
+    with pytest.raises(DomainError):
+        _PUBLIC_INPUT_METHODS[method](model, np.array(point))
+
+
+def test_gaussian_precision_is_lazy_cached_and_read_only():
+    g = GaussianModel.from_mean_cov([0.4, -0.7], [[1.1, 0.3], [0.3, 0.7]])
+    assert "_precision" not in vars(g)  # closed-form runs never form it
+    P = g._precision
+    assert P is g._precision
+    assert not P.flags.writeable
+    np.testing.assert_array_equal(P, cho_solve((g._chol, True), np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
