@@ -95,7 +95,7 @@ class RunConfig:
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError("out_dir must be a string path")
         window = doc.get("early_stop_window")
-        if window is not None and (not isinstance(window, int) or window < 1):
+        if window is not None and _expect(doc, "early_stop_window", int) < 1:
             raise ConfigError(f"early_stop_window must be a positive integer, got {window}")
 
         base = objective.name.split(":", 1)[0]
@@ -185,7 +185,7 @@ def _build_model(doc, objective: Objective) -> SearchModel:
         raise ConfigError(f"unknown model keys: {sorted(unknown)}")
     family = doc.get("family")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"model.dim must be a positive integer, got {dim!r}")
     init = doc.get("init", "default")
 

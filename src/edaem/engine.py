@@ -16,7 +16,8 @@ distribution with one of three M-step variants:
   (REINFORCE-style) update, and as k grows it approaches the closed form.
 
 The M-steps return unrepaired parameters; ``run`` builds the next model
-from them once, which applies the family's floors and covariance jitter.
+from them once, which applies the fixed probability floor or covariance
+jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
 Each generation is checked once, when the M-step passes it to the model;
 the free-energy diagnostic reuses it through the unchecked density kernel.
 

@@ -40,6 +40,9 @@ from .errors import (
     FamilyMismatchError,
 )
 
+# The repair constants of the feasible sets, fixed for every model: the
+# probability floor of the Bernoulli and categorical families, and the
+# Gaussian covariance's smallest eigenvalue and trace-scaled jitter.
 PROB_FLOOR = 1e-3
 EIG_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
@@ -261,28 +264,21 @@ class BernoulliProductModel(SearchModel):
 
     theta = p with E[z_j] = p_j, T(z) = z, natural params
     eta_j = log(p_j / (1 - p_j)).  Construction clips probabilities into
-    [floor, 1 - floor] (values outside [0, 1] are rejected).
+    [PROB_FLOOR, 1 - PROB_FLOOR] (values outside [0, 1] are rejected).
     """
 
     family = "bernoulli"
 
-    def __init__(self, probs, floor: float = PROB_FLOOR):
+    def __init__(self, probs):
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         _require_finite(probs, "probs")
-        if not 0.0 < floor < 0.5:
-            raise ValueError(f"floor must lie in (0, 0.5), got {floor}")
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise DomainError("Bernoulli probabilities must lie in [0, 1]")
-        self._probs = _readonly(np.clip(probs, floor, 1.0 - floor))
-        self._floor = float(floor)
+        self._probs = _readonly(np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
     @property
     def probs(self) -> np.ndarray:
         return self._probs
-
-    @property
-    def floor(self) -> float:
-        return self._floor
 
     @property
     def dim(self) -> int:
@@ -301,7 +297,7 @@ class BernoulliProductModel(SearchModel):
 
     def _from_values(self, values: np.ndarray) -> "BernoulliProductModel":
         # Repair policy for updates: clip into the floored box.
-        return BernoulliProductModel(np.clip(values, 0.0, 1.0), floor=self._floor)
+        return BernoulliProductModel(np.clip(values, 0.0, 1.0))
 
     def _as_batch(self, Z) -> np.ndarray:
         Z = _batchify(Z, self.dim)
@@ -336,7 +332,7 @@ class BernoulliProductModel(SearchModel):
 
     def _check_interior(self) -> None:
         p = self._probs
-        if np.any(p <= self._floor) or np.any(p >= 1.0 - self._floor):
+        if np.any(p <= PROB_FLOOR) or np.any(p >= 1.0 - PROB_FLOOR):
             raise BoundaryError(
                 "a probability sits at the floor boundary; score and Fisher "
                 "information require strictly interior parameters"
@@ -354,7 +350,6 @@ class BernoulliProductModel(SearchModel):
             "family": "bernoulli",
             "dim": self.dim,
             "params": [float(v) for v in self._probs],
-            "floor": self._floor,
         }
 
 
@@ -398,20 +393,14 @@ class GaussianModel(SearchModel):
     weighted-mean refit reproduces weighted sample moments exactly.
 
     Construction symmetrizes S and repairs C to be positive definite with
-    smallest eigenvalue >= ``eig_floor`` by adding trace-scaled jitter,
+    smallest eigenvalue >= ``EIG_FLOOR`` by adding trace-scaled jitter,
     doubling at most ``MAX_JITTER_DOUBLINGS`` times; if that fails the
     model raises instead of silently clamping.
     """
 
     family = "gaussian"
 
-    def __init__(
-        self,
-        mean,
-        second_moment,
-        eig_floor: float = EIG_FLOOR,
-        jitter_scale: float = JITTER_SCALE,
-    ):
+    def __init__(self, mean, second_moment):
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
         S = np.asarray(second_moment, dtype=np.float64)
         d = m.shape[0]
@@ -421,26 +410,24 @@ class GaussianModel(SearchModel):
         _require_finite(S, "second_moment")
         S = 0.5 * (S + S.T)
         C0 = S - np.outer(m, m)
-        C, L = self._repair_cov(C0, eig_floor, jitter_scale)
+        C, L = self._repair_cov(C0)
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
         self._mean = _readonly(m)
         self._second_moment = _readonly(S if C is C0 else C + np.outer(m, m))
         self._cov = _readonly(C)
-        self._eig_floor = float(eig_floor)
-        self._jitter_scale = float(jitter_scale)
         self._chol = _readonly(L)
 
     @staticmethod
-    def _repair_cov(C: np.ndarray, eig_floor: float, jitter_scale: float):
+    def _repair_cov(C: np.ndarray):
         """Return the repaired covariance and its lower Cholesky factor."""
         d = C.shape[0]
         if not np.all(np.isfinite(C)):
             raise DegenerateModelError("covariance contains non-finite entries")
-        jitter = max(jitter_scale * float(np.trace(C)) / d, eig_floor)
+        jitter = max(JITTER_SCALE * float(np.trace(C)) / d, EIG_FLOOR)
         for attempt in range(MAX_JITTER_DOUBLINGS + 1):
             lam_min = float(np.linalg.eigvalsh(C)[0])
-            if lam_min >= eig_floor:
+            if lam_min >= EIG_FLOOR:
                 try:
                     return C, np.linalg.cholesky(C)
                 except np.linalg.LinAlgError:
@@ -454,10 +441,10 @@ class GaussianModel(SearchModel):
         )
 
     @classmethod
-    def from_mean_cov(cls, mean, cov, **kwargs) -> "GaussianModel":
+    def from_mean_cov(cls, mean, cov) -> "GaussianModel":
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
         C = np.asarray(cov, dtype=np.float64)
-        return cls(m, C + np.outer(m, m), **kwargs)
+        return cls(m, C + np.outer(m, m))
 
     @property
     def mean(self) -> np.ndarray:
@@ -493,10 +480,7 @@ class GaussianModel(SearchModel):
         return values[:d], unvech(values[d:], d)
 
     def _from_values(self, values: np.ndarray) -> "GaussianModel":
-        m, S = self._unpack(values, self.dim)
-        return GaussianModel(
-            m, S, eig_floor=self._eig_floor, jitter_scale=self._jitter_scale
-        )
+        return GaussianModel(*self._unpack(values, self.dim))
 
     # Derived from the immutable Cholesky factor on first use; closed-form
     # runs never need the precision, so it is not formed at construction.
@@ -580,9 +564,9 @@ class GaussianModel(SearchModel):
 
     def _check_interior(self) -> None:
         lam_min = float(np.linalg.eigvalsh(self._cov)[0])
-        if lam_min <= self._eig_floor:
+        if lam_min <= EIG_FLOOR:
             raise BoundaryError(
-                "covariance smallest eigenvalue is at the configured floor; "
+                "covariance smallest eigenvalue is at the floor; "
                 "score and Fisher information require strict interiority"
             )
 
@@ -602,8 +586,6 @@ class GaussianModel(SearchModel):
             "family": "gaussian",
             "dim": self.dim,
             "params": [float(v) for v in self._param_values()],
-            "eig_floor": self._eig_floor,
-            "jitter_scale": self._jitter_scale,
         }
 
 
@@ -613,18 +595,19 @@ class CategoricalProductModel(SearchModel):
     ``probs`` is (d, K), each row on the simplex.  Internally the
     expectation parameters drop the last category per site (minimal
     layout, length d*(K-1)) so the Fisher information stays nonsingular.
-    Repair clips entries to the floor and renormalizes rows.
+    Repair clips entries to ``PROB_FLOOR`` and renormalizes rows, so the
+    arity must stay below 1 / PROB_FLOOR.
     """
 
     family = "categorical"
 
-    def __init__(self, probs, floor: float = PROB_FLOOR):
+    def __init__(self, probs):
         P = np.asarray(probs, dtype=np.float64)
-        if P.ndim != 2 or P.shape[1] < 2:
-            raise DomainError("probs must be (d, K) with K >= 2")
+        if P.ndim != 2 or not 2 <= P.shape[1] < 1.0 / PROB_FLOOR:
+            raise DomainError(
+                f"probs must be (d, K) with 2 <= K < {1.0 / PROB_FLOOR:g}, got shape {P.shape}"
+            )
         _require_finite(P, "probs")
-        if not 0.0 < floor < 1.0 / P.shape[1]:
-            raise ValueError(f"floor must lie in (0, 1/K), got {floor}")
         if np.any(P < 0.0):
             raise DomainError("categorical probabilities must be nonnegative")
         P = P.copy()
@@ -636,25 +619,20 @@ class CategoricalProductModel(SearchModel):
         off = np.abs(row_sums - 1.0) > 1e-12
         if off.any():
             P[off] = P[off] / row_sums[off, None]
-        low = (P < floor).any(axis=1)
+        low = (P < PROB_FLOOR).any(axis=1)
         if low.any():
             Q = P[low]
             for _ in range(8):
-                Q = np.clip(Q, floor, None)
+                Q = np.clip(Q, PROB_FLOOR, None)
                 Q = Q / Q.sum(axis=1)[:, None]
-                if np.all(Q >= floor):
+                if np.all(Q >= PROB_FLOOR):
                     break
             P[low] = Q
         self._probs = _readonly(P)
-        self._floor = float(floor)
 
     @property
     def probs(self) -> np.ndarray:
         return self._probs
-
-    @property
-    def floor(self) -> float:
-        return self._floor
 
     @property
     def dim(self) -> int:
@@ -684,7 +662,7 @@ class CategoricalProductModel(SearchModel):
 
     def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
         P = self._table(values, self.dim, self.arity)
-        return CategoricalProductModel(np.clip(P, 0.0, None), floor=self._floor)
+        return CategoricalProductModel(np.clip(P, 0.0, None))
 
     def _as_batch(self, Z) -> np.ndarray:
         vals = _batchify(Z, self.dim)
@@ -738,7 +716,7 @@ class CategoricalProductModel(SearchModel):
         return out
 
     def _check_interior(self) -> None:
-        if np.any(self._probs <= self._floor):
+        if np.any(self._probs <= PROB_FLOOR):
             raise BoundaryError(
                 "a category probability sits at the floor boundary; score and "
                 "Fisher information require strictly interior parameters"
@@ -758,26 +736,37 @@ class CategoricalProductModel(SearchModel):
             "dim": self.dim,
             "arity": self.arity,
             "params": [float(v) for v in self._param_values()],
-            "floor": self._floor,
         }
 
 
+# Documents written when the floors were per-model settings carry them as
+# fields.  A field holding any value but the fixed one describes a model
+# this library cannot build.
+_LEGACY_FLOOR_FIELDS = {
+    "floor": PROB_FLOOR,
+    "eig_floor": EIG_FLOOR,
+    "jitter_scale": JITTER_SCALE,
+}
+
+
 def model_from_json_dict(doc: dict) -> SearchModel:
-    """Inverse of ``to_json_dict``; floors missing from ``doc`` take their defaults."""
+    """Inverse of ``to_json_dict``; also loads older documents whose floor
+    fields hold the fixed values."""
+    for key, fixed in _LEGACY_FLOOR_FIELDS.items():
+        if key in doc and doc[key] != fixed:
+            raise DomainError(f"{key} = {doc[key]!r} in model JSON; only {fixed!r} is supported")
     family = doc.get("family")
     dim = int(doc.get("dim", 0))
     params = np.asarray(doc.get("params", []), dtype=np.float64)
     if family == "bernoulli":
-        return BernoulliProductModel(params, doc.get("floor", PROB_FLOOR))
+        return BernoulliProductModel(params)
     if family == "gaussian":
-        m, S = GaussianModel._unpack(params, dim)
-        return GaussianModel(
-            m, S, doc.get("eig_floor", EIG_FLOOR), doc.get("jitter_scale", JITTER_SCALE)
-        )
+        return GaussianModel(*GaussianModel._unpack(params, dim))
     if family == "categorical":
         # Not clipped like an update: negative entries raise DomainError.
-        P = CategoricalProductModel._table(params, dim, int(doc["arity"]))
-        return CategoricalProductModel(P, doc.get("floor", PROB_FLOOR))
+        return CategoricalProductModel(
+            CategoricalProductModel._table(params, dim, int(doc["arity"]))
+        )
     raise FamilyMismatchError(f"unknown family {family!r}")
 
 

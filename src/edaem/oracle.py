@@ -32,9 +32,24 @@ from scipy.special import logsumexp
 from . import engine as engine_mod
 from . import shaping as shaping_mod
 from .errors import DegenerateObjectiveError, DomainError
-from .models import BernoulliProductModel, ExpectationParams, SearchModel
+from .models import PROB_FLOOR, BernoulliProductModel, ExpectationParams, SearchModel
 
 MAX_STATES = 2**20
+
+# Tolerances of the verification suite, the same for every fixture.
+# NGD correspondence: objective rescalings s, the allowed growth of
+# discrepancy / |grad L|^2 from one s to the next, the level below which
+# that ratio is float noise, and the bound on the s = 1 discrepancy.
+NGD_SCALES = (1.0, 0.5, 0.25, 0.125)
+NGD_GROWTH_LIMIT = 2.0
+NGD_NOISE_FLOOR = 1e-8
+NGD_EQUALITY_TOL = 1e-10
+# EM monotonicity: exact EM steps, and the most any step may lower L.
+EM_N_STEPS = 25
+EM_STEP_TOL = -1e-12
+# Free-energy bound: random q drawn, and the tolerance of each identity.
+FE_N_RANDOM_Q = 20
+FE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -204,12 +219,10 @@ def verify_ppm_equivalence(
     """
     model = _require_bernoulli(model, 3, "verify_ppm_equivalence")
     d = model.dim
-    floor = model.floor
-    n_points = int(round((1.0 - 2.0 * floor) / grid_step)) + 1
-    grid_1d = np.linspace(floor, 1.0 - floor, n_points)
+    n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / grid_step)) + 1
+    grid_1d = np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, n_points)
     eff_step = float(grid_1d[1] - grid_1d[0])
-    axes = np.meshgrid(*([grid_1d] * d), indexing="ij")
-    thetas = np.stack([a.reshape(-1) for a in axes], axis=1)
+    n_grid = n_points**d
 
     Z = np.asarray(space.states, dtype=np.float64)
     f = space.f_values
@@ -219,9 +232,13 @@ def verify_ppm_equivalence(
 
     best_val = -np.inf
     best_theta = None
-    chunk = max(1, 4_000_000 // space.n_states)
-    for start in range(0, thetas.shape[0], chunk):
-        Th = thetas[start : start + chunk]
+    # About 250k (grid point, state) cells per chunk bound the memory.  Each
+    # chunk builds its grid points from its index range, in row-major order;
+    # the strict > keeps the first argmax.
+    chunk = max(1, 250_000 // space.n_states)
+    for start in range(0, n_grid, chunk):
+        flat = np.arange(start, min(start + chunk, n_grid))
+        Th = grid_1d[np.stack(np.unravel_index(flat, (n_points,) * d), axis=1)]
         logP = np.log(Th) @ Z.T + np.log1p(-Th) @ (1.0 - Z).T  # (G, M)
         L = logsumexp(logP[:, support] + log_f[support], axis=1)
         log_tilted = logP[:, support] + log_f[support] - L[:, None]
@@ -253,13 +270,7 @@ def verify_ppm_equivalence(
 
 
 def verify_ngd_correspondence(
-    model: SearchModel,
-    space: EnumerableSpace,
-    scales: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
-    growth_limit: float = 2.0,
-    noise_floor: float = 1e-8,
-    equality_tol: float = 1e-10,
-    fixture: str = "",
+    model: SearchModel, space: EnumerableSpace, fixture: str = ""
 ) -> CheckReport:
     """Compare theta + I(theta)^{-1} grad L(theta) against the exact EM
     refit, with exact enumerated gradient and Fisher information.
@@ -269,8 +280,8 @@ def verify_ngd_correspondence(
     discrepancy should be at rounding level.  Rescaling the objective as
     f_s = 1 + s (f - 1) shrinks the gradient; second-order agreement means
     discrepancy / |grad L|^2 stays bounded as s -> 0.  Ratios are compared
-    above ``noise_floor`` only: below it they measure float noise divided
-    by a vanishing gradient, not the approximation order.
+    above ``NGD_NOISE_FLOOR`` only: below it they measure float noise
+    divided by a vanishing gradient, not the approximation order.
     """
     model = _require_bernoulli(model, 20, "verify_ngd_correspondence")
     if np.any(space.f_values <= 0.0):
@@ -278,7 +289,7 @@ def verify_ngd_correspondence(
 
     base_f = space.f_values
     discs, ratios = [], []
-    for s in scales:
+    for s in NGD_SCALES:
         fs = 1.0 + s * (base_f - 1.0)
         sub = EnumerableSpace(states=space.states, f_values=fs, arity=space.arity)
         grad = exact_objective_gradient(model, sub)
@@ -291,19 +302,19 @@ def verify_ngd_correspondence(
         ratios.append(disc / gnorm2 if gnorm2 > 0.0 else 0.0)
 
     bounded = all(
-        ratios[i + 1] <= max(growth_limit * ratios[i], noise_floor)
+        ratios[i + 1] <= max(NGD_GROWTH_LIMIT * ratios[i], NGD_NOISE_FLOOR)
         for i in range(len(ratios) - 1)
     )
-    passed = bool(discs[0] <= equality_tol and bounded)
+    passed = bool(discs[0] <= NGD_EQUALITY_TOL and bounded)
     return CheckReport(
         check_name="ngd_correspondence",
         fixture=fixture,
         values={
-            "scales": [float(s) for s in scales],
+            "scales": [float(s) for s in NGD_SCALES],
             "discrepancies": discs,
             "ratios": ratios,
             "discrepancy": discs[0],
-            "equality_tol": equality_tol,
+            "equality_tol": NGD_EQUALITY_TOL,
         },
         passed=passed,
     )
@@ -349,47 +360,39 @@ def verify_mc_convergence(
 
 
 def verify_em_monotonicity(
-    model: SearchModel,
-    space: EnumerableSpace,
-    n_steps: int = 25,
-    step_tol: float = -1e-12,
-    fixture: str = "",
+    model: SearchModel, space: EnumerableSpace, fixture: str = ""
 ) -> CheckReport:
-    """Iterate the exact EM refit and check L(theta) never decreases by
-    more than ``step_tol`` (exact EM: no sampling noise)."""
+    """Iterate the exact EM refit ``EM_N_STEPS`` times and check L(theta)
+    never decreases by more than ``-EM_STEP_TOL`` (exact EM: no sampling
+    noise)."""
     current = model
     objective_values = [exact_objective(current, space)]
-    for _ in range(n_steps):
+    for _ in range(EM_N_STEPS):
         current = current.with_params(exact_em_update(current, space))
         objective_values.append(exact_objective(current, space))
     diffs = np.diff(objective_values)
-    passed = bool(np.all(diffs >= step_tol))
+    passed = bool(np.all(diffs >= EM_STEP_TOL))
     return CheckReport(
         check_name="em_monotonicity",
         fixture=fixture,
         values={
             "objective_values": [float(v) for v in objective_values],
             "min_step": float(diffs.min()) if diffs.size else 0.0,
-            "n_steps": n_steps,
+            "n_steps": EM_N_STEPS,
         },
         passed=passed,
     )
 
 
 def verify_free_energy_bound(
-    model: SearchModel,
-    space: EnumerableSpace,
-    n_random_q: int = 20,
-    seed: int = 0,
-    tol: float = 1e-10,
-    fixture: str = "",
+    model: SearchModel, space: EnumerableSpace, seed: int = 0, fixture: str = ""
 ) -> CheckReport:
     """Check F(q, theta) <= L(theta) for random q, equality at q = tilted,
-    and the gap identity F - L = -KL(q || tilted).
+    and the gap identity F - L = -KL(q || tilted), each to ``FE_TOL``.
 
-    Random q are Dirichlet draws restricted to the support of p*f so the
-    identities stay finite; the -inf flag path is exercised separately in
-    unit tests.
+    ``FE_N_RANDOM_Q`` random q are Dirichlet draws restricted to the
+    support of p*f so the identities stay finite; the -inf flag path is
+    exercised separately in unit tests.
     """
     rng = np.random.default_rng(seed)
     L = exact_objective(model, space)
@@ -399,7 +402,7 @@ def verify_free_energy_bound(
     sat_gap = abs(exact_free_energy(tilted, model, space) - L)
     max_violation = 0.0
     max_identity_err = 0.0
-    for _ in range(n_random_q):
+    for _ in range(FE_N_RANDOM_Q):
         q = np.zeros(space.n_states)
         q[support] = rng.dirichlet(np.ones(int(support.sum())))
         F = exact_free_energy(q, model, space)
@@ -408,7 +411,9 @@ def verify_free_energy_bound(
         identity_err = abs(gap + kl_divergence(q, tilted.probs))
         max_identity_err = max(max_identity_err, identity_err)
 
-    passed = bool(sat_gap <= tol and max_violation <= tol and max_identity_err <= tol)
+    passed = bool(
+        sat_gap <= FE_TOL and max_violation <= FE_TOL and max_identity_err <= FE_TOL
+    )
     return CheckReport(
         check_name="free_energy_bound",
         fixture=fixture,
@@ -416,8 +421,8 @@ def verify_free_energy_bound(
             "satiation_gap": float(sat_gap),
             "max_bound_violation": float(max_violation),
             "max_gap_identity_error": float(max_identity_err),
-            "n_random_q": n_random_q,
-            "tol": tol,
+            "n_random_q": FE_N_RANDOM_Q,
+            "tol": FE_TOL,
         },
         passed=passed,
     )

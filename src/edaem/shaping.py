@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DegenerateWeightsError, ShapingInputError
 
@@ -108,6 +107,10 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
         w = np.zeros(n)
         w[order[:m]] = 1.0
     elif spec.kind == "rank":
+        # Imported here: scipy.stats more than doubles the package import
+        # time, and only rank shaping needs it.
+        from scipy.stats import rankdata
+
         r = rankdata(f, method="average")
         w = r / n
     else:  # cdf_threshold

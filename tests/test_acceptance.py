@@ -203,7 +203,7 @@ def test_criterion_5_exact_em_monotonicity():
     worst = 0.0
     ok = True
     for fx in default_fixtures():
-        rep = verify_em_monotonicity(fx.model, fx.space, n_steps=25, fixture=fx.name)
+        rep = verify_em_monotonicity(fx.model, fx.space, fixture=fx.name)
         ok = ok and rep.passed
         worst = min(worst, rep.values["min_step"])
     report(5, "exact EM never decreases the objective", ok,

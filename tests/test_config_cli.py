@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +136,70 @@ def test_categorical_config():
         RunConfig.from_dict(doc)
 
 
+def _model(**over):
+    return {"family": "bernoulli", "dim": 8, "init": "default", **over}
+
+
+def _gauss(init):
+    return {"objective": "sphere:2", "model": {"family": "gaussian", "dim": 2, "init": init}}
+
+
+# Each row breaks one field; the error must name that field.
+@pytest.mark.parametrize(
+    "over,field",
+    [
+        ({"iterations": 0}, "iterations"),
+        ({"iterations": 2.5}, "iterations"),
+        ({"n_samples": True}, "n_samples"),
+        ({"seed": "3"}, "seed"),
+        ({"objective": 8}, "objective"),
+        ({"shaping": None}, "shaping"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"early_stop_window": 0}, "early_stop_window"),
+        ({"early_stop_window": "10"}, "early_stop_window"),
+        ({"early_stop_window": True}, "early_stop_window"),
+        ({"update": "closed_form"}, "update"),
+        ({"update": {"kind": "closed_form", "beta": 1.0}}, "beta"),
+        ({"update": {"kind": "closed_form", "gamma": 0.5}}, "gamma"),
+        ({"update": {"kind": "map_smoothed", "gamma": 0.5, "k": 2}}, "k"),
+        ({"update": {"kind": "map_smoothed", "gamma": "0.5"}}, "update.gamma"),
+        ({"update": {"kind": "map_smoothed"}}, "update.gamma"),
+        ({"update": {"kind": "gradient", "alpha": "big", "k": 2}}, "update.alpha"),
+        ({"update": {"kind": "gradient", "alpha": 0.1, "k": 1.5}}, "update.k"),
+        ({"update": {"kind": "newton"}}, "update.kind"),
+        ({"model": "bernoulli"}, "model"),
+        ({"model": _model(dim=0)}, "model.dim"),
+        ({"model": _model(dim="8")}, "model.dim"),
+        ({"objective": "onemax:1", "model": _model(dim=True)}, "model.dim"),
+        ({"model": _model(family="poisson")}, "model.family"),
+        ({"model": _model(family="gaussian")}, "gaussian"),
+        ({"model": _model(init="uniform")}, "model.init"),
+        ({"model": _model(init=[0.5] * 7)}, "model.init"),
+        ({"model": _model(init=[float("nan")] * 8)}, "model.init"),
+        (_gauss({"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "scale": 2}), "scale"),
+        (_gauss({"mean": [0.0, 0.0], "cov": [[1.0]]}), "model.init.cov"),
+        (_gauss({"cov": [[1.0, 0.0], [0.0, 1.0]]}), "model.init.mean"),
+    ],
+)
+def test_config_error_names_its_field(over, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        RunConfig.from_dict(base_doc(**over))
+
+
+def test_config_root_must_be_an_object():
+    with pytest.raises(ConfigError, match="root"):
+        RunConfig.from_dict([base_doc()])
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_config_file_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match="cfg.json"):
+        RunConfig.from_file(str(path))
+
+
 def test_seed_override_reparses():
     cfg = RunConfig.from_dict(base_doc())
     cfg2 = cfg.with_seed(99)
@@ -196,6 +262,20 @@ def test_cmd_run_io_failure_exit_4(tmp_path, capsys):
     blocker.write_text("not a directory")
     code = cli.main(["run", "--config", cfg, "--out", str(blocker)])
     assert code == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["exit_code"] == 4
+
+
+@pytest.mark.parametrize("command", ["diagnose", "sweep"])
+def test_cmd_diagnose_and_sweep_io_failure_exit_4(tmp_path, capsys, command):
+    blocker = tmp_path / "blocked"
+    blocker.write_text("not a directory")
+    argv = {
+        "diagnose": ["diagnose", "default"],
+        "sweep": ["sweep", "--config", write_config(tmp_path, base_doc()),
+                  "--param", "N", "--values", "40"],
+    }[command]
+    assert cli.main(argv + ["--out", str(blocker)]) == 4
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["exit_code"] == 4
 
@@ -272,6 +352,18 @@ def test_cmd_diagnose_default_passes(tmp_path, capsys):
         "em_monotonicity",
         "free_energy_bound",
     }
+
+
+def test_cmd_diagnose_default_peak_memory_below_64_mb(capsys):
+    # The PPM grid search works in small chunks; a full grid of the d = 2
+    # fixtures at step 1e-3 alone would take about 290 MB.
+    tracemalloc.start()
+    try:
+        assert cli.main(["diagnose", "default"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < 64.0
 
 
 def test_cmd_diagnose_unknown_fixture_exit_2(capsys):
@@ -360,6 +452,30 @@ def test_cmd_sweep_reads_the_parsed_shaping_kind(tmp_path, shaping, param):
     assert code == 0
     rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
     assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+# Each row is a sweep that must stop before running anything, with exit 2.
+@pytest.mark.parametrize(
+    "over,param,values",
+    [
+        ({"update": {"kind": "closed_form"}}, "gamma", "0.5"),
+        ({}, "beta", "1.0"),
+        ({"shaping": "exp:1.0"}, "rho", "0.5"),
+        ({}, "sigma", "1.0"),
+        ({}, "gamma", "0.5,high"),
+        ({}, "N", "40.5"),
+        ({"out_dir": None}, "gamma", "0.5"),
+    ],
+)
+def test_cmd_sweep_rejects_before_running_exit_2(tmp_path, capsys, over, param, values):
+    doc = {**sweep_doc(), **over}
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--param", param,
+            "--values", values]
+    if "out_dir" not in over:
+        argv += ["--out", str(tmp_path / "sw")]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "sw").exists()
 
 
 def test_cmd_sweep_continues_past_child_failures(tmp_path):

@@ -234,13 +234,6 @@ def test_map_convex_combination_value():
     assert out.values[0] == pytest.approx(0.62, abs=1e-15)
 
 
-def test_map_keeps_model_floor():
-    # 5e-4 is valid under floor 1e-4; the default floor 1e-3 must not apply.
-    prev = BernoulliProductModel([5e-4], floor=1e-4).params
-    out = m_step_map(prev, prev, 0.5)
-    assert out.values[0] == 5e-4
-
-
 def test_map_family_mismatch():
     prev = ExpectationParams(np.array([0.5]), "bernoulli:1")
     tilde = ExpectationParams(np.array([0.9]), "gaussian:1")

@@ -18,6 +18,8 @@ from edaem.errors import (
     FamilyMismatchError,
 )
 from edaem.models import (
+    EIG_FLOOR,
+    PROB_FLOOR,
     BernoulliProductModel,
     CategoricalProductModel,
     ExpectationParams,
@@ -403,7 +405,7 @@ def test_gaussian_repair_lifts_small_eigenvalues():
     m = np.array([1.0, 1.0])
     S = np.outer(m, m)
     g = GaussianModel(m, S)
-    assert np.linalg.eigvalsh(g.cov)[0] >= g._eig_floor  # repaired
+    assert np.linalg.eigvalsh(g.cov)[0] >= EIG_FLOOR  # repaired
 
 
 def test_gaussian_repair_failure_is_an_error():
@@ -419,7 +421,7 @@ def test_gaussian_symmetrization():
 
 def test_categorical_repair_floors_and_renormalizes():
     c = CategoricalProductModel([[1.0, 0.0, 0.0]])
-    assert np.all(c.probs >= c.floor - 1e-15)
+    assert np.all(c.probs >= PROB_FLOOR - 1e-15)
     assert c.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -479,30 +481,40 @@ def test_json_roundtrip_and_stability(model):
     assert back.to_json() == text
 
 
-@pytest.mark.parametrize(
-    "model,attrs",
-    [
-        (BernoulliProductModel([0.25, 0.75], floor=1e-4), ("floor",)),
-        (
-            GaussianModel.from_mean_cov(
-                [0.5, -1.0], [[1.5, 0.4], [0.4, 0.9]], eig_floor=1e-6, jitter_scale=1e-8
-            ),
-            ("_eig_floor", "_jitter_scale"),
-        ),
-        (
-            CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]], floor=1e-2),
-            ("floor",),
-        ),
-    ],
-)
-def test_json_roundtrips_non_default_floors(model, attrs):
-    back = model_from_json(model.to_json())
-    for attr in attrs:
-        assert getattr(back, attr) == getattr(model, attr)
-    assert back.to_json() == model.to_json()
+# Documents in the layout that carried the floors as fields, one per family.
+LEGACY_DOCS = [
+    '{"family": "bernoulli", "dim": 2, "params": [0.25, 0.75], "floor": 0.001}',
+    '{"family": "gaussian", "dim": 2, "params": [0.5, -1.0, 1.75, -0.1, 1.9], '
+    '"eig_floor": 1e-12, "jitter_scale": 1e-10}',
+    '{"family": "categorical", "dim": 2, "arity": 3, "params": [0.25, 0.35, 0.5, 0.2], '
+    '"floor": 0.001}',
+]
+LEGACY_IDS = ["bernoulli", "gaussian", "categorical"]
+FLOOR_FIELDS = ("floor", "eig_floor", "jitter_scale")
 
 
-def test_json_without_floors_loads_defaults():
-    doc = json.loads(BernoulliProductModel([0.25, 0.75], floor=1e-4).to_json())
-    del doc["floor"]
-    assert model_from_json(json.dumps(doc)).floor == 1e-3
+@pytest.mark.parametrize("text", LEGACY_DOCS, ids=LEGACY_IDS)
+def test_json_legacy_layout_loads_bit_identical(text):
+    doc = json.loads(text)
+    back = model_from_json(text)
+    assert np.array_equal(back.params.values, np.array(doc["params"]))
+    for key in FLOOR_FIELDS:
+        doc.pop(key, None)
+    assert back.to_json() == json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", LEGACY_DOCS, ids=LEGACY_IDS)
+def test_json_non_default_floor_field_rejected(text):
+    doc = json.loads(text)
+    for key in FLOOR_FIELDS:
+        if key in doc:
+            bad = {**doc, key: doc[key] * 10}
+            with pytest.raises(DomainError, match=key):
+                model_from_json(json.dumps(bad))
+
+
+def test_categorical_arity_must_stay_below_inverse_floor():
+    K = round(1.0 / PROB_FLOOR)
+    assert CategoricalProductModel(np.full((1, K - 1), 1.0 / (K - 1))).arity == K - 1
+    with pytest.raises(DomainError):
+        CategoricalProductModel(np.full((1, K), 1.0 / K))

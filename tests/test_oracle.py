@@ -3,6 +3,7 @@ identity, and the verification suite on the shipped fixtures."""
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from edaem.errors import DegenerateObjectiveError, DomainError
 from edaem.fixtures import MC_N_LIST, MC_SEEDS, default_fixtures, load_fixture_set
+from edaem import models
 from edaem.models import BernoulliProductModel
 from edaem.oracle import (
     EnumerableSpace,
@@ -356,3 +358,25 @@ def test_fixture_set_loading():
 
     with pytest.raises(ConfigError):
         load_fixture_set("nope")
+
+
+def test_floors_and_tolerances_are_constants_not_parameters():
+    removed = {
+        "floor", "eig_floor", "jitter_scale", "scales", "growth_limit", "noise_floor",
+        "equality_tol", "n_steps", "step_tol", "n_random_q", "tol",
+    }
+    fns = [
+        models.BernoulliProductModel,
+        models.GaussianModel,
+        models.GaussianModel.from_mean_cov,
+        models.CategoricalProductModel,
+        verify_ppm_equivalence,
+        verify_ngd_correspondence,
+        verify_mc_convergence,
+        verify_em_monotonicity,
+        verify_free_energy_bound,
+    ]
+    for fn in fns:
+        params = inspect.signature(fn).parameters
+        assert not removed & set(params), fn
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), fn

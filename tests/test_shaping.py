@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import edaem
 from edaem.errors import ConfigError, DegenerateWeightsError, ShapingInputError
 from edaem.shaping import ShapingSpec, log_shift, shape
+
+# Few distinct values, so most generations have ties.
+tied_values = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40)
+any_values = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6)), min_size=1, max_size=40
+)
+specs = st.one_of(
+    st.just(ShapingSpec("identity")),
+    st.just(ShapingSpec("rank")),
+    st.floats(1e-3, 10.0).map(lambda b: ShapingSpec("exponential", beta=b)),
+    st.floats(1e-3, 1.0).map(lambda r: ShapingSpec("quantile", rho=r)),
+    st.floats(0.0, 0.999).map(lambda q: ShapingSpec("cdf_threshold", level=q)),
+)
+deterministic = settings(derandomize=True, deadline=None, database=None)
 
 
 def test_quantile_top_half():
@@ -136,3 +159,48 @@ def test_parse_rejects(text):
 def test_spec_str_roundtrip():
     for text in ["identity", "rank", "quantile:0.25", "exp:2.0", "cdf:0.9"]:
         assert ShapingSpec.parse(str(ShapingSpec.parse(text))) == ShapingSpec.parse(text)
+
+
+@deterministic
+@given(tied_values)
+def test_rank_weights_are_average_ranks_over_n(values):
+    f = np.array(values)
+    n = f.shape[0]
+    w = shape(ShapingSpec("rank"), f)
+    np.testing.assert_array_equal(w, rankdata(f, method="average") / n)
+    # the same average rank, counted: values below plus the mean position
+    # among the ties
+    below = (f[None, :] < f[:, None]).sum(axis=1)
+    tied = (f[None, :] == f[:, None]).sum(axis=1)
+    np.testing.assert_array_equal(w, (below + (tied + 1) / 2) / n)
+
+
+@deterministic
+@given(specs, any_values)
+def test_every_kind_is_monotone_in_f(spec, values):
+    f = np.array(values)
+    if spec.kind == "identity":  # needs f >= 0 and some positive mass
+        f = f - f.min() + 1.0
+    w = shape(spec, f)
+    assert np.all(w >= 0.0)
+    lower = f[:, None] < f[None, :]  # lower[i, j]: f_i < f_j
+    assert np.all((w[:, None] <= w[None, :])[lower])
+
+
+@deterministic
+@given(specs, any_values, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_non_finite_values_rejected(spec, values, bad, data):
+    f = list(values)
+    f.insert(data.draw(st.integers(0, len(f))), bad)
+    with pytest.raises(ShapingInputError):
+        shape(spec, f)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(edaem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, edaem.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
