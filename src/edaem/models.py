@@ -749,25 +749,38 @@ _LEGACY_FLOOR_FIELDS = {
 }
 
 
+def _json_count(doc: dict, key: str, low: int) -> int:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DomainError(f"{key} = {value!r} in model JSON; expected an integer >= {low}")
+    return value
+
+
 def model_from_json_dict(doc: dict) -> SearchModel:
     """Inverse of ``to_json_dict``; also loads older documents whose floor
-    fields hold the fixed values."""
+    fields hold the fixed values.  ``params`` must have the length that
+    ``dim`` (and, for the categorical, ``arity``) give the family."""
     for key, fixed in _LEGACY_FLOOR_FIELDS.items():
         if key in doc and doc[key] != fixed:
             raise DomainError(f"{key} = {doc[key]!r} in model JSON; only {fixed!r} is supported")
     family = doc.get("family")
-    dim = int(doc.get("dim", 0))
+    if family not in ("bernoulli", "gaussian", "categorical"):
+        raise FamilyMismatchError(f"unknown family {family!r}")
+    d = _json_count(doc, "dim", 1)
+    K = _json_count(doc, "arity", 2) if family == "categorical" else 2
+    n = {"bernoulli": d, "gaussian": d + d * (d + 1) // 2, "categorical": d * (K - 1)}[family]
     params = np.asarray(doc.get("params", []), dtype=np.float64)
+    if params.shape != (n,):
+        layout = f"dim = {d}" + (f", arity = {K}" if family == "categorical" else "")
+        raise DomainError(
+            f"params has shape {params.shape} in model JSON; {family} with {layout} takes {n}"
+        )
     if family == "bernoulli":
         return BernoulliProductModel(params)
     if family == "gaussian":
-        return GaussianModel(*GaussianModel._unpack(params, dim))
-    if family == "categorical":
-        # Not clipped like an update: negative entries raise DomainError.
-        return CategoricalProductModel(
-            CategoricalProductModel._table(params, dim, int(doc["arity"]))
-        )
-    raise FamilyMismatchError(f"unknown family {family!r}")
+        return GaussianModel(*GaussianModel._unpack(params, d))
+    # Not clipped like an update: negative entries raise DomainError.
+    return CategoricalProductModel(CategoricalProductModel._table(params, d, K))
 
 
 def model_from_json(text: str) -> SearchModel:

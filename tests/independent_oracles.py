@@ -8,10 +8,12 @@ tautology.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
+from scipy.stats import bernoulli, multivariate_normal
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,28 @@ def bernoulli_grid_map(Z, w, theta_prev, gamma, floor=1e-3, step=2e-5):
         logprior = lam1[j] * (np.log(grid) - np.log1p(-grid)) + lam2 * np.log1p(-grid)
         out[j] = grid[np.argmax(loglik + sw * logprior)]
     return out
+
+
+def ppm_grid_objective(states, f, theta_t, grid_1d):
+    """L(theta) - KL(tilted(theta_t) || tilted(theta)) at every point of the
+    product grid grid_1d^d, in row-major order, from the full (G, M) table
+    of Bernoulli log densities.  Returns the (G, d) grid and the (G,)
+    objective.  States with f = 0 carry no tilted mass and are left out."""
+    states = np.asarray(states)
+    f = np.asarray(f, dtype=np.float64)
+    thetas = np.array(list(itertools.product(grid_1d, repeat=states.shape[1])))
+    support = f > 0.0
+    log_pf = (
+        bernoulli.logpmf(states[None, support, :], thetas[:, None, :]).sum(axis=2)
+        + np.log(f[support])
+    )  # (G, M) over the support
+    L = logsumexp(log_pf, axis=1)
+    log_tilted = log_pf - L[:, None]
+    log_q = bernoulli.logpmf(states[support], theta_t).sum(axis=1) + np.log(f[support])
+    log_q -= logsumexp(log_q)
+    q = np.exp(log_q)
+    kl = np.sum(q * (log_q - log_tilted), axis=1)
+    return thetas, L - kl
 
 
 # ---------------------------------------------------------------------------

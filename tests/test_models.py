@@ -513,6 +513,27 @@ def test_json_non_default_floor_field_rejected(text):
                 model_from_json(json.dumps(bad))
 
 
+# Documents whose params do not fit dim and arity, or whose dim or arity is
+# missing or not a count, with the field the error must name.
+BAD_LAYOUT_DOCS = {
+    "bernoulli-long": ('{"family": "bernoulli", "dim": 2, "params": [0.1, 0.2, 0.3]}', "params"),
+    "gaussian-no-dim": ('{"family": "gaussian", "params": [0.5, -1.0, 1.75, -0.1, 1.9]}', "dim"),
+    "gaussian-short": ('{"family": "gaussian", "dim": 2, "params": [0.5, -1.0, 1.75, -0.1]}',
+                       "params"),
+    "categorical-short": ('{"family": "categorical", "dim": 2, "arity": 3, '
+                          '"params": [0.25, 0.35, 0.5]}', "params"),
+    "dim-zero": ('{"family": "bernoulli", "dim": 0, "params": []}', "dim"),
+    "dim-bool": ('{"family": "bernoulli", "dim": true, "params": [0.5]}', "dim"),
+    "categorical-no-arity": ('{"family": "categorical", "dim": 1, "params": [0.5]}', "arity"),
+}
+
+
+@pytest.mark.parametrize("text,field", BAD_LAYOUT_DOCS.values(), ids=BAD_LAYOUT_DOCS)
+def test_json_params_must_fit_dim_and_arity(text, field):
+    with pytest.raises(DomainError, match=field):
+        model_from_json(text)
+
+
 def test_categorical_arity_must_stay_below_inverse_floor():
     K = round(1.0 / PROB_FLOOR)
     assert CategoricalProductModel(np.full((1, K - 1), 1.0 / (K - 1))).arity == K - 1

@@ -8,12 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from independent_oracles import ppm_grid_objective
 
-
+from edaem import oracle
 from edaem.errors import DegenerateObjectiveError, DomainError
 from edaem.fixtures import MC_N_LIST, MC_SEEDS, default_fixtures, load_fixture_set
 from edaem import models
-from edaem.models import BernoulliProductModel
+from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams
 from edaem.oracle import (
     EnumerableSpace,
     exact_em_update,
@@ -244,6 +247,66 @@ def test_ppm_rejects_large_models():
     model = BernoulliProductModel(np.full(4, 0.5))
     with pytest.raises(DomainError):
         verify_ppm_equivalence(model, onemax_plus_one_space(4))
+
+
+def _assert_ppm_argmax_maximizes_reference(model, space, step):
+    rep = verify_ppm_equivalence(model, space, grid_step=step)
+    n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / step)) + 1
+    grid_1d = np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, n_points)
+    thetas, values = ppm_grid_objective(
+        space.states, space.f_values, model.probs, grid_1d
+    )
+    at = np.flatnonzero(np.all(thetas == rep.values["ppm_argmax"], axis=1))
+    assert at.size == 1  # the reported argmax is a grid point
+    assert values.max() - values[at[0]] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, fx in FIXTURES.items() if fx.ppm_grid_step is not None]
+)
+def test_ppm_argmax_maximizes_the_reference_objective_on_fixtures(name):
+    fx = FIXTURES[name]
+    step = 0.05 if fx.model.dim == 3 else 0.01
+    _assert_ppm_argmax_maximizes_reference(fx.model, fx.space, step)
+
+
+@st.composite
+def ppm_problems(draw):
+    d = draw(st.integers(1, 3))
+    f = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=2**d, max_size=2**d
+        ).filter(lambda v: max(v) > 0.0)
+    )
+    theta = draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d))
+    return BernoulliProductModel(theta), EnumerableSpace.build(d, 2, lambda Z: np.array(f))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(ppm_problems())
+def test_ppm_argmax_maximizes_the_reference_objective_on_drawn_tables(problem):
+    model, space = problem
+    _assert_ppm_argmax_maximizes_reference(model, space, 0.05 if model.dim == 3 else 0.01)
+
+
+def test_ppm_fails_when_the_refit_is_moved_three_grid_steps(monkeypatch):
+    step = 0.01
+    exact = oracle.exact_em_update
+
+    def moved(model, space):
+        p = exact(model, space)
+        return ExpectationParams(p.values + 3 * step, p.family_tag)
+
+    model, space = BernoulliProductModel([0.5, 0.5]), onemax_plus_one_space(2)
+    assert verify_ppm_equivalence(model, space, grid_step=step).passed
+    monkeypatch.setattr(oracle, "exact_em_update", moved)
+    assert not verify_ppm_equivalence(model, space, grid_step=step).passed
+
+
+@pytest.mark.parametrize("step", [2.0, 0.0, -0.01, float("nan"), float("inf")])
+def test_ppm_grid_step_out_of_range_rejected(step):
+    with pytest.raises(DomainError, match="grid_step"):
+        verify_ppm_equivalence(BernoulliProductModel([0.5]), space_1bit_f13(), grid_step=step)
 
 
 def test_ngd_single_bit_exact_equality():
