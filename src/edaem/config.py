@@ -19,7 +19,8 @@ rejected):
 a flat list in the family's expectation-parameter layout, or for the
 Gaussian an object {"mean": [...], "cov": [[...]]}.
 ``update`` is {"kind": "closed_form"}, {"kind": "map_smoothed", "gamma": g}
-with g in (0, 1], or {"kind": "gradient", "alpha": a, "k": k}.
+with g in (0, 1], or {"kind": "gradient", "alpha": a, "k": k}.  ``seed``
+is an integer >= 0, the entropy of the run's seed sequence.
 
 Validation happens before any computation and error messages name the
 offending field and its valid range.
@@ -90,6 +91,8 @@ class RunConfig:
         if iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
         seed = _expect(doc, "seed", int)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
         out_dir = doc.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):

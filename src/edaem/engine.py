@@ -18,8 +18,13 @@ distribution with one of three M-step variants:
 The M-steps return unrepaired parameters; ``run`` builds the next model
 from them once, which applies the fixed probability floor or covariance
 jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
-Each generation is checked once, when the M-step passes it to the model;
-the free-energy diagnostic reuses it through the unchecked density kernel.
+Each generation is checked once, when the M-step passes it to the model.
+The free-energy diagnostic needs E_q[log p(z|theta')], which in an
+exponential family depends on q only through E_q[T(z)]: the unrepaired
+weighted-mean refit theta_tilde.  It takes theta_tilde from the M-step and
+hands it to the model's unchecked ``_mean_log_density`` kernel, which the
+discrete families answer in closed form without another pass over the
+generation.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -244,18 +249,24 @@ def m_step_gradient(
     return ExpectationParams(theta, model.family_tag)
 
 
-def _free_energy(pop: Population, next_model: SearchModel) -> float:
+def _free_energy(
+    pop: Population, next_model: SearchModel, theta_tilde: ExpectationParams
+) -> float:
     """F-hat = sum_i q_i [log p(z_i|theta') + log(w_i * shift)] + H[q],
     with H[q] the discrete entropy of the normalized particle weights and
     0 log 0 = 0.  A diagnostic surrogate: q is an atom mixture, so its
-    differential entropy is undefined.  The samples are not re-checked: the
+    differential entropy is undefined.
+
+    ``theta_tilde`` is the unrepaired weighted-mean refit sum_i q_i T(z_i)
+    of this generation; the first term reads it through
+    ``next_model._mean_log_density``.  The samples are not re-checked: the
     M-step that produced ``next_model`` has just checked them."""
     q = pop.norm_w
     act = q > 0.0
-    logp = next_model._log_density(pop.samples[act])
+    mean_logp = next_model._mean_log_density(pop.samples, q, theta_tilde.values)
     logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
     entropy = -float(np.sum(q[act] * np.log(q[act])))
-    return float(np.sum(q[act] * (logp + logw)) + entropy)
+    return mean_logp + float(np.sum(q[act] * logw)) + entropy
 
 
 def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:
@@ -289,22 +300,27 @@ def run(config) -> Trace:
             pop = e_step(
                 model, config.objective, config.shaping, config.n_samples, int(seeds[t])
             )
-            theta_prev = model.params
             try:
-                if rule.kind == "closed_form":
-                    theta_next = m_step_closed_form(pop, model)
-                elif rule.kind == "map_smoothed":
-                    theta_tilde = m_step_closed_form(pop, model)
-                    theta_next = m_step_map(theta_prev, theta_tilde, rule.gamma)
-                else:
+                if rule.kind == "gradient":
                     theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
+                    # The gradient M-step has checked these samples.
+                    total = float(pop.shaped_w.sum())
+                    theta_tilde = ExpectationParams(
+                        model._weighted_stats(pop.samples, pop.shaped_w) / total,
+                        model.family_tag,
+                    )
+                else:
+                    theta_next = theta_tilde = m_step_closed_form(pop, model)
+                    if rule.kind == "map_smoothed":
+                        theta_prev = model.params
+                        theta_next = m_step_map(theta_prev, theta_tilde, rule.gamma)
                 next_model = model.with_params(theta_next)
             except DegenerateModelError as exc:
                 raise DegenerateUpdateError(
                     f"{rule.kind} update not repairable: {exc}"
                 ) from exc
 
-            fe = _free_energy(pop, next_model)
+            fe = _free_energy(pop, next_model, theta_tilde)
             fe_map = None
             if rule.kind == "map_smoothed":
                 lam1, lam2 = rule.prior_lambda(theta_prev)

@@ -48,6 +48,11 @@ EIG_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
 MAX_JITTER_DOUBLINGS = 10
 
+# Float64 cells (256 KB) in the one block a Bernoulli generation streams
+# through when it is drawn or refitted, so that no (n, d) float64 copy of
+# the generation is ever made.
+BLOCK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class ExpectationParams:
@@ -99,6 +104,17 @@ def _batchify(Z, dim: int) -> np.ndarray:
     return Z
 
 
+def _row_blocks(n: int, d: int):
+    """Yield (row slice, float64 block) pairs covering an (n, d) array in
+    order; every block is a view of one buffer of about ``BLOCK_CELLS``
+    cells, so the caller must finish with a block before taking the next."""
+    rows = max(1, BLOCK_CELLS // d)
+    buf = np.empty((min(rows, n), d))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield slice(start, stop), buf[: stop - start]
+
+
 class SearchModel:
     """Common surface of the search distributions.
 
@@ -107,6 +123,8 @@ class SearchModel:
     family kernel (``_draw``, ``_log_density``, ``_suff_stats``,
     ``_weighted_stats``, ``_score_batch``) on a checked batch or on the
     model's own samples.  Families implement the check and the kernels.
+    The engine's free energy calls one more kernel, ``_mean_log_density``,
+    on samples its M-step has already checked.
     """
 
     family = ""
@@ -240,6 +258,14 @@ class SearchModel:
         # materializing the (n, n_params) statistics matrix.
         return w @ self._suff_stats(Z)
 
+    def _mean_log_density(self, Z, q, theta_bar) -> float:
+        """sum_i q_i log p(z_i | theta), given theta_bar = sum_i q_i T(z_i)
+        for weights q that sum to 1.  This default sums over the samples
+        with q > 0; families whose log-density is linear in T(z) override
+        it with a closed form in theta_bar."""
+        act = q > 0.0
+        return float(np.sum(q[act] * self._log_density(Z[act])))
+
     def _score_batch(self, Z) -> np.ndarray:
         raise NotImplementedError
 
@@ -309,8 +335,13 @@ class BernoulliProductModel(SearchModel):
         return vals
 
     def _draw(self, rng, n: int) -> np.ndarray:
-        # A bool array, one byte per bit.
-        return rng.random((n, self.dim)) < self._probs
+        # A bool array, one byte per bit.  Generator.random fills in C order,
+        # so block by block this is rng.random((n, d)) < p on the same stream.
+        Z = np.empty((n, self.dim), dtype=np.bool_)
+        for rows, block in _row_blocks(n, self.dim):
+            rng.random(out=block)
+            np.less(block, self._probs, out=Z[rows])
+        return Z
 
     def _log_density(self, Z) -> np.ndarray:
         p = self._probs
@@ -320,7 +351,17 @@ class BernoulliProductModel(SearchModel):
         return np.asarray(Z, dtype=np.float64)
 
     def _weighted_stats(self, Z, w) -> np.ndarray:
-        return w @ Z
+        # With integer-valued weights every partial sum is exact, so this
+        # equals w @ Z bit for bit; otherwise only the summation order differs.
+        total = np.zeros(self.dim)
+        for rows, block in _row_blocks(*Z.shape):
+            block[...] = Z[rows]
+            total += w[rows] @ block
+        return total
+
+    def _mean_log_density(self, Z, q, theta_bar) -> float:
+        p = self._probs
+        return float(theta_bar @ np.log(p) + (1.0 - theta_bar) @ np.log1p(-p))
 
     def _score_batch(self, Z) -> np.ndarray:
         p = self._probs
@@ -681,6 +722,10 @@ class CategoricalProductModel(SearchModel):
         logs = np.log(self._probs)
         sites = np.arange(self.dim)
         return logs[sites, Z].sum(axis=1)
+
+    def _mean_log_density(self, Z, q, theta_bar) -> float:
+        table = self._table(theta_bar, self.dim, self.arity)
+        return float(np.sum(table * np.log(self._probs)))
 
     def _suff_stats(self, Z) -> np.ndarray:
         n = Z.shape[0]

@@ -179,6 +179,8 @@ def _gauss(init):
         (_gauss({"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "scale": 2}), "scale"),
         (_gauss({"mean": [0.0, 0.0], "cov": [[1.0]]}), "model.init.cov"),
         (_gauss({"cov": [[1.0, 0.0], [0.0, 1.0]]}), "model.init.mean"),
+        ({"seed": -1}, "seed"),
+        ({"seed": -(2**70)}, "seed"),
     ],
 )
 def test_config_error_names_its_field(over, field):
@@ -236,6 +238,18 @@ def test_cmd_run_invalid_config_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "update.gamma" in err["message"] and "(0, 1]" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cmd_negative_seed_flag_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, base_doc())
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-3"]
+    if command == "sweep":
+        argv += ["--param", "N", "--values", "40"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "seed" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_runtime_degeneracy_exit_3(tmp_path, capsys):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edaem import engine, objectives, shaping
+from edaem import engine, models, objectives, shaping
 from edaem.engine import (
     Population,
     UpdateRule,
@@ -670,8 +670,8 @@ def test_empty_trace_best_is_minus_infinity():
 
 def test_bernoulli_iteration_memory_is_one_byte_per_bit():
     # One e_step + closed-form M-step + free energy at d=2000, N=1000.  The
-    # float64 uniforms behind the draws take 16 MB; any int64 or float64
-    # copy of the generation kept alive alongside them adds another 16 MB.
+    # bool generation takes 2 MB and the uniforms stream through one 256 KB
+    # block; any int64 or float64 copy of the generation adds 16 MB.
     d, n = 2000, 1000
     model = BernoulliProductModel(np.full(d, 0.5))
     obj = objectives.onemax(d)
@@ -679,13 +679,31 @@ def test_bernoulli_iteration_memory_is_one_byte_per_bit():
     tracemalloc.start()
     try:
         pop = e_step(model, obj, spec, n, 7)
-        nxt = model.with_params(m_step_closed_form(pop, model))
-        engine._free_energy(pop, nxt)
+        theta = m_step_closed_form(pop, model)
+        engine._free_energy(pop, model.with_params(theta), theta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert pop.samples.dtype == np.bool_
-    assert peak < 24e6
+    assert peak < 6e6
+
+
+def test_bernoulli_run_does_not_depend_on_the_block_size(monkeypatch):
+    # Quantile weights are 0 or 1, so every blocked partial sum is exact.
+    cfg = runcfg(
+        model=BernoulliProductModel(np.full(30, 0.5)),
+        objective=objectives.onemax(30),
+        shaping=shaping.ShapingSpec.parse("quantile:0.3"),
+        rule=UpdateRule("closed_form"),
+        n_samples=60,
+        iterations=12,
+        seed=4,
+    )
+    ref = run(cfg)
+    monkeypatch.setattr(models, "BLOCK_CELLS", 1)  # one row per block
+    got = run(cfg)
+    assert got.records == ref.records
+    assert np.array_equal(got.final_model.probs, ref.final_model.probs)
 
 
 def test_free_energy_estimate_with_identity_shaping():
@@ -695,7 +713,7 @@ def test_free_energy_estimate_with_identity_shaping():
     pop = e_step(model, objectives.onemax(2), IDENTITY, 12, seed=101)
     theta = m_step_closed_form(pop, model)
     nxt = model.with_params(theta)
-    fe = engine._free_energy(pop, nxt)
+    fe = engine._free_energy(pop, nxt, theta)
     q = pop.norm_w
     act = q > 0
     direct = float(

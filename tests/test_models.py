@@ -149,6 +149,57 @@ def test_bernoulli_sample_is_bool_on_the_uniform_stream():
     assert np.array_equal(Z, np.random.default_rng(17).random((300, 5)) < p)
 
 
+@pytest.mark.parametrize("n", [1, 17, 1000])
+@pytest.mark.parametrize("d", [1, 3, 2000, 40000])
+def test_bernoulli_draw_is_the_one_shot_comparison(d, n):
+    # The draw streams through blocks of BLOCK_CELLS cells: the last block
+    # of a run is partial, and at d = 40000 each block is one row.
+    m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
+    Z = m.sample(n, 23)
+    assert Z.dtype == np.bool_ and Z.shape == (n, d)
+    # The reference rng.random((n, d)) < p, taken in one call wherever it
+    # fits in 32 MB; Generator.random fills in C order, so chunks of whole
+    # rows continue one stream.
+    ref = np.random.default_rng(23)
+    chunk = max(1, 4_000_000 // d)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        assert np.array_equal(Z[start:stop], ref.random((stop - start, d)) < m.probs)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (40, 7), (1000, 2000), (3, 40000)])
+def test_bernoulli_blocked_weighted_stats_is_the_gemv(n, d):
+    rng = np.random.default_rng(n + d)
+    m = BernoulliProductModel(np.full(d, 0.4))
+    Z = m.sample(n, 5)
+    ints = rng.integers(0, 4, size=n).astype(np.float64)
+    assert np.array_equal(m.weighted_stats(Z, ints), ints @ Z.astype(np.float64))
+    frac = rng.uniform(0.0, 1.0, size=n)
+    np.testing.assert_allclose(
+        m.weighted_stats(Z, frac), frac @ Z.astype(np.float64), rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BernoulliProductModel([0.0, 0.3, 1.0, 0.999, 0.5, 0.0005]),
+        CategoricalProductModel([[0.0, 0.3, 0.7], [0.9995, 0.0005, 0.0], [0.2, 0.5, 0.3]]),
+        GaussianModel.from_mean_cov([0.5, -1.0], [[1.5, 0.4], [0.4, 0.9]]),
+    ],
+)
+def test_mean_log_density_reads_the_mean_statistics(model):
+    # sum_i q_i log p(z_i) from theta_bar = sum_i q_i T(z_i), on floored
+    # parameters and weights with zeros
+    Z = model._as_batch(model.sample(200, 8))
+    q = np.random.default_rng(9).uniform(0.0, 1.0, size=200)
+    q[::3] = 0.0
+    q /= q.sum()
+    ref = q @ model._log_density(Z)
+    got = model._mean_log_density(Z, q, model._weighted_stats(Z, q))
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_bernoulli_bool_int_float_inputs_agree_exactly():
     m = BernoulliProductModel([0.3, 0.62, 0.5, 0.11, 0.9, 0.45, 0.7])
     w = np.random.default_rng(5).uniform(0.0, 2.0, size=40)
