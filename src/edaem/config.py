@@ -36,8 +36,8 @@ import numpy as np
 
 from .engine import UpdateRule
 from .errors import ConfigError
-from .models import BernoulliProductModel, GaussianModel, SearchModel
-from .objectives import NEGATED_CONTINUOUS, Objective, parse_objective
+from .models import FAMILIES, BernoulliProductModel, GaussianModel, SearchModel
+from .objectives import NEGATED_CONTINUOUS, Domain, Objective, parse_objective
 from .shaping import ShapingSpec
 
 _TOP_KEYS = {
@@ -154,30 +154,8 @@ def _build_rule(doc) -> UpdateRule:
     unknown = set(doc) - _UPDATE_KEYS
     if unknown:
         raise ConfigError(f"unknown update keys: {sorted(unknown)}")
-    kind = doc.get("kind")
-    if kind == "closed_form":
-        extra = set(doc) - {"kind"}
-        if extra:
-            raise ConfigError(f"closed_form update takes no parameters, got {sorted(extra)}")
-        return UpdateRule("closed_form")
-    if kind == "map_smoothed":
-        extra = set(doc) - {"kind", "gamma"}
-        if extra:
-            raise ConfigError(f"map_smoothed update takes only gamma, got {sorted(extra)}")
-        gamma = doc.get("gamma")
-        if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
-            raise ConfigError(f"update.gamma must be a number in (0, 1], got {gamma!r}")
-        return UpdateRule("map_smoothed", gamma=float(gamma))
-    if kind == "gradient":
-        alpha, k = doc.get("alpha"), doc.get("k")
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ConfigError(f"update.alpha must be a number > 0, got {alpha!r}")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ConfigError(f"update.k must be an integer >= 1, got {k!r}")
-        return UpdateRule("gradient", alpha=float(alpha), k=k)
-    raise ConfigError(
-        f"update.kind must be one of closed_form, map_smoothed, gradient; got {kind!r}"
-    )
+    params = {key: val for key, val in doc.items() if key != "kind"}
+    return UpdateRule(doc.get("kind"), **params)
 
 
 def _build_model(doc, objective: Objective) -> SearchModel:
@@ -190,42 +168,32 @@ def _build_model(doc, objective: Objective) -> SearchModel:
     dim = doc.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"model.dim must be a positive integer, got {dim!r}")
-    init = doc.get("init", "default")
+    if family not in ("bernoulli", "gaussian"):
+        raise ConfigError(f"model.family must be one of bernoulli, gaussian; got {family!r}")
+    cls = FAMILIES[family]
 
+    # Pair before building: a model of the wrong dimension may be huge.
     dom = objective.domain
-    if dim != dom.dim:
-        raise ConfigError(
-            f"model.dim = {dim} does not match objective dimension {dom.dim}"
-        )
+    if Domain(cls.kind, dim) != dom:
+        if dim != dom.dim:
+            raise ConfigError(f"model.dim = {dim} does not match objective dimension {dom.dim}")
+        raise ConfigError(f"{family} model needs a {cls.kind} objective, got {dom.kind}")
 
-    if family == "bernoulli":
-        if dom.kind != "binary":
-            raise ConfigError(f"bernoulli model needs a binary objective, got {dom.kind}")
-        if init == "default":
+    init = doc.get("init", "default")
+    if init == "default":
+        if cls is BernoulliProductModel:
             return BernoulliProductModel(np.full(dim, 0.5))
-        probs = _init_vector(init, dim, "model.init")
-        return BernoulliProductModel(probs)
-
-    if family == "gaussian":
-        if dom.kind != "continuous":
-            raise ConfigError(f"gaussian model needs a continuous objective, got {dom.kind}")
-        if init == "default":
-            return GaussianModel(np.zeros(dim), np.eye(dim))
-        if isinstance(init, dict):
-            extra = set(init) - {"mean", "cov"}
-            if extra:
-                raise ConfigError(f"unknown gaussian init keys: {sorted(extra)}")
-            mean = _init_vector(init.get("mean"), dim, "model.init.mean")
-            cov = np.asarray(init.get("cov"), dtype=np.float64)
-            if cov.shape != (dim, dim):
-                raise ConfigError(f"model.init.cov must be {dim}x{dim}")
-            return GaussianModel.from_mean_cov(mean, cov)
-        base = GaussianModel(np.zeros(dim), np.eye(dim))
-        return base.with_params(_init_vector(init, base.n_params, "model.init"))
-
-    raise ConfigError(
-        f"model.family must be one of bernoulli, gaussian; got {family!r}"
-    )
+        return GaussianModel(np.zeros(dim), np.eye(dim))
+    if cls is GaussianModel and isinstance(init, dict):
+        extra = set(init) - {"mean", "cov"}
+        if extra:
+            raise ConfigError(f"unknown gaussian init keys: {sorted(extra)}")
+        mean = _init_vector(init.get("mean"), dim, "model.init.mean")
+        cov = np.asarray(init.get("cov"), dtype=np.float64)
+        if cov.shape != (dim, dim):
+            raise ConfigError(f"model.init.cov must be {dim}x{dim}")
+        return GaussianModel.from_mean_cov(mean, cov)
+    return cls._from_layout(_init_vector(init, cls._param_count(dom), "model.init"), dom)
 
 
 def _init_vector(val, length: int, what: str) -> np.ndarray:

@@ -18,7 +18,8 @@ distribution with one of three M-step variants:
 The M-steps return unrepaired parameters; ``run`` builds the next model
 from them once, which applies the fixed probability floor or covariance
 jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
-Each generation is checked once, when the M-step passes it to the model.
+Each generation is checked once, when the M-step passes it to the model;
+the E-step only compares the model's domain with the objective's.
 The free-energy diagnostic needs E_q[log p(z|theta')], which in an
 exponential family depends on q only through E_q[T(z)]: the unrepaired
 weighted-mean refit theta_tilde.  It takes theta_tilde from the M-step and
@@ -35,6 +36,7 @@ the library or the number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +49,7 @@ from .errors import (
     DegenerateModelError,
     DegenerateUpdateError,
     DegenerateWeightsError,
+    DomainError,
     FamilyMismatchError,
     ObjectiveError,
     RunAbortedError,
@@ -89,9 +92,18 @@ class Population:
         return float(1.0 / np.sum(self.norm_w**2))
 
 
+# The hyperparameters each update kind takes.
+_RULE_PARAMS = {"closed_form": (), "map_smoothed": ("gamma",), "gradient": ("alpha", "k")}
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class UpdateRule:
-    """Which M-step variant runs, with its hyperparameters."""
+    """Which M-step variant runs, with its hyperparameters.  The one update
+    schema: kind, allowed parameters, types and ranges are checked here."""
 
     kind: str  # "closed_form" | "map_smoothed" | "gradient"
     gamma: float | None = None
@@ -99,24 +111,25 @@ class UpdateRule:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind == "closed_form":
-            return
+        takes = _RULE_PARAMS.get(self.kind) if isinstance(self.kind, str) else None
+        if takes is None:
+            raise ConfigError(
+                f"update.kind must be one of {', '.join(_RULE_PARAMS)}; got {self.kind!r}"
+            )
+        extra = [
+            f for f in ("gamma", "alpha", "k") if f not in takes and getattr(self, f) is not None
+        ]
+        if extra:
+            allowed = f"only {', '.join(takes)}" if takes else "no parameters"
+            raise ConfigError(f"{self.kind} update takes {allowed}, got {extra}")
         if self.kind == "map_smoothed":
-            if self.gamma is None or not 0.0 < self.gamma <= 1.0:
-                raise ConfigError(
-                    f"update.gamma must lie in (0, 1], got {self.gamma}"
-                )
-            return
-        if self.kind == "gradient":
-            if self.alpha is None or not self.alpha > 0.0:
-                raise ConfigError(f"update.alpha must be > 0, got {self.alpha}")
-            if self.k is None or self.k < 1:
-                raise ConfigError(f"update.k must be >= 1, got {self.k}")
-            return
-        raise ConfigError(
-            f"unknown update kind {self.kind!r}; valid: closed_form, "
-            "map_smoothed, gradient"
-        )
+            if not (_is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+                raise ConfigError(f"update.gamma must be a number in (0, 1], got {self.gamma!r}")
+        elif self.kind == "gradient":
+            if not (_is_real(self.alpha) and self.alpha > 0.0):
+                raise ConfigError(f"update.alpha must be a number > 0, got {self.alpha!r}")
+            if not (isinstance(self.k, numbers.Integral) and _is_real(self.k) and self.k >= 1):
+                raise ConfigError(f"update.k must be an integer >= 1, got {self.k!r}")
 
     def prior_lambda(self, theta_prev: ExpectationParams):
         """Conjugate-prior parameters implied by gamma for this iteration:
@@ -164,11 +177,18 @@ def e_step(
     n: int,
     seed: int,
 ) -> Population:
-    """Sample a generation, evaluate, shape, and normalize the weights."""
+    """Sample a generation, evaluate, shape, and normalize the weights.
+    The model must share the objective's domain; its samples then go to
+    ``batch_eval`` unscanned."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
+    if model.domain != objective.domain:
+        raise DomainError(
+            f"{model.family_tag!r} samples {model.domain}; objective "
+            f"{objective.name!r} takes {objective.domain}"
+        )
     Z = model.sample(n, seed)
-    raw = objectives_mod.evaluate_batch(objective, Z)
+    raw = np.asarray(objective.batch_eval(Z), dtype=np.float64).reshape(n)
     bad = np.nonzero(~np.isfinite(raw))[0]
     if bad.size:
         idx = int(bad[0])

@@ -39,6 +39,7 @@ from .errors import (
     DomainError,
     FamilyMismatchError,
 )
+from .objectives import Domain
 
 # The repair constants of the feasible sets, fixed for every model: the
 # probability floor of the Bernoulli and categorical families, and the
@@ -88,22 +89,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise DegenerateModelError(f"{what} contains non-finite entries")
 
 
-def _batchify(Z, dim: int) -> np.ndarray:
-    """Coerce a point or batch of points to shape (n, dim).
-
-    1-D input of length ``dim`` is a single point; otherwise, for dim == 1,
-    a vector of scalar points.
-    """
-    Z = np.asarray(Z)
-    if Z.ndim == 0:
-        Z = Z.reshape(1, 1)
-    elif Z.ndim == 1:
-        Z = Z.reshape(1, -1) if Z.shape[0] == dim else Z.reshape(-1, 1)
-    if Z.ndim != 2 or Z.shape[1] != dim:
-        raise DomainError(f"expected points of dimension {dim}, got shape {Z.shape}")
-    return Z
-
-
 def _row_blocks(n: int, d: int):
     """Yield (row slice, float64 block) pairs covering an (n, d) array in
     order; every block is a view of one buffer of about ``BLOCK_CELLS``
@@ -118,30 +103,55 @@ def _row_blocks(n: int, d: int):
 class SearchModel:
     """Common surface of the search distributions.
 
+    A family declares its ``family`` name, its support ``kind``, its
+    ``_shape`` ((dim,) or (dim, arity)) and its θ length rule
+    (``_param_count``); ``domain``, ``dim``, ``n_params``, ``family_tag``
+    and the JSON document derive from these here.
+
     The public methods live here and are the only input boundary: each
-    checks once (``_as_batch``, or ``n >= 1``), then calls an unchecked
-    family kernel (``_draw``, ``_log_density``, ``_suff_stats``,
-    ``_weighted_stats``, ``_score_batch``) on a checked batch or on the
-    model's own samples.  Families implement the check and the kernels.
+    checks once (``_as_batch``, which is ``domain.check``, or ``n >= 1``),
+    then calls an unchecked family kernel (``_draw``, ``_log_density``,
+    ``_suff_stats``, ``_weighted_stats``, ``_score_batch``) on a checked
+    batch or on the model's own samples.  Families implement the kernels.
     The engine's free energy calls one more kernel, ``_mean_log_density``,
     on samples its M-step has already checked.
     """
 
     family = ""
+    kind = ""  # the Domain kind: "binary" | "continuous" | "categorical"
 
-    # -- parameter plumbing -------------------------------------------------
+    # -- support and parameter layout ---------------------------------------
+
+    def _shape(self) -> tuple:
+        raise NotImplementedError
+
+    @staticmethod
+    def _param_count(domain: Domain) -> int:
+        raise NotImplementedError
+
+    @classmethod
+    def _from_layout(cls, values: np.ndarray, domain: Domain) -> "SearchModel":
+        """The model whose parameter vector is ``values``, laid out for
+        ``domain``; the constructor's own checks and repair apply."""
+        raise NotImplementedError
+
+    # Models are immutable, so the domain and the tag are built once, on
+    # first use.
+    @functools.cached_property
+    def domain(self) -> Domain:
+        return Domain(self.kind, *self._shape())
 
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        return self.domain.dim
 
     @property
     def n_params(self) -> int:
-        raise NotImplementedError
+        return self._param_count(self.domain)
 
-    @property
+    @functools.cached_property
     def family_tag(self) -> str:
-        raise NotImplementedError
+        return f"{self.family}:" + "x".join(map(str, self._shape()))
 
     @property
     def params(self) -> ExpectationParams:
@@ -242,7 +252,7 @@ class SearchModel:
     # -- internals ----------------------------------------------------------
 
     def _as_batch(self, Z) -> np.ndarray:
-        raise NotImplementedError
+        return self.domain.check(Z)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -278,7 +288,11 @@ class SearchModel:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        doc = {"family": self.family, "dim": self.dim}
+        if self.domain.arity is not None:
+            doc["arity"] = self.domain.arity
+        doc["params"] = [float(v) for v in self._param_values()]
+        return doc
 
     def to_json(self) -> str:
         """Byte-stable JSON: fixed field order, shortest-roundtrip floats."""
@@ -294,6 +308,7 @@ class BernoulliProductModel(SearchModel):
     """
 
     family = "bernoulli"
+    kind = "binary"
 
     def __init__(self, probs):
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
@@ -306,17 +321,16 @@ class BernoulliProductModel(SearchModel):
     def probs(self) -> np.ndarray:
         return self._probs
 
-    @property
-    def dim(self) -> int:
-        return self._probs.shape[0]
+    def _shape(self) -> tuple:
+        return self._probs.shape
 
-    @property
-    def n_params(self) -> int:
-        return self.dim
+    @staticmethod
+    def _param_count(domain: Domain) -> int:
+        return domain.dim
 
-    @property
-    def family_tag(self) -> str:
-        return f"bernoulli:{self.dim}"
+    @classmethod
+    def _from_layout(cls, values, domain) -> "BernoulliProductModel":
+        return cls(values)
 
     def _param_values(self) -> np.ndarray:
         return self._probs.copy()
@@ -324,15 +338,6 @@ class BernoulliProductModel(SearchModel):
     def _from_values(self, values: np.ndarray) -> "BernoulliProductModel":
         # Repair policy for updates: clip into the floored box.
         return BernoulliProductModel(np.clip(values, 0.0, 1.0))
-
-    def _as_batch(self, Z) -> np.ndarray:
-        Z = _batchify(Z, self.dim)
-        if Z.dtype == np.bool_:  # holds only {0,1}, like the model's own samples
-            return Z
-        vals = np.asarray(Z, dtype=np.float64)
-        if not np.all((vals == 0.0) | (vals == 1.0)):
-            raise DomainError("Bernoulli support is {0,1}^d")
-        return vals
 
     def _draw(self, rng, n: int) -> np.ndarray:
         # A bool array, one byte per bit.  Generator.random fills in C order,
@@ -386,13 +391,6 @@ class BernoulliProductModel(SearchModel):
     def log_partition(self) -> float:
         return float(-np.sum(np.log1p(-self._probs)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "bernoulli",
-            "dim": self.dim,
-            "params": [float(v) for v in self._probs],
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def _tril_indices(d: int):
@@ -440,6 +438,7 @@ class GaussianModel(SearchModel):
     """
 
     family = "gaussian"
+    kind = "continuous"
 
     def __init__(self, mean, second_moment):
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
@@ -499,29 +498,24 @@ class GaussianModel(SearchModel):
     def cov(self) -> np.ndarray:
         return self._cov
 
-    @property
-    def dim(self) -> int:
-        return self._mean.shape[0]
+    def _shape(self) -> tuple:
+        return self._mean.shape
 
-    @property
-    def n_params(self) -> int:
-        d = self.dim
+    @staticmethod
+    def _param_count(domain: Domain) -> int:
+        d = domain.dim
         return d + d * (d + 1) // 2
 
-    @property
-    def family_tag(self) -> str:
-        return f"gaussian:{self.dim}"
+    @classmethod
+    def _from_layout(cls, values, domain) -> "GaussianModel":
+        d = domain.dim
+        return cls(values[:d], unvech(values[d:], d))
 
     def _param_values(self) -> np.ndarray:
         return np.concatenate([self._mean, vech(self._second_moment)])
 
-    @staticmethod
-    def _unpack(values: np.ndarray, d: int):
-        """Split a parameter vector into the mean and the second moment."""
-        return values[:d], unvech(values[d:], d)
-
     def _from_values(self, values: np.ndarray) -> "GaussianModel":
-        return GaussianModel(*self._unpack(values, self.dim))
+        return self._from_layout(values, self.domain)
 
     # Derived from the immutable Cholesky factor on first use; closed-form
     # runs never need the precision, so it is not formed at construction.
@@ -534,12 +528,6 @@ class GaussianModel(SearchModel):
     @functools.cached_property
     def _log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    def _as_batch(self, Z) -> np.ndarray:
-        Z = np.asarray(_batchify(Z, self.dim), dtype=np.float64)
-        if not np.all(np.isfinite(Z)):
-            raise DomainError("Gaussian support requires finite coordinates")
-        return Z
 
     def _draw(self, rng, n: int) -> np.ndarray:
         X = rng.standard_normal((n, self.dim))
@@ -622,13 +610,6 @@ class GaussianModel(SearchModel):
     def log_base_measure(self, z) -> float:
         return -0.5 * self.dim * math.log(2.0 * math.pi)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "gaussian",
-            "dim": self.dim,
-            "params": [float(v) for v in self._param_values()],
-        }
-
 
 class CategoricalProductModel(SearchModel):
     """Product of independent categorical sites with common arity K.
@@ -641,6 +622,7 @@ class CategoricalProductModel(SearchModel):
     """
 
     family = "categorical"
+    kind = "categorical"
 
     def __init__(self, probs):
         P = np.asarray(probs, dtype=np.float64)
@@ -676,41 +658,34 @@ class CategoricalProductModel(SearchModel):
         return self._probs
 
     @property
-    def dim(self) -> int:
-        return self._probs.shape[0]
-
-    @property
     def arity(self) -> int:
         return self._probs.shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return self.dim * (self.arity - 1)
+    def _shape(self) -> tuple:
+        return self._probs.shape
 
-    @property
-    def family_tag(self) -> str:
-        return f"categorical:{self.dim}x{self.arity}"
+    @staticmethod
+    def _param_count(domain: Domain) -> int:
+        return domain.dim * (domain.arity - 1)
 
     def _param_values(self) -> np.ndarray:
         return self._probs[:, :-1].reshape(-1).copy()
 
     @staticmethod
-    def _table(values: np.ndarray, d: int, K: int) -> np.ndarray:
+    def _table(values: np.ndarray, domain: Domain) -> np.ndarray:
         """The (d, K) table of a parameter vector, last categories restored."""
-        head = values.reshape(d, K - 1)
+        head = values.reshape(domain.dim, domain.arity - 1)
         last = 1.0 - head.sum(axis=1)
         return np.concatenate([head, last[:, None]], axis=1)
 
-    def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
-        P = self._table(values, self.dim, self.arity)
-        return CategoricalProductModel(np.clip(P, 0.0, None))
+    @classmethod
+    def _from_layout(cls, values, domain) -> "CategoricalProductModel":
+        # Not clipped like an update: negative entries raise DomainError.
+        return cls(cls._table(values, domain))
 
-    def _as_batch(self, Z) -> np.ndarray:
-        vals = _batchify(Z, self.dim)
-        ints = np.asarray(vals, dtype=np.int64)
-        if np.any(ints != vals) or np.any(ints < 0) or np.any(ints >= self.arity):
-            raise DomainError(f"categorical support is {{0..{self.arity - 1}}}^d")
-        return ints
+    def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
+        P = self._table(values, self.domain)
+        return CategoricalProductModel(np.clip(P, 0.0, None))
 
     def _draw(self, rng, n: int) -> np.ndarray:
         u = rng.random((n, self.dim))
@@ -724,7 +699,7 @@ class CategoricalProductModel(SearchModel):
         return logs[sites, Z].sum(axis=1)
 
     def _mean_log_density(self, Z, q, theta_bar) -> float:
-        table = self._table(theta_bar, self.dim, self.arity)
+        table = self._table(theta_bar, self.domain)
         return float(np.sum(table * np.log(self._probs)))
 
     def _suff_stats(self, Z) -> np.ndarray:
@@ -775,13 +750,10 @@ class CategoricalProductModel(SearchModel):
     def log_partition(self) -> float:
         return float(-np.sum(np.log(self._probs[:, -1])))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": "categorical",
-            "dim": self.dim,
-            "arity": self.arity,
-            "params": [float(v) for v in self._param_values()],
-        }
+
+FAMILIES = {
+    cls.family: cls for cls in (BernoulliProductModel, GaussianModel, CategoricalProductModel)
+}
 
 
 # Documents written when the floors were per-model settings carry them as
@@ -809,23 +781,20 @@ def model_from_json_dict(doc: dict) -> SearchModel:
         if key in doc and doc[key] != fixed:
             raise DomainError(f"{key} = {doc[key]!r} in model JSON; only {fixed!r} is supported")
     family = doc.get("family")
-    if family not in ("bernoulli", "gaussian", "categorical"):
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise FamilyMismatchError(f"unknown family {family!r}")
     d = _json_count(doc, "dim", 1)
-    K = _json_count(doc, "arity", 2) if family == "categorical" else 2
-    n = {"bernoulli": d, "gaussian": d + d * (d + 1) // 2, "categorical": d * (K - 1)}[family]
+    K = _json_count(doc, "arity", 2) if cls.kind == "categorical" else None
+    domain = Domain(cls.kind, d, K)
+    n = cls._param_count(domain)
     params = np.asarray(doc.get("params", []), dtype=np.float64)
     if params.shape != (n,):
-        layout = f"dim = {d}" + (f", arity = {K}" if family == "categorical" else "")
+        layout = f"dim = {d}" + (f", arity = {K}" if K is not None else "")
         raise DomainError(
             f"params has shape {params.shape} in model JSON; {family} with {layout} takes {n}"
         )
-    if family == "bernoulli":
-        return BernoulliProductModel(params)
-    if family == "gaussian":
-        return GaussianModel(*GaussianModel._unpack(params, d))
-    # Not clipped like an update: negative entries raise DomainError.
-    return CategoricalProductModel(CategoricalProductModel._table(params, d, K))
+    return cls._from_layout(params, domain)
 
 
 def model_from_json(text: str) -> SearchModel:

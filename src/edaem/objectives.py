@@ -22,26 +22,49 @@ from .errors import ConfigError, DomainError
 
 @dataclass(frozen=True)
 class Domain:
+    """The space an objective and the models paired with it live on:
+    {0,1}^dim, R^dim or {0..arity-1}^dim.  :meth:`check` is the library's
+    one support check."""
+
     kind: str  # "binary" | "categorical" | "continuous"
     dim: int
     arity: int | None = None
 
-    def check(self, Z: np.ndarray) -> np.ndarray:
+    def check(self, Z) -> np.ndarray:
+        """Coerce a point or batch of points to shape (n, dim) and check
+        the support.  1-D input of length ``dim`` is one point; otherwise,
+        for dim == 1, a vector of scalar points (a 0-d scalar is one point).
+
+        Returns the dtype the kernels take: ``bool`` as given (it holds
+        only {0,1}), other binary and all continuous input as float64,
+        categorical input as int64.
+        """
         Z = np.asarray(Z)
-        if Z.ndim == 1:
-            Z = Z.reshape(1, -1)
+        shape = Z.shape
+        if Z.ndim == 0:
+            Z = Z.reshape(1, 1)
+        elif Z.ndim == 1:
+            Z = Z.reshape(1, -1) if Z.shape[0] == self.dim else Z.reshape(-1, 1)
         if Z.ndim != 2 or Z.shape[1] != self.dim:
-            raise DomainError(f"expected points of dimension {self.dim}")
+            raise DomainError(f"expected points of dimension {self.dim}, got shape {shape}")
+        # Complex, string or object input would be cast (and truncated) silently.
+        if Z.dtype.kind not in "biuf":
+            raise DomainError(f"points must hold real numbers, got dtype {Z.dtype}")
         if self.kind == "binary":
-            # bool holds only {0,1}; skip the scan on such input.
-            if Z.dtype != np.bool_ and not np.all((Z == 0) | (Z == 1)):
-                raise DomainError("binary objective expects entries in {0,1}")
-        elif self.kind == "categorical":
-            if not np.all((Z >= 0) & (Z < self.arity) & (Z == Z.astype(np.int64))):
-                raise DomainError(f"categorical objective expects entries in 0..{self.arity - 1}")
-        else:
-            if not np.all(np.isfinite(np.asarray(Z, dtype=np.float64))):
-                raise DomainError("continuous objective expects finite entries")
+            if Z.dtype != np.bool_:
+                Z = np.asarray(Z, dtype=np.float64)
+                if not np.all((Z == 0.0) | (Z == 1.0)):
+                    raise DomainError("binary support is {0,1}^d")
+            return Z
+        Z = np.asarray(Z, dtype=np.float64)
+        if self.kind == "categorical":
+            # Range first, on the float values: NaN, inf or 1e30 would not
+            # survive the cast to int64.
+            if not np.all((Z >= 0.0) & (Z < self.arity) & (Z == np.floor(Z))):
+                raise DomainError(f"categorical support is {{0..{self.arity - 1}}}^d")
+            return Z.astype(np.int64)
+        if not np.all(np.isfinite(Z)):
+            raise DomainError("continuous support requires finite coordinates")
         return Z
 
 
@@ -63,7 +86,9 @@ class Objective:
 
 
 def evaluate(obj: Objective, z) -> float:
-    Z = obj.domain.check(np.asarray(z))
+    Z = obj.domain.check(z)
+    if Z.shape[0] != 1:
+        raise DomainError("evaluate takes a single point; use evaluate_batch")
     return float(obj.batch_eval(Z)[0])
 
 

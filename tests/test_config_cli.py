@@ -94,6 +94,19 @@ def test_model_family_domain_mismatch():
         RunConfig.from_dict(doc)
 
 
+def test_model_is_paired_with_its_objective_before_it_is_built():
+    # Building this model first would allocate np.eye(10**6), 8 TB.
+    doc = base_doc(model={"family": "gaussian", "dim": 10**6, "init": "default"})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="model.dim"):
+            RunConfig.from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_identity_shaping_rejected_for_negated_objectives():
     doc = base_doc(
         objective="sphere:8",
@@ -181,6 +194,7 @@ def _gauss(init):
         (_gauss({"cov": [[1.0, 0.0], [0.0, 1.0]]}), "model.init.mean"),
         ({"seed": -1}, "seed"),
         ({"seed": -(2**70)}, "seed"),
+        ({"update": {"kind": "gradient", "alpha": 0.1, "k": 2, "gamma": 0.5}}, "gamma"),
     ],
 )
 def test_config_error_names_its_field(over, field):
@@ -218,7 +232,8 @@ def test_cmd_run_writes_trace_and_summary(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
-    rows = list(csv.reader(open(tmp_path / "out" / "trace.csv")))
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == list(
         ("iter", "best_raw_f", "mean_raw_f", "weighted_mean_shaped_f",
          "free_energy_estimate", "ess")
@@ -333,7 +348,8 @@ def test_cli_matches_library_results(tmp_path):
     cfg_path = write_config(tmp_path, doc)
     cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
     trace = engine_run(RunConfig.from_dict(doc))
-    rows = list(csv.DictReader(open(tmp_path / "out" / "trace.csv")))
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == len(trace.records)
     for row, rec in zip(rows, trace.records):
         assert float(row["best_raw_f"]) == rec.best_raw_f
@@ -425,7 +441,8 @@ def test_cmd_sweep_gamma(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert [r["seed"] for r in rows] == ["10", "11", "12"]  # base + index
     assert all(r["status"] == "ok" for r in rows)
@@ -466,7 +483,8 @@ def test_cmd_sweep_reads_the_parsed_shaping_kind(tmp_path, shaping, param):
          "--out", str(tmp_path / "sw")]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
@@ -504,7 +522,8 @@ def test_cmd_sweep_continues_past_child_failures(tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["status"].startswith("error:")
     assert rows[1]["status"] == "ok"
 
@@ -517,7 +536,8 @@ def test_cmd_sweep_marks_non_edaem_child_errors(tmp_path, monkeypatch):
          "--out", str(tmp_path / "sw"), "--jobs", "1"]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["error:LinAlgError"] * 2
 
 

@@ -3,6 +3,7 @@ independent numerical check), and full runs."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from edaem.engine import (
 from edaem.errors import (
     ConfigError,
     DegenerateUpdateError,
+    DomainError,
     FamilyMismatchError,
     ObjectiveError,
     RunAbortedError,
@@ -112,6 +114,37 @@ def test_e_step_nan_objective_names_index():
         e_step(BernoulliProductModel([0.5, 0.5]), bad, IDENTITY, 6, seed=0)
     assert err.value.index == 2
     assert "index 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "model,objective",
+    [
+        # the first two generations hold valid points of the objective's
+        # space, so only the domain comparison rejects them
+        (BernoulliProductModel(np.full(3, 0.5)), objectives.sphere_max(3)),
+        (CategoricalProductModel(np.full((3, 2), 0.5)), objectives.onemax(3)),
+        (GaussianModel.from_mean_cov(np.zeros(3), np.eye(3)), objectives.onemax(3)),
+        (BernoulliProductModel(np.full(4, 0.5)), objectives.onemax(3)),
+    ],
+)
+def test_e_step_rejects_a_model_on_another_domain(model, objective):
+    with pytest.raises(DomainError):
+        e_step(model, objective, shaping.ShapingSpec("rank"), 10, seed=0)
+
+
+def test_e_step_never_rescans_the_generation(monkeypatch):
+    calls = []
+    check = objectives.Domain.check
+
+    def counting_check(self, Z):
+        calls.append(self)
+        return check(self, Z)
+
+    monkeypatch.setattr(objectives.Domain, "check", counting_check)
+    gauss = GaussianModel.from_mean_cov(np.zeros(3), np.eye(3))
+    e_step(gauss, objectives.sphere_max(3), shaping.ShapingSpec("rank"), 20, seed=1)
+    e_step(BernoulliProductModel(np.full(3, 0.5)), objectives.onemax(3), IDENTITY, 20, seed=1)
+    assert calls == []
 
 
 def test_population_normalization_invariant():
@@ -245,6 +278,25 @@ def test_map_gamma_out_of_range():
     prev = ExpectationParams(np.array([0.5]), "bernoulli:1")
     with pytest.raises(ConfigError):
         m_step_map(prev, prev, 1.5)
+
+
+# Each row breaks one hyperparameter; the error must name that field.
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"kind": "gradient", "alpha": 0.1, "k": 1.5}, "update.k"),
+        ({"kind": "gradient", "alpha": 0.1, "k": True}, "update.k"),
+        ({"kind": "gradient", "alpha": True, "k": 2}, "update.alpha"),
+        ({"kind": "gradient", "alpha": 0.1, "k": 2, "gamma": 0.5}, "gamma"),
+        ({"kind": "closed_form", "gamma": 5.0}, "gamma"),
+        ({"kind": "map_smoothed", "gamma": "0.5"}, "update.gamma"),
+        ({"kind": "map_smoothed", "gamma": 0.5, "alpha": 0.1}, "alpha"),
+        ({"kind": None}, "update.kind"),
+    ],
+)
+def test_update_rule_is_the_one_update_schema(kwargs, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        UpdateRule(**kwargs)
 
 
 def test_map_contraction_monotone_in_gamma():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from edaem.models import (
     unvech,
     vech,
 )
+from edaem.objectives import Domain
 
 
 def enumerate_states(dim, arity=2):
@@ -228,6 +230,18 @@ def test_categorical_domain_error():
         c.log_density([2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+def test_categorical_check_rejects_non_integers_without_a_cast_warning(bad):
+    Z = np.array([[0.0, bad]])
+    model = CategoricalProductModel(np.full((2, 3), 1.0 / 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            Domain("categorical", 2, 3).check(Z)
+        with pytest.raises(DomainError):
+            model.log_density(Z[0])
+
+
 def test_gaussian_domain_error_on_nan():
     g = GaussianModel.from_mean_cov([0.0], [[1.0]])
     with pytest.raises(DomainError):
@@ -405,6 +419,42 @@ def test_fisher_gaussian_vs_monte_carlo():
     s = g.grad_log_density_batch(Z)
     mc = s.T @ s / Z.shape[0]
     assert np.max(np.abs(F - mc)) / np.max(np.abs(F)) < 0.05
+
+
+def _natural_score_gap(model, Z, fisher):
+    """Largest |fisher^-1 grad log p(z) - (T(z) - theta)| over the batch,
+    and the largest |T(z) - theta| as its scale."""
+    centred = model.sufficient_stats_batch(Z) - model.params.values
+    natural = np.linalg.solve(fisher, model.grad_log_density_batch(Z).T).T
+    return float(np.max(np.abs(natural - centred))), float(np.max(np.abs(centred)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        BernoulliProductModel([0.3, 0.62, 0.8, 0.05]),
+        CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]),
+        GaussianModel.from_mean_cov(
+            [1.0, -0.5, 2.0, 0.3],
+            [[1.5, 0.3, -0.2, 0.1], [0.3, 1.0, 0.25, 0.0],
+             [-0.2, 0.25, 0.8, 0.1], [0.1, 0.0, 0.1, 0.6]],
+        ),
+    ],
+    ids=["bernoulli", "categorical", "gaussian"],
+)
+def test_natural_score_is_the_centred_statistic_exactly(model):
+    # In mean coordinates grad log p(z) = I(theta) (T(z) - theta) at every z,
+    # so the Fisher information must invert the score sample by sample.
+    Z = model.sample(50, 3)
+    fisher = model.fisher_information()
+    gap, scale = _natural_score_gap(model, Z, fisher)
+    tol = 1e-12 * max(1.0, scale)
+    assert gap <= tol
+    # The check has teeth: one diagonal entry off by 1% fails it.
+    for i in range(model.n_params):
+        bent = fisher.copy()
+        bent[i, i] *= 1.01
+        assert _natural_score_gap(model, Z, bent)[0] > tol
 
 
 def test_fisher_boundary_error():

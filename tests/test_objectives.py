@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from edaem.errors import ConfigError, DomainError
+from edaem.models import BernoulliProductModel, CategoricalProductModel, GaussianModel
 from edaem.objectives import (
     Domain,
+    Objective,
     evaluate,
     evaluate_batch,
     leadingones,
@@ -132,3 +134,74 @@ def test_negated_objectives_nonpositive():
     for obj in [sphere_max(3), rosenbrock_max(3), rastrigin_max(3)]:
         vals = evaluate_batch(obj, rng.normal(size=(200, 3)))
         assert np.all(vals <= 0.0)
+
+
+def _sites(dim, arity):
+    return Objective(
+        name=f"sites:{dim}x{arity}",
+        domain=Domain("categorical", dim, arity),
+        batch_eval=lambda Z: np.asarray(Z, dtype=np.float64).sum(axis=1),
+    )
+
+
+# An objective and a search model on the same domain, per column of
+# INPUT_TABLE.
+DOMAIN_PAIRS = (
+    (onemax(1), BernoulliProductModel([0.3])),
+    (onemax(3), BernoulliProductModel([0.3, 0.6, 0.8])),
+    (sphere_max(1), GaussianModel.from_mean_cov([0.5], [[2.0]])),
+    (sphere_max(3), GaussianModel.from_mean_cov(np.zeros(3), np.eye(3))),
+    (_sites(1, 3), CategoricalProductModel([[0.2, 0.3, 0.5]])),
+)
+NAN, INF = float("nan"), float("inf")
+# input -> number of points accepted (0: DomainError) by the domain of each
+# pair: binary d=1, binary d=3, continuous d=1, continuous d=3, categorical
+# d=1 with arity 3.
+INPUT_TABLE = {
+    "0-d int": (1, (1, 0, 1, 0, 1)),
+    "0-d bool": (np.array(True), (1, 0, 1, 0, 1)),
+    "1-d length 3": ([1, 0, 1], (3, 1, 3, 1, 3)),
+    "1-d length 2": ([1, 0], (2, 0, 2, 0, 2)),
+    "one row": ([[1, 0, 1]], (0, 1, 0, 1, 0)),
+    "d=1 column": ([[1], [0]], (2, 0, 2, 0, 2)),
+    "bool": (np.array([True, False, True]), (3, 1, 3, 1, 3)),
+    "int64": (np.array([1, 0, 1], dtype=np.int64), (3, 1, 3, 1, 3)),
+    "0.5": (0.5, (0, 0, 1, 0, 0)),
+    "0.5 in a point": ([0.5, 0.0, 1.0], (0, 0, 3, 1, 0)),
+    "2": (2, (0, 0, 1, 0, 1)),
+    "2 in a point": ([2, 0, 1], (0, 0, 3, 1, 3)),
+    "NaN": (NAN, (0, 0, 0, 0, 0)),
+    "NaN in a point": ([NAN, 0.0, 1.0], (0, 0, 0, 0, 0)),
+    "inf in a point": ([INF, 0.0, 1.0], (0, 0, 0, 0, 0)),
+    "1e30 in a point": ([1e30, 0.0, 1.0], (0, 0, 3, 1, 0)),
+    "complex": (np.array([1 + 1j, 0, 1]), (0, 0, 0, 0, 0)),
+    "string": (np.array(["1", "0", "1"]), (0, 0, 0, 0, 0)),
+}
+
+
+def _accepted(fn, z):
+    try:
+        return np.atleast_1d(fn(z))
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("z,counts", INPUT_TABLE.values(), ids=INPUT_TABLE)
+def test_objective_and_model_read_one_input_alike(z, counts):
+    # The objective and the model check inputs with their one Domain: the
+    # same points are accepted by both, and the single-point forms accept
+    # exactly the inputs that hold one point.
+    for (obj, model), n in zip(DOMAIN_PAIRS, counts):
+        assert obj.domain == model.domain
+        f = _accepted(lambda z: evaluate_batch(obj, z), z)
+        logp = _accepted(model.log_density_batch, z)
+        f_one = _accepted(lambda z: evaluate(obj, z), z)
+        logp_one = _accepted(model.log_density, z)
+        if n == 0:
+            assert f is logp is f_one is logp_one is None, obj.name
+            continue
+        assert f.shape == logp.shape == (n,), obj.name
+        if n == 1:
+            assert np.array_equal(f_one, f) and np.array_equal(logp_one, logp)
+        else:
+            assert f_one is logp_one is None, obj.name
