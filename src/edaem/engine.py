@@ -188,7 +188,7 @@ def e_step(
             f"{objective.name!r} takes {objective.domain}"
         )
     Z = model.sample(n, seed)
-    raw = np.asarray(objective.batch_eval(Z), dtype=np.float64).reshape(n)
+    raw = objectives_mod.evaluate_unchecked(objective, Z)
     bad = np.nonzero(~np.isfinite(raw))[0]
     if bad.size:
         idx = int(bad[0])

@@ -38,9 +38,11 @@ class DegenerateObjectiveError(EdaemError):
 
 
 class ObjectiveError(EdaemError):
-    """The objective returned a non-finite value (NaN or +-inf) for a sample.
+    """The objective returned a non-finite value (NaN or +-inf) for a sample,
+    or a number of values other than the number of samples.
 
-    Carries ``index``, the offending sample's position in the generation.
+    Carries ``index``, the offending sample's position in the generation
+    (None for a wrong count).
     """
 
     def __init__(self, message: str, index: int | None = None):

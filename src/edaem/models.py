@@ -49,9 +49,10 @@ EIG_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
 MAX_JITTER_DOUBLINGS = 10
 
-# Float64 cells (256 KB) in the one block a Bernoulli generation streams
-# through when it is drawn or refitted, so that no (n, d) float64 copy of
-# the generation is ever made.
+# Cells in the one block a Bernoulli generation streams through, so that no
+# (n, d) copy of it wider than bool is ever made: 256 KB of float64 when it
+# is refitted, and 128 KB of raw words plus 128 KB of tiled uint32
+# thresholds when it is drawn.
 BLOCK_CELLS = 1 << 15
 
 
@@ -340,12 +341,40 @@ class BernoulliProductModel(SearchModel):
         return BernoulliProductModel(np.clip(values, 0.0, 1.0))
 
     def _draw(self, rng, n: int) -> np.ndarray:
-        # A bool array, one byte per bit.  Generator.random fills in C order,
-        # so block by block this is rng.random((n, d)) < p on the same stream.
-        Z = np.empty((n, self.dim), dtype=np.bool_)
-        for rows, block in _row_blocks(n, self.dim):
-            rng.random(out=block)
-            np.less(block, self._probs, out=Z[rows])
+        # A bool array, one byte per bit, by the lazy bitwise comparison of
+        # a uniform with p (Knuth and Yao 1976), 32 bits at a time.  Cell k
+        # of the generation, in C order, takes half k of the raw PCG64 word
+        # stream, low half first, and z = b < thr with thr = floor(p 2^32).
+        # A tie b == thr (2^-32 per cell) is settled after the last block by
+        # one float64 uniform r per tie, in cell order: z = r < frac with
+        # frac = p 2^32 - thr.  PROB_FLOOR >= 2^-33 makes frac a multiple of
+        # 2^-53, so P(z = 1) = p exactly.  A block holds whole words (an
+        # even row count when d is odd), so the stream does not depend on
+        # BLOCK_CELLS.
+        d = self.dim
+        rows = max(1, BLOCK_CELLS // d)
+        if d % 2:
+            rows = max(2, rows - rows % 2)
+        cells = min(rows, n) * d
+        # Truncation is the floor here: p 2^32 is positive and below 2^32.
+        thr = np.tile((self._probs * 2.0**32).astype(np.uint32), cells // d)
+        Z = np.empty((n, d), dtype=np.bool_)
+        flat = Z.reshape(-1)
+        ties = []
+        for start in range(0, n * d, cells):
+            out = flat[start : start + cells]
+            t = thr[: out.size]
+            words = rng.bit_generator.random_raw((out.size + 1) // 2)
+            b = words.astype("<u8", copy=False).view("<u4")[: out.size]
+            # The output slice holds the tie mask until the comparison.
+            if np.equal(b, t, out=out).any():
+                ties.append(start + np.flatnonzero(out))
+            np.less(b, t, out=out)
+            del words, b  # so the next block's words never coexist with these
+        if ties:
+            k = np.concatenate(ties)
+            scaled = self._probs[k % d] * 2.0**32
+            flat[k] = rng.random(k.size) < scaled - np.floor(scaled)
         return Z
 
     def _log_density(self, Z) -> np.ndarray:
@@ -688,10 +717,14 @@ class CategoricalProductModel(SearchModel):
         return CategoricalProductModel(np.clip(P, 0.0, None))
 
     def _draw(self, rng, n: int) -> np.ndarray:
+        # z counts the cumulative sums below u, up to K - 1: u > cum[:, k]
+        # holds for a prefix of k, so no (n, d, K) comparison is formed.
         u = rng.random((n, self.dim))
         cum = np.cumsum(self._probs, axis=1)
-        Z = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
-        return np.minimum(Z, self.arity - 1).astype(np.int64)
+        Z = np.zeros((n, self.dim), dtype=np.int64)
+        for k in range(self.arity - 1):
+            Z += u > cum[:, k]
+        return Z
 
     def _log_density(self, Z) -> np.ndarray:
         logs = np.log(self._probs)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ObjectiveError
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,31 @@ def evaluate(obj: Objective, z) -> float:
     Z = obj.domain.check(z)
     if Z.shape[0] != 1:
         raise DomainError("evaluate takes a single point; use evaluate_batch")
-    return float(obj.batch_eval(Z)[0])
+    return float(evaluate_unchecked(obj, Z)[0])
 
 
 def evaluate_batch(obj: Objective, Z) -> np.ndarray:
-    Z = obj.domain.check(Z)
-    return np.asarray(obj.batch_eval(Z), dtype=np.float64).reshape(Z.shape[0])
+    return evaluate_unchecked(obj, obj.domain.check(Z))
+
+
+def evaluate_unchecked(obj: Objective, Z: np.ndarray) -> np.ndarray:
+    """``batch_eval`` on a checked (n, dim) batch, as n float64 values;
+    output of another length raises :class:`ObjectiveError`."""
+    n = Z.shape[0]
+    raw = np.asarray(obj.batch_eval(Z), dtype=np.float64)
+    if raw.size != n:
+        raise ObjectiveError(f"objective {obj.name!r} returned {raw.size} values for {n} points")
+    return raw.reshape(n)
 
 
 def onemax(dim: int) -> Objective:
     return Objective(
         name=f"onemax:{dim}",
         domain=Domain("binary", dim),
-        # Integer partial sums below 2**53 are exact, so summing in float64
-        # without a float64 copy of Z gives identical values for any dtype.
-        batch_eval=lambda Z: np.sum(Z, axis=1, dtype=np.float64),
+        # Integer sums below 2**53 are exact in int64 and in float64, so the
+        # values are identical for any dtype; a bool Z sums in int64, which
+        # is faster than float64, and callers convert the result.
+        batch_eval=lambda Z: np.sum(Z, axis=1),
         known_opt=(np.ones(dim, dtype=np.int64), float(dim)),
     )
 

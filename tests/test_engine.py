@@ -66,12 +66,15 @@ def runcfg(**kw):
 
 
 def test_e_step_realized_example():
-    # seed 12 realizes samples (1, 0, 1, 1) for d=1, p=0.5
+    # Seed 12's first two raw words are 0x4036081c_9cd9cf38 and
+    # 0xf25e669e_f91596a8.  Low halves first, the four cells read
+    # 0x9cd9cf38, 0x4036081c, 0xf91596a8 and 0xf25e669e; at p = 0.5 the
+    # threshold is 2^31 = 0x80000000, so the samples are (0, 1, 0, 0).
     model = BernoulliProductModel([0.5])
     pop = e_step(model, objectives.onemax(1), IDENTITY, 4, seed=12)
-    np.testing.assert_array_equal(pop.samples.reshape(-1), [1, 0, 1, 1])
-    np.testing.assert_array_equal(pop.raw_f, [1, 0, 1, 1])
-    np.testing.assert_allclose(pop.norm_w, [1 / 3, 0, 1 / 3, 1 / 3])
+    np.testing.assert_array_equal(pop.samples.reshape(-1), [0, 1, 0, 0])
+    np.testing.assert_array_equal(pop.raw_f, [0, 1, 0, 0])
+    np.testing.assert_allclose(pop.norm_w, [0, 1, 0, 0])
 
 
 def test_e_step_constant_objective_uniform_weights():
@@ -689,6 +692,29 @@ def test_run_aborts_on_infinite_objective_with_partial_trace():
     assert [r.iteration for r in err.value.trace.records] == [0, 1]
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_run_aborts_typed_on_objective_output_of_the_wrong_length(extra):
+    short = objectives.Objective(
+        name="short:3",
+        domain=objectives.Domain("binary", 3),
+        batch_eval=lambda Z: np.zeros(Z.shape[0] + extra),
+    )
+    cfg = runcfg(
+        model=BernoulliProductModel(np.full(3, 0.5)),
+        objective=short,
+        shaping=shaping.ShapingSpec.parse("rank"),
+        rule=UpdateRule("closed_form"),
+        n_samples=10,
+        iterations=3,
+        seed=0,
+    )
+    with pytest.raises(RunAbortedError) as err:
+        run(cfg)
+    assert isinstance(err.value.__cause__, ObjectiveError)
+    assert "10 points" in str(err.value.__cause__)
+    assert err.value.trace.records == []
+
+
 @pytest.mark.parametrize(
     "rule",
     [
@@ -722,7 +748,7 @@ def test_empty_trace_best_is_minus_infinity():
 
 def test_bernoulli_iteration_memory_is_one_byte_per_bit():
     # One e_step + closed-form M-step + free energy at d=2000, N=1000.  The
-    # bool generation takes 2 MB and the uniforms stream through one 256 KB
+    # bool generation takes 2 MB and the raw words stream through one 256 KB
     # block; any int64 or float64 copy of the generation adds 16 MB.
     d, n = 2000, 1000
     model = BernoulliProductModel(np.full(d, 0.5))
@@ -742,20 +768,25 @@ def test_bernoulli_iteration_memory_is_one_byte_per_bit():
 
 def test_bernoulli_run_does_not_depend_on_the_block_size(monkeypatch):
     # Quantile weights are 0 or 1, so every blocked partial sum is exact.
-    cfg = runcfg(
-        model=BernoulliProductModel(np.full(30, 0.5)),
-        objective=objectives.onemax(30),
-        shaping=shaping.ShapingSpec.parse("quantile:0.3"),
-        rule=UpdateRule("closed_form"),
-        n_samples=60,
-        iterations=12,
-        seed=4,
-    )
-    ref = run(cfg)
-    monkeypatch.setattr(models, "BLOCK_CELLS", 1)  # one row per block
-    got = run(cfg)
-    assert got.records == ref.records
-    assert np.array_equal(got.final_model.probs, ref.final_model.probs)
+    # At odd d a draw block holds two rows, so that it takes whole words.
+    cfgs = [
+        runcfg(
+            model=BernoulliProductModel(np.full(d, 0.5)),
+            objective=objectives.onemax(d),
+            shaping=shaping.ShapingSpec.parse("quantile:0.3"),
+            rule=UpdateRule("closed_form"),
+            n_samples=60,
+            iterations=12,
+            seed=4,
+        )
+        for d in (30, 31)
+    ]
+    refs = [run(cfg) for cfg in cfgs]
+    monkeypatch.setattr(models, "BLOCK_CELLS", 1)  # the smallest blocks
+    for cfg, ref in zip(cfgs, refs):
+        got = run(cfg)
+        assert got.records == ref.records
+        assert np.array_equal(got.final_model.probs, ref.final_model.probs)
 
 
 def test_free_energy_estimate_with_identity_shaping():

@@ -6,12 +6,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from edaem import models
 from edaem.errors import (
     BoundaryError,
     DegenerateModelError,
@@ -30,6 +32,7 @@ from edaem.models import (
     vech,
 )
 from edaem.objectives import Domain
+from independent_oracles import bernoulli_reference_draw, categorical_reference_draw
 
 
 def enumerate_states(dim, arity=2):
@@ -144,29 +147,100 @@ def _bits_as(dtype, n=40, d=7, seed=3):
     return np.random.default_rng(seed).integers(0, 2, size=(n, d)).astype(dtype)
 
 
-def test_bernoulli_sample_is_bool_on_the_uniform_stream():
+# Block sizes for the draw: one cell (one row, or two when d is odd), a
+# handful, one large block and the default.
+DRAW_BLOCKS = (1, 2, 7, 1 << 20, models.BLOCK_CELLS)
+
+
+def test_bernoulli_sample_is_bool_on_the_uniform_stream(monkeypatch):
     p = np.array([0.2, 0.5, 0.9, 0.05, 0.7])
-    Z = BernoulliProductModel(p).sample(300, 17)
-    assert Z.dtype == np.bool_
-    assert np.array_equal(Z, np.random.default_rng(17).random((300, 5)) < p)
+    ref = bernoulli_reference_draw(p, 300, 17)
+    for block in DRAW_BLOCKS:
+        monkeypatch.setattr(models, "BLOCK_CELLS", block)
+        Z = BernoulliProductModel(p).sample(300, 17)
+        assert Z.dtype == np.bool_
+        assert np.array_equal(Z, ref)
 
 
 @pytest.mark.parametrize("n", [1, 17, 1000])
 @pytest.mark.parametrize("d", [1, 3, 2000, 40000])
-def test_bernoulli_draw_is_the_one_shot_comparison(d, n):
-    # The draw streams through blocks of BLOCK_CELLS cells: the last block
-    # of a run is partial, and at d = 40000 each block is one row.
+def test_bernoulli_draw_is_the_one_shot_comparison(d, n, monkeypatch):
+    # The draw streams through blocks of whole words: the last block of a
+    # run is partial, at d = 40000 each block is one row, and at odd d a
+    # block holds an even number of rows.
     m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
-    Z = m.sample(n, 23)
-    assert Z.dtype == np.bool_ and Z.shape == (n, d)
-    # The reference rng.random((n, d)) < p, taken in one call wherever it
-    # fits in 32 MB; Generator.random fills in C order, so chunks of whole
-    # rows continue one stream.
-    ref = np.random.default_rng(23)
-    chunk = max(1, 4_000_000 // d)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        assert np.array_equal(Z[start:stop], ref.random((stop - start, d)) < m.probs)
+    ref = bernoulli_reference_draw(m.probs, n, 23)
+    for block in DRAW_BLOCKS:
+        monkeypatch.setattr(models, "BLOCK_CELLS", block)
+        Z = m.sample(n, 23)
+        assert Z.dtype == np.bool_ and Z.shape == (n, d)
+        assert np.array_equal(Z, ref)
+
+
+class _Words:
+    """A stand-in generator that hands out given raw words and uniforms,
+    and logs the order of its calls."""
+
+    def __init__(self, words, uniforms):
+        self.bit_generator = self
+        self._words = list(words)
+        self._uniforms = list(uniforms)
+        self.calls = []
+
+    def random_raw(self, size):
+        self.calls.append("words")
+        out, self._words = self._words[:size], self._words[size:]
+        return np.array(out, dtype=np.uint64)
+
+    def random(self, size):
+        self.calls.append("uniforms")
+        k = math.prod(np.atleast_1d(size))
+        out, self._uniforms = self._uniforms[:k], self._uniforms[k:]
+        return np.array(out).reshape(size)
+
+
+@pytest.mark.parametrize("block", [1, 1 << 15])
+def test_bernoulli_draw_settles_ties_with_one_uniform_each(block, monkeypatch):
+    # p = 0.3: thr = floor(0.3 * 2^32) and frac = 0.3 * 2^32 - thr ~ 0.8.
+    # Cells in C order: tie, below, tie, above, tie, (the dropped half).
+    monkeypatch.setattr(models, "BLOCK_CELLS", block)
+    p = 0.3
+    thr = math.floor(p * 2.0**32)
+    frac = p * 2.0**32 - thr
+    assert 0.79 < frac < 0.81
+    halves = [thr, thr - 1, thr, thr + 1, thr, 0]
+    words = [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+    # The uniforms go to the ties in cell order: below frac, at it, above.
+    rng = _Words(words, [frac - 1e-9, frac, 0.9])
+    Z = BernoulliProductModel([p])._draw(rng, 5)
+    assert Z.reshape(-1).tolist() == [True, True, False, False, False]
+    assert rng._words == [] and rng._uniforms == []
+    # Every word is drawn before the uniforms, whatever the block size.
+    assert rng.calls[-1] == "uniforms" and rng.calls.count("uniforms") == 1
+
+
+@pytest.mark.parametrize("p", [PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR])
+def test_bernoulli_draw_frequency(p):
+    # 4e6 cells; the bound is 5 standard errors.
+    n, d = 20_000, 200
+    mean = BernoulliProductModel(np.full(d, p)).sample(n, 8).mean()
+    assert abs(mean - p) < 5.0 * math.sqrt(p * (1.0 - p) / (n * d))
+
+
+@pytest.mark.parametrize("n,d", [(1000, 2000), (17, 3), (2000, 31)])
+def test_bernoulli_draw_memory_is_one_block_beyond_the_generation(n, d):
+    # Raw words (4 bytes a cell) and tiled uint32 thresholds (4 bytes a
+    # cell) over one block; no (n, d) array wider than bool.  At d = 31 a
+    # block's arrays take 261,888 of the 262,144 bytes, and the generator
+    # and the array headers add about 2 KB, hence the 4 KB allowance.
+    m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
+    tracemalloc.start()
+    try:
+        Z = m.sample(n, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - Z.nbytes <= models.BLOCK_CELLS * 8 + 4096
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (40, 7), (1000, 2000), (3, 40000)])
@@ -323,6 +397,28 @@ def test_categorical_counts_uniform():
     counts = np.bincount(Z, minlength=3) / 30_000
     sigma = math.sqrt((1 / 3) * (2 / 3) / 30_000)
     assert np.all(np.abs(counts - 1 / 3) < 3 * sigma)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("K", [2, 3, 7, 50])
+def test_categorical_draw_is_the_capped_comparison_count(K, seed):
+    probs = np.random.default_rng(K).dirichlet(np.ones(K), size=6)
+    c = CategoricalProductModel(probs)
+    u = np.random.default_rng(seed).random((400, 6))
+    assert np.array_equal(c.sample(400, seed), categorical_reference_draw(c.probs, u))
+
+
+def test_categorical_draw_caps_at_the_last_category():
+    # The first row sums to 1 - 1e-13, within the constructor's tolerance,
+    # so it is stored as given; uniforms above that sum land in the last
+    # category, as do those above a cumulative sum that ends at 1.
+    probs = np.array([[0.5, 0.25, 0.25 - 1e-13], [0.2, 0.3, 0.5]])
+    c = CategoricalProductModel(probs)
+    assert c.probs[0, 2] == probs[0, 2]
+    u = np.array([[1.0 - 1e-14, 1.0 - 2.0**-53], [0.0, 0.2], [0.6, 0.5], [0.75, 0.7]])
+    Z = c._draw(_Words([], u.reshape(-1)), 4)
+    assert np.array_equal(Z, categorical_reference_draw(c.probs, u))
+    assert Z.tolist() == [[2, 2], [0, 0], [1, 1], [1, 2]]
 
 
 def test_sample_rejects_nonpositive_n():

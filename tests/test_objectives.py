@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from edaem.errors import ConfigError, DomainError
+from edaem.errors import ConfigError, DomainError, ObjectiveError
 from edaem.models import BernoulliProductModel, CategoricalProductModel, GaussianModel
 from edaem.objectives import (
     Domain,
@@ -100,6 +100,13 @@ def test_binary_objectives_agree_across_input_dtypes(obj):
         got = evaluate_batch(obj, bits.astype(dtype))
         assert got.dtype == np.float64
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_evaluate_batch_rejects_output_of_the_wrong_length(extra):
+    short = Objective("short:3", Domain("binary", 3), lambda Z: np.zeros(Z.shape[0] + extra))
+    with pytest.raises(ObjectiveError, match="4 points"):
+        evaluate_batch(short, np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.array([[0, 2, 1]]), np.array([[0.5, 1.0, 0.0]])])
