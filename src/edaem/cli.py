@@ -27,11 +27,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import oracle
 from .config import RunConfig
 from .engine import run as engine_run
 from .errors import ConfigError
-from .fixtures import MC_N_LIST, MC_SEEDS, load_fixture_set
+from .fixtures import load_fixture_set
 from .traceio import write_trace
 
 logger = logging.getLogger("edaem")
@@ -95,43 +94,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _fixture_reports(fixture) -> list:
-    reports = []
-    if fixture.ppm_grid_step is not None:
-        reports.append(
-            oracle.verify_ppm_equivalence(
-                fixture.model, fixture.space, fixture.ppm_grid_step, fixture=fixture.name
-            )
-        )
-    if fixture.ngd:
-        reports.append(
-            oracle.verify_ngd_correspondence(
-                fixture.model, fixture.space, fixture=fixture.name
-            )
-        )
-    if fixture.mc_error_bound is not None:
-        reports.append(
-            oracle.verify_mc_convergence(
-                fixture.model,
-                fixture.space,
-                fixture.objective,
-                n_list=MC_N_LIST,
-                seeds=MC_SEEDS,
-                error_bound=fixture.mc_error_bound,
-                fixture=fixture.name,
-            )
-        )
-    reports.append(
-        oracle.verify_em_monotonicity(fixture.model, fixture.space, fixture=fixture.name)
-    )
-    reports.append(
-        oracle.verify_free_energy_bound(
-            fixture.model, fixture.space, seed=0, fixture=fixture.name
-        )
-    )
-    return reports
-
-
 def cmd_diagnose(args) -> int:
     try:
         fixtures = load_fixture_set(args.fixture_set)
@@ -140,7 +102,7 @@ def cmd_diagnose(args) -> int:
     reports = []
     for fixture in fixtures:
         logger.info("diagnosing fixture %s", fixture.name)
-        reports.extend(_fixture_reports(fixture))
+        reports.extend(check(fixture) for check in fixture.checks)
 
     width_check = max(len(r.check_name) for r in reports)
     width_fix = max(len(r.fixture) for r in reports)

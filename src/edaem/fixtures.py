@@ -2,36 +2,70 @@
 model they start from, used by the diagnostics CLI and the acceptance
 suite.
 
-Each fixture bundles an initial model, the enumerated space with its
-objective table, and per-check applicability: the proximal-point grid
-search is limited to low-dimensional Bernoulli models, the NGD comparison
-needs strictly positive objectives, and the sampled-refit convergence
-check carries an error bound calibrated once by a pilot run (20 seeds,
-N = 1e5; bound set at roughly twice the observed mean error).
+Each fixture bundles an initial model, an objective on a binary or
+categorical domain (its space is enumerated from that objective), and the
+checks it runs, in report order.  Every fixture runs EM monotonicity and
+the free-energy bound.  The proximal-point grid search runs on binary
+spaces with d <= 3, the NGD comparison where f > 0 everywhere, and the
+sampled-refit convergence check with an error bound calibrated once by a
+pilot run (20 seeds, N = 1e5; bound set at roughly twice the observed
+mean error).  A check looks its ``oracle.verify_*`` function up when it
+runs, so a wrapper installed on the oracle module sees every check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
+from . import oracle
 from .errors import ConfigError
 from .models import BernoulliProductModel, CategoricalProductModel, SearchModel
 from .objectives import Domain, Objective, trap
-from .oracle import EnumerableSpace
+
+# Calibrated by pilot: mean over 20 seeds of ||theta_N - exact|| at N=1e5
+# came out at 2.49e-3 for the d=2 fixture; bound frozen at twice that.
+MC_ERROR_BOUND_BERN2_ONEMAX1 = 5e-3
+
+MC_N_LIST = (100, 1_000, 10_000, 100_000)
+MC_SEEDS = tuple(range(20))
 
 
 @dataclass(frozen=True)
 class Fixture:
     name: str
     model: SearchModel
-    space: EnumerableSpace
     objective: Objective
-    ppm_grid_step: Optional[float] = None  # None: skip the PPM grid search
-    ngd: bool = False  # NGD comparison needs f > 0
-    mc_error_bound: Optional[float] = None  # None: skip MC convergence
+    checks: tuple[Callable[["Fixture"], oracle.CheckReport], ...]
+
+    @functools.cached_property
+    def space(self) -> oracle.EnumerableSpace:
+        return oracle.EnumerableSpace.build(self.objective.domain, self.objective.batch_eval)
+
+
+def _ppm(grid_step: float):
+    return lambda fx: oracle.verify_ppm_equivalence(fx.model, fx.space, grid_step, fixture=fx.name)
+
+
+def _ngd(fx: Fixture) -> oracle.CheckReport:
+    return oracle.verify_ngd_correspondence(fx.model, fx.space, fixture=fx.name)
+
+
+def _mc(error_bound: float):
+    return lambda fx: oracle.verify_mc_convergence(
+        fx.model, fx.space, fx.objective, MC_N_LIST, MC_SEEDS, error_bound, fixture=fx.name
+    )
+
+
+def _em(fx: Fixture) -> oracle.CheckReport:
+    return oracle.verify_em_monotonicity(fx.model, fx.space, fixture=fx.name)
+
+
+def _free_energy(fx: Fixture) -> oracle.CheckReport:
+    return oracle.verify_free_energy_bound(fx.model, fx.space, seed=0, fixture=fx.name)
 
 
 def _binary_objective(name: str, dim: int, batch_eval) -> Objective:
@@ -44,59 +78,34 @@ def _affine_bit() -> Fixture:
     obj = _binary_objective(
         "affine_bits:1", 1, lambda Z: 1.0 + 2.0 * np.asarray(Z, dtype=np.float64)[:, 0]
     )
-    return Fixture(
-        name="bern1_f13",
-        model=BernoulliProductModel([0.5]),
-        space=EnumerableSpace.build(1, 2, obj.batch_eval),
-        objective=obj,
-        ppm_grid_step=1e-3,
-        ngd=True,
-    )
+    model = BernoulliProductModel([0.5])
+    return Fixture("bern1_f13", model, obj, (_ppm(1e-3), _ngd, _em, _free_energy))
 
 
-def _onemax_plus_one(dim: int, ppm_step, mc_bound=None) -> Fixture:
+def _onemax_plus_one(dim: int, *checks) -> Fixture:
     obj = _binary_objective(
         f"onemax_plus_one:{dim}",
         dim,
         lambda Z: 1.0 + np.asarray(Z, dtype=np.float64).sum(axis=1),
     )
-    return Fixture(
-        name=f"bern{dim}_onemax1",
-        model=BernoulliProductModel(np.full(dim, 0.5)),
-        space=EnumerableSpace.build(dim, 2, obj.batch_eval),
-        objective=obj,
-        ppm_grid_step=ppm_step,
-        ngd=True,
-        mc_error_bound=mc_bound,
-    )
+    return Fixture(f"bern{dim}_onemax1", BernoulliProductModel(np.full(dim, 0.5)), obj, checks)
 
 
 def _constant() -> Fixture:
     obj = _binary_objective(
         "constant_two:2", 2, lambda Z: np.full(np.asarray(Z).shape[0], 2.0)
     )
-    return Fixture(
-        name="bern2_const",
-        model=BernoulliProductModel([0.3, 0.7]),
-        space=EnumerableSpace.build(2, 2, obj.batch_eval),
-        objective=obj,
-        ppm_grid_step=1e-3,
-        ngd=True,
-    )
+    model = BernoulliProductModel([0.3, 0.7])
+    return Fixture("bern2_const", model, obj, (_ppm(1e-3), _ngd, _em, _free_energy))
 
 
 def _deceptive_trap() -> Fixture:
     # One 3-bit trap block, started off the uniform saddle and biased into
     # the deceptive basin; exact EM must still improve L monotonically.
-    obj = trap(3, 1)
-    return Fixture(
-        name="bern3_trap",
-        model=BernoulliProductModel([0.4, 0.4, 0.4]),
-        space=EnumerableSpace.build(3, 2, obj.batch_eval),
-        objective=obj,
-        ppm_grid_step=0.02,  # coarser grid: 3 coordinates; tolerance scales with it
-        ngd=False,  # trap has f = 0 states
-    )
+    # No NGD row, since trap has f = 0 states; the PPM grid is coarser for
+    # 3 coordinates, and its tolerance scales with it.
+    model = BernoulliProductModel([0.4, 0.4, 0.4])
+    return Fixture("bern3_trap", model, trap(3, 1), (_ppm(0.02), _em, _free_energy))
 
 
 def _categorical_sites() -> Fixture:
@@ -107,27 +116,17 @@ def _categorical_sites() -> Fixture:
     obj = Objective(
         name="affine_sites:2x3", domain=Domain("categorical", 2, arity=3), batch_eval=_eval
     )
-    return Fixture(
-        name="cat2x3_affine",
-        model=CategoricalProductModel(np.full((2, 3), 1.0 / 3.0)),
-        space=EnumerableSpace.build(2, 3, obj.batch_eval),
-        objective=obj,
-    )
-
-
-# Calibrated by pilot: mean over 20 seeds of ||theta_N - exact|| at N=1e5
-# came out at 2.49e-3 for the d=2 fixture; bound frozen at twice that.
-MC_ERROR_BOUND_BERN2_ONEMAX1 = 5e-3
-
-MC_N_LIST = (100, 1_000, 10_000, 100_000)
-MC_SEEDS = tuple(range(20))
+    model = CategoricalProductModel(np.full((2, 3), 1.0 / 3.0))
+    return Fixture("cat2x3_affine", model, obj, (_ngd, _em, _free_energy))
 
 
 def default_fixtures() -> list[Fixture]:
     return [
         _affine_bit(),
-        _onemax_plus_one(2, ppm_step=1e-3, mc_bound=MC_ERROR_BOUND_BERN2_ONEMAX1),
-        _onemax_plus_one(3, ppm_step=0.02),
+        _onemax_plus_one(
+            2, _ppm(1e-3), _ngd, _mc(MC_ERROR_BOUND_BERN2_ONEMAX1), _em, _free_energy
+        ),
+        _onemax_plus_one(3, _ppm(0.02), _ngd, _em, _free_energy),
         _constant(),
         _deceptive_trap(),
         _categorical_sites(),

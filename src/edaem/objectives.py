@@ -120,9 +120,12 @@ def onemax(dim: int) -> Objective:
 
 def leadingones(dim: int) -> Objective:
     def _eval(Z):
-        Z = np.asarray(Z, dtype=np.float64)
-        # prefix product is 1 until the first zero bit
-        return np.cumprod(Z, axis=1).sum(axis=1)
+        # The count is the index of the first zero bit, or dim if there is
+        # none.  argmin finds the first zero of a row without copying Z; a
+        # row whose argmin is a one has no zero.
+        Z = np.asarray(Z)
+        first = np.argmin(Z, axis=1)
+        return np.where(Z[np.arange(Z.shape[0]), first] == 0, first, Z.shape[1])
 
     return Objective(
         name=f"leadingones:{dim}",

@@ -15,6 +15,10 @@ it coincides with a unit-step natural-gradient update, sampled refits
 converge to it as the generation grows, and exact EM never decreases
 L(theta).  Each returns a :class:`CheckReport` that serializes to JSON.
 
+A space enumerates one :class:`~edaem.objectives.Domain`.  Every
+``exact_*`` and ``verify_*`` function takes a model on that domain and
+raises :class:`DomainError` for any other, as the E-step does.
+
 Enumeration is capped at 2**20 states; these diagnostics are desk-scale by
 design.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +35,8 @@ import numpy as np
 from . import engine as engine_mod
 from . import shaping as shaping_mod
 from .errors import DegenerateObjectiveError, DomainError
-from .models import PROB_FLOOR, BernoulliProductModel, ExpectationParams, SearchModel
+from .models import PROB_FLOOR, ExpectationParams, SearchModel
+from .objectives import Domain
 
 MAX_STATES = 2**20
 
@@ -53,12 +58,12 @@ FE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EnumerableSpace:
-    """All states of binary^d or categorical(K)^d, in lexicographic order,
-    with the objective table cached alongside."""
+    """All states of a binary or categorical domain, in lexicographic
+    order, with the objective table cached alongside."""
 
     states: np.ndarray  # (M, d) int64
     f_values: np.ndarray  # (M,)
-    arity: int
+    domain: Domain
 
     def __post_init__(self):
         if np.any(self.f_values < 0.0):
@@ -76,11 +81,14 @@ class EnumerableSpace:
         return self.states.shape[0]
 
     @classmethod
-    def build(cls, dim: int, arity: int, f: Callable) -> "EnumerableSpace":
-        """Enumerate arity^dim states lexicographically and tabulate f.
+    def build(cls, domain: Domain, f: Callable) -> "EnumerableSpace":
+        """Enumerate the states of ``domain`` lexicographically and tabulate f.
 
         ``f`` takes an (M, d) array of states and returns (M,) values.
         """
+        if domain.kind == "continuous":
+            raise DomainError(f"{domain} has no finite set of states")
+        arity, dim = domain.arity or 2, domain.dim
         n = arity**dim
         if n > MAX_STATES:
             raise DomainError(
@@ -90,7 +98,7 @@ class EnumerableSpace:
             list(itertools.product(range(arity), repeat=dim)), dtype=np.int64
         )
         f_values = np.asarray(f(states), dtype=np.float64).reshape(n)
-        return cls(states=states, f_values=f_values, arity=arity)
+        return cls(states=states, f_values=f_values, domain=domain)
 
 
 @dataclass(frozen=True)
@@ -125,12 +133,21 @@ class CheckReport:
         return json.dumps(self.to_json_dict())
 
 
+def _log_p(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
+    """log p(z|theta) at every state, for a model on the space's domain."""
+    if model.domain != space.domain:
+        raise DomainError(
+            f"{model.family_tag!r} samples {model.domain}; the space enumerates {space.domain}"
+        )
+    return model.log_density_batch(space.states)
+
+
 def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
     """log sum_z p(z|theta) f(z), accumulated stably in log space."""
     # Imported here: scipy.special adds about 80 ms to the package import.
     from scipy.special import logsumexp
 
-    log_p = model.log_density_batch(space.states)
+    log_p = _log_p(model, space)
     with np.errstate(divide="ignore"):
         val = float(logsumexp(log_p, b=space.f_values))
     if not np.isfinite(val):
@@ -139,7 +156,7 @@ def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
 
 
 def exact_tilted(model: SearchModel, space: EnumerableSpace) -> TiltedDistribution:
-    w = np.exp(model.log_density_batch(space.states)) * space.f_values
+    w = np.exp(_log_p(model, space)) * space.f_values
     total = w.sum()
     if not total > 0.0:
         raise DegenerateObjectiveError("E_p[f] is zero under the model support")
@@ -165,7 +182,7 @@ def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
     if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
         raise DomainError("q must be a probability vector over the states")
     act = q > 0.0
-    log_p = model.log_density_batch(space.states)[act]
+    log_p = _log_p(model, space)[act]
     f_act = space.f_values[act]
     if np.any(f_act <= 0.0):
         return float("-inf")
@@ -186,7 +203,7 @@ def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
 def exact_objective_gradient(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
     """Enumerated gradient of L(theta) = log E_p[f] with respect to the
     expectation parameters: E_p[f * score] / E_p[f]."""
-    p = np.exp(model.log_density_batch(space.states))
+    p = np.exp(_log_p(model, space))
     scores = model.grad_log_density_batch(space.states)
     ef = float(p @ space.f_values)
     if not ef > 0.0:
@@ -197,12 +214,6 @@ def exact_objective_gradient(model: SearchModel, space: EnumerableSpace) -> np.n
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
-
-
-def _require_bernoulli(model: SearchModel, max_dim: int, op: str) -> BernoulliProductModel:
-    if not isinstance(model, BernoulliProductModel) or model.dim > max_dim:
-        raise DomainError(f"{op} supports Bernoulli product models with d <= {max_dim}")
-    return model
 
 
 def verify_ppm_equivalence(
@@ -226,12 +237,13 @@ def verify_ppm_equivalence(
     distributions vanish together); the count of such excluded states is
     reported.
     """
-    model = _require_bernoulli(model, 3, "verify_ppm_equivalence")
+    if space.domain.kind != "binary" or space.dim > 3:
+        raise DomainError("verify_ppm_equivalence supports binary spaces with d <= 3")
     if not 0.0 < grid_step <= 1.0 - 2.0 * PROB_FLOOR:
         raise DomainError(
             f"grid_step = {grid_step!r}; it must be finite and in (0, {1.0 - 2.0 * PROB_FLOOR:g}]"
         )
-    d = model.dim
+    d = space.dim
     n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / grid_step)) + 1
     grid_1d = np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, n_points)
     eff_step = float(grid_1d[1] - grid_1d[0])
@@ -306,7 +318,6 @@ def verify_ngd_correspondence(
     above ``NGD_NOISE_FLOOR`` only: below it they measure float noise
     divided by a vanishing gradient, not the approximation order.
     """
-    model = _require_bernoulli(model, 20, "verify_ngd_correspondence")
     if np.any(space.f_values <= 0.0):
         raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
 
@@ -314,7 +325,7 @@ def verify_ngd_correspondence(
     discs, ratios = [], []
     for s in NGD_SCALES:
         fs = 1.0 + s * (base_f - 1.0)
-        sub = EnumerableSpace(states=space.states, f_values=fs, arity=space.arity)
+        sub = replace(space, f_values=fs)
         grad = exact_objective_gradient(model, sub)
         fisher = model.fisher_information()
         theta_ngd = model.params.values + np.linalg.solve(fisher, grad)

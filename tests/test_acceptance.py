@@ -35,7 +35,12 @@ from edaem.engine import (
     m_step_map,
     run,
 )
-from edaem.fixtures import MC_N_LIST, MC_SEEDS, default_fixtures
+from edaem.fixtures import (
+    MC_ERROR_BOUND_BERN2_ONEMAX1,
+    MC_N_LIST,
+    MC_SEEDS,
+    default_fixtures,
+)
 from edaem.models import (
     BernoulliProductModel,
     CategoricalProductModel,
@@ -214,13 +219,13 @@ def test_criterion_6_mc_em_consistency():
     fx = FIXTURES["bern2_onemax1"]
     rep = verify_mc_convergence(
         fx.model, fx.space, fx.objective,
-        n_list=MC_N_LIST, seeds=MC_SEEDS, error_bound=fx.mc_error_bound,
+        n_list=MC_N_LIST, seeds=MC_SEEDS, error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1,
         fixture=fx.name,
     )
     errs = rep.values["mean_errors"]
     report(6, "sampled refit converges to exact refit", rep.passed,
            f"errors {['%.1e' % e for e in errs]}, inversions {rep.values['inversions']}, "
-           f"final <= {fx.mc_error_bound}")
+           f"final <= {MC_ERROR_BOUND_BERN2_ONEMAX1}")
 
 
 def test_criterion_7_ppm_equivalence():
@@ -241,11 +246,12 @@ def test_criterion_8_ngd_correspondence():
     disc = rep.values["discrepancy"]
     ok = rep.passed and disc <= 1e-10
     rng = np.random.default_rng(808)
+    from edaem.objectives import Domain
     from edaem.oracle import EnumerableSpace
 
     for _ in range(10):
         f_table = rng.uniform(0.2, 3.0, size=4)
-        space = EnumerableSpace.build(2, 2, lambda Z: f_table)
+        space = EnumerableSpace.build(Domain("binary", 2), lambda Z: f_table)
         model = BernoulliProductModel(rng.uniform(0.15, 0.85, size=2))
         sub = verify_ngd_correspondence(model, space)
         ok = ok and sub.passed

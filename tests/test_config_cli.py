@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edaem import cli
+from edaem import cli, oracle
 from edaem.config import RunConfig
 from edaem.engine import run as engine_run
 from edaem.errors import ConfigError
@@ -382,6 +382,54 @@ def test_cmd_diagnose_default_passes(tmp_path, capsys):
         "em_monotonicity",
         "free_energy_bound",
     }
+
+
+DEFAULT_DIAGNOSE_ROWS = [
+    ("ppm_equivalence", "bern1_f13"),
+    ("ngd_correspondence", "bern1_f13"),
+    ("em_monotonicity", "bern1_f13"),
+    ("free_energy_bound", "bern1_f13"),
+    ("ppm_equivalence", "bern2_onemax1"),
+    ("ngd_correspondence", "bern2_onemax1"),
+    ("mc_convergence", "bern2_onemax1"),
+    ("em_monotonicity", "bern2_onemax1"),
+    ("free_energy_bound", "bern2_onemax1"),
+    ("ppm_equivalence", "bern3_onemax1"),
+    ("ngd_correspondence", "bern3_onemax1"),
+    ("em_monotonicity", "bern3_onemax1"),
+    ("free_energy_bound", "bern3_onemax1"),
+    ("ppm_equivalence", "bern2_const"),
+    ("ngd_correspondence", "bern2_const"),
+    ("em_monotonicity", "bern2_const"),
+    ("free_energy_bound", "bern2_const"),
+    ("ppm_equivalence", "bern3_trap"),
+    ("em_monotonicity", "bern3_trap"),
+    ("free_energy_bound", "bern3_trap"),
+    ("ngd_correspondence", "cat2x3_affine"),
+    ("em_monotonicity", "cat2x3_affine"),
+    ("free_energy_bound", "cat2x3_affine"),
+]
+
+
+def test_cmd_diagnose_calls_each_check_through_the_oracle_module(monkeypatch, capsys):
+    # A profiler times the checks by replacing the oracle module's verify_*
+    # functions; a check that held its function from import time would go
+    # unseen and be timed as part of the whole call.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in [n for n in dir(oracle) if n.startswith("verify_")]:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    assert cli.main(["diagnose", "default"]) == 0
+    rows = [tuple(line.split()[:2]) for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert len(calls) == 23
+    assert rows == DEFAULT_DIAGNOSE_ROWS
 
 
 def test_cmd_diagnose_default_peak_memory_below_16_mb(capsys):

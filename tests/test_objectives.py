@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,34 @@ def test_leadingones_prefix():
     assert evaluate(leadingones(4), [1, 1, 0, 1]) == 2.0
     assert evaluate(leadingones(4), [0, 1, 1, 1]) == 0.0
     assert evaluate(leadingones(4), [1, 1, 1, 1]) == 4.0
+
+
+def _leadingones_by_cumprod(Z):
+    return np.cumprod(np.asarray(Z, dtype=np.float64), axis=1).sum(axis=1)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_leadingones_equals_the_prefix_product_count(dtype):
+    rng = np.random.default_rng(7)
+    Z = rng.random((300, 40)) < np.linspace(0.5, 0.99, 40)
+    Z[0], Z[1] = True, False  # all ones, all zeros
+    Z[2, :-1], Z[2, -1] = True, False  # first zero in the last column
+    Z = Z.astype(dtype)
+    values = leadingones(40).batch_eval(Z)
+    np.testing.assert_array_equal(values, _leadingones_by_cumprod(Z))
+    assert (values[0], values[1], values[2]) == (40, 0, 39)
+
+
+def test_leadingones_makes_no_copy_of_the_generation():
+    # A float64 cast of this bool generation alone would be 16 MB.
+    Z = BernoulliProductModel(np.full(2000, 0.9)).sample(1000, 1)
+    tracemalloc.start()
+    try:
+        leadingones(2000).batch_eval(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_sphere_max_at_origin():

@@ -14,9 +14,16 @@ from independent_oracles import ppm_grid_objective
 
 from edaem import oracle
 from edaem.errors import DegenerateObjectiveError, DomainError
-from edaem.fixtures import MC_N_LIST, MC_SEEDS, default_fixtures, load_fixture_set
+from edaem.fixtures import (
+    MC_ERROR_BOUND_BERN2_ONEMAX1,
+    MC_N_LIST,
+    MC_SEEDS,
+    default_fixtures,
+    load_fixture_set,
+)
 from edaem import models
 from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams
+from edaem.objectives import Domain
 from edaem.oracle import (
     EnumerableSpace,
     exact_em_update,
@@ -36,15 +43,21 @@ FIXTURES = {f.name: f for f in default_fixtures()}
 
 
 def space_1bit_f13():
-    return EnumerableSpace.build(1, 2, lambda Z: 1.0 + 2.0 * np.asarray(Z, float)[:, 0])
+    return EnumerableSpace.build(
+        Domain("binary", 1), lambda Z: 1.0 + 2.0 * np.asarray(Z, float)[:, 0]
+    )
 
 
 def onemax_plus_one_space(d):
-    return EnumerableSpace.build(d, 2, lambda Z: 1.0 + np.asarray(Z, float).sum(axis=1))
+    return EnumerableSpace.build(
+        Domain("binary", d), lambda Z: 1.0 + np.asarray(Z, float).sum(axis=1)
+    )
 
 
 def const_space(d, c):
-    return EnumerableSpace.build(d, 2, lambda Z: np.full(np.asarray(Z).shape[0], c))
+    return EnumerableSpace.build(
+        Domain("binary", d), lambda Z: np.full(np.asarray(Z).shape[0], c)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +105,7 @@ def test_exact_tilted_constant_is_model():
 
 def test_exact_tilted_uniform_with_zeros():
     space = EnumerableSpace.build(
-        2, 2, lambda Z: np.array([0.0, 1.0, 1.0, 2.0])
+        Domain("binary", 2), lambda Z: np.array([0.0, 1.0, 1.0, 2.0])
     )
     t = exact_tilted(BernoulliProductModel([0.5, 0.5]), space)
     np.testing.assert_allclose(t.probs, [0.0, 0.25, 0.25, 0.5])
@@ -142,7 +155,7 @@ def test_free_energy_gap_identity_random_q():
         probs = rng.uniform(0.1, 0.9, size=3)
         model = BernoulliProductModel(probs)
         f_table = rng.uniform(0.1, 2.0, size=8)
-        space = EnumerableSpace.build(3, 2, lambda Z, f=f_table: f)
+        space = EnumerableSpace.build(Domain("binary", 3), lambda Z, f=f_table: f)
         L = exact_objective(model, space)
         tilted = exact_tilted(model, space)
         q = rng.dirichlet(np.ones(8))
@@ -152,7 +165,7 @@ def test_free_energy_gap_identity_random_q():
 
 
 def test_free_energy_neg_inf_flag():
-    space = EnumerableSpace.build(1, 2, lambda Z: np.array([0.0, 1.0]))
+    space = EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([0.0, 1.0]))
     model = BernoulliProductModel([0.5])
     q = np.array([0.5, 0.5])  # mass on the f = 0 state
     assert exact_free_energy(q, model, space) == float("-inf")
@@ -180,7 +193,7 @@ def test_exact_gradient_single_bit_value():
 def test_exact_gradient_matches_finite_differences():
     rng = np.random.default_rng(41)
     f_table = rng.uniform(0.2, 3.0, size=4)
-    space = EnumerableSpace.build(2, 2, lambda Z: f_table)
+    space = EnumerableSpace.build(Domain("binary", 2), lambda Z: f_table)
     model = BernoulliProductModel([0.35, 0.6])
     grad = exact_objective_gradient(model, space)
     h = 1e-7
@@ -196,6 +209,56 @@ def test_exact_gradient_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# a model and a space share one domain
+# ---------------------------------------------------------------------------
+
+MISMATCHED = {
+    "gaussian_on_binary": (
+        lambda: models.GaussianModel.from_mean_cov(np.zeros(2), np.eye(2)),
+        "bern2_onemax1",
+    ),
+    "bernoulli_on_categorical": (
+        lambda: BernoulliProductModel([0.5, 0.5]),
+        "cat2x3_affine",
+    ),
+    "categorical_k2_on_binary": (
+        lambda: models.CategoricalProductModel(np.full((2, 2), 0.5)),
+        "bern2_onemax1",
+    ),
+}
+
+ORACLE_CALLS = {
+    "exact_objective": lambda m, fx: exact_objective(m, fx.space),
+    "exact_tilted": lambda m, fx: exact_tilted(m, fx.space),
+    "exact_em_update": lambda m, fx: exact_em_update(m, fx.space),
+    "exact_free_energy": lambda m, fx: exact_free_energy(
+        np.full(fx.space.n_states, 1.0 / fx.space.n_states), m, fx.space
+    ),
+    "exact_objective_gradient": lambda m, fx: exact_objective_gradient(m, fx.space),
+    "verify_ppm_equivalence": lambda m, fx: verify_ppm_equivalence(m, fx.space, 0.05),
+    "verify_ngd_correspondence": lambda m, fx: verify_ngd_correspondence(m, fx.space),
+    "verify_mc_convergence": lambda m, fx: verify_mc_convergence(
+        m, fx.space, fx.objective, n_list=(10,), seeds=(0,), error_bound=1.0
+    ),
+    "verify_em_monotonicity": lambda m, fx: verify_em_monotonicity(m, fx.space),
+    "verify_free_energy_bound": lambda m, fx: verify_free_energy_bound(m, fx.space),
+}
+
+
+def test_oracle_calls_table_covers_the_public_functions():
+    public = {n for n in dir(oracle) if n.startswith(("exact_", "verify_"))}
+    assert public == set(ORACLE_CALLS)
+
+
+@pytest.mark.parametrize("call", sorted(ORACLE_CALLS))
+@pytest.mark.parametrize("pair", sorted(MISMATCHED))
+def test_model_on_another_domain_than_the_space_raises(pair, call):
+    make_model, fixture = MISMATCHED[pair]
+    with pytest.raises(DomainError):
+        ORACLE_CALLS[call](make_model(), FIXTURES[fixture])
+
+
+# ---------------------------------------------------------------------------
 # space construction
 # ---------------------------------------------------------------------------
 
@@ -207,12 +270,17 @@ def test_space_lexicographic_order():
 
 def test_space_enumeration_cap():
     with pytest.raises(DomainError):
-        EnumerableSpace.build(21, 2, lambda Z: np.ones(np.asarray(Z).shape[0]))
+        EnumerableSpace.build(Domain("binary", 21), lambda Z: np.ones(np.asarray(Z).shape[0]))
+
+
+def test_space_rejects_a_continuous_domain():
+    with pytest.raises(DomainError, match="no finite set of states"):
+        EnumerableSpace.build(Domain("continuous", 2), lambda Z: np.ones(np.asarray(Z).shape[0]))
 
 
 def test_space_rejects_negative_objective():
     with pytest.raises(DomainError, match="nonnegative|negative"):
-        EnumerableSpace.build(1, 2, lambda Z: np.array([1.0, -1.0]))
+        EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +330,7 @@ def _assert_ppm_argmax_maximizes_reference(model, space, step):
 
 
 @pytest.mark.parametrize(
-    "name", [n for n, fx in FIXTURES.items() if fx.ppm_grid_step is not None]
+    "name", [n for n, fx in FIXTURES.items() if fx.space.domain.kind == "binary"]
 )
 def test_ppm_argmax_maximizes_the_reference_objective_on_fixtures(name):
     fx = FIXTURES[name]
@@ -279,7 +347,8 @@ def ppm_problems(draw):
         ).filter(lambda v: max(v) > 0.0)
     )
     theta = draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d))
-    return BernoulliProductModel(theta), EnumerableSpace.build(d, 2, lambda Z: np.array(f))
+    space = EnumerableSpace.build(Domain("binary", d), lambda Z: np.array(f))
+    return BernoulliProductModel(theta), space
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -326,17 +395,60 @@ def test_ngd_random_two_bit_ratio_bounded():
     rng = np.random.default_rng(43)
     for _ in range(20):
         f_table = rng.uniform(0.2, 3.0, size=4)
-        space = EnumerableSpace.build(2, 2, lambda Z: f_table)
+        space = EnumerableSpace.build(Domain("binary", 2), lambda Z: f_table)
         model = BernoulliProductModel(rng.uniform(0.15, 0.85, size=2))
         rep = verify_ngd_correspondence(model, space)
         assert rep.passed, rep.values
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [np.full((2, 3), 1.0 / 3.0), [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]],
+    ids=["uniform", "off_centre"],
+)
+def test_ngd_on_the_categorical_fixture(probs):
+    fx = FIXTURES["cat2x3_affine"]
+    rep = verify_ngd_correspondence(models.CategoricalProductModel(probs), fx.space)
+    assert rep.passed, rep.values
+    assert rep.values["discrepancy"] <= 1e-14
+
+
+def _scale_fisher_00(fisher):
+    def scaled(self):
+        out = fisher(self)
+        out[0, 0] *= 1.01
+        return out
+
+    return scaled
+
+
+def _scale_score_column_0(score):
+    def scaled(self, Z):
+        out = score(self, Z)
+        out[:, 0] *= 1.01
+        return out
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "kernel, perturb",
+    [("_fisher", _scale_fisher_00), ("_score_batch", _scale_score_column_0)],
+)
+def test_ngd_categorical_row_fails_when_a_kernel_is_perturbed(monkeypatch, kernel, perturb):
+    fx = FIXTURES["cat2x3_affine"]
+    cls = models.CategoricalProductModel
+    monkeypatch.setattr(cls, kernel, perturb(getattr(cls, kernel)))
+    rep = verify_ngd_correspondence(fx.model, fx.space)
+    assert not rep.passed
+    assert rep.values["discrepancy"] > 1e-4
 
 
 def test_ngd_requires_positive_objective():
     with pytest.raises(DomainError):
         verify_ngd_correspondence(
             BernoulliProductModel([0.5]),
-            EnumerableSpace.build(1, 2, lambda Z: np.array([0.0, 1.0])),
+            EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([0.0, 1.0])),
         )
 
 
@@ -348,7 +460,7 @@ def test_mc_convergence_on_calibrated_fixture():
         fx.objective,
         n_list=MC_N_LIST,
         seeds=MC_SEEDS,
-        error_bound=fx.mc_error_bound,
+        error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1,
     )
     assert rep.passed, rep.values
     errs = rep.values["mean_errors"]
