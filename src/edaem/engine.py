@@ -20,12 +20,15 @@ from them once, which applies the fixed probability floor or covariance
 jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
 Each generation is checked once, when the M-step passes it to the model;
 the E-step only compares the model's domain with the objective's.
+The Gaussian's refit and blend carry the covariance beside theta
+(``ExpectationParams.cov``), so the next model is built from (m, C) and no
+iteration forms S - m m^T.
 The free-energy diagnostic needs E_q[log p(z|theta')], which in an
 exponential family depends on q only through E_q[T(z)]: the unrepaired
 weighted-mean refit theta_tilde.  It takes theta_tilde from the M-step and
-hands it to the model's unchecked ``_mean_log_density`` kernel, which the
-discrete families answer in closed form without another pass over the
-generation.
+hands it to the model's unchecked ``_mean_log_density`` kernel, which
+every family answers in closed form without another pass over the
+generation (the Gaussian from the refit's mean and covariance).
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -213,9 +216,7 @@ def m_step_closed_form(pop: Population, model: SearchModel) -> ExpectationParams
     total = float(pop.shaped_w.sum())
     if not total > 0.0:
         raise DegenerateWeightsError("sum of shaped weights must be positive")
-    return ExpectationParams(
-        model.weighted_stats(pop.samples, pop.shaped_w) / total, model.family_tag
-    )
+    return model._refit(model._as_batch(pop.samples), pop.shaped_w, total)
 
 
 def m_step_map(
@@ -227,15 +228,15 @@ def m_step_map(
     theta_prev and theta_tilde the unrepaired weighted mean, this convex
     combination is (lambda1 + sum_i w_i T(z_i)) / (lambda2 + sum_i w_i),
     the exact maximizer of the MAP refit objective; gamma = 1 returns
-    theta_tilde unchanged.  ``run`` repairs the result once.
+    theta_tilde's values.  Gaussian parameters blend in covariance form
+    (``ExpectationParams.blend``).  ``run`` repairs the result once.
     """
     UpdateRule("map_smoothed", gamma=gamma)
     if theta_prev.family_tag != theta_tilde.family_tag:
         raise FamilyMismatchError(
             f"cannot smooth {theta_tilde.family_tag!r} with {theta_prev.family_tag!r}"
         )
-    combo = (1.0 - gamma) * theta_prev.values + gamma * theta_tilde.values
-    return ExpectationParams(combo, theta_prev.family_tag)
+    return theta_prev.blend(theta_tilde, gamma)
 
 
 def m_step_gradient(
@@ -278,12 +279,11 @@ def _free_energy(
     differential entropy is undefined.
 
     ``theta_tilde`` is the unrepaired weighted-mean refit sum_i q_i T(z_i)
-    of this generation; the first term reads it through
-    ``next_model._mean_log_density``.  The samples are not re-checked: the
-    M-step that produced ``next_model`` has just checked them."""
+    of this generation; the first term is ``next_model._mean_log_density``
+    of it, a closed form that does not read the samples again."""
     q = pop.norm_w
     act = q > 0.0
-    mean_logp = next_model._mean_log_density(pop.samples, q, theta_tilde.values)
+    mean_logp = next_model._mean_log_density(theta_tilde)
     logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
     entropy = -float(np.sum(q[act] * np.log(q[act])))
     return mean_logp + float(np.sum(q[act] * logw)) + entropy
@@ -324,10 +324,8 @@ def run(config) -> Trace:
                 if rule.kind == "gradient":
                     theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
                     # The gradient M-step has checked these samples.
-                    total = float(pop.shaped_w.sum())
-                    theta_tilde = ExpectationParams(
-                        model._weighted_stats(pop.samples, pop.shaped_w) / total,
-                        model.family_tag,
+                    theta_tilde = model._refit(
+                        pop.samples, pop.shaped_w, float(pop.shaped_w.sum())
                     )
                 else:
                     theta_next = theta_tilde = m_step_closed_form(pop, model)

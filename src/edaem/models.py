@@ -9,7 +9,9 @@ Families:
 
 * :class:`BernoulliProductModel` -- independent bits, theta = per-bit means.
 * :class:`GaussianModel` -- full-covariance Gaussian, theta = (mean,
-  lower-triangular half of the second-moment matrix E[z z^T]).
+  lower-triangular half of the second-moment matrix E[z z^T]).  It keeps
+  the covariance and its Cholesky factor, and its refits and blends carry
+  the covariance beside theta, so no iteration forms S - m m^T.
 * :class:`CategoricalProductModel` -- independent categorical sites, theta =
   per-site probabilities with the last category dropped (minimal layout, so
   the Fisher information is nonsingular).
@@ -18,9 +20,11 @@ Models are immutable after construction and safe to share across threads;
 sampling always takes an explicit seed.
 
 A note on smoothing: the convex-combination update blends expectation
-parameters, i.e. for the Gaussian it smooths (mean, second moment) jointly.
-CMA-ES-style implementations usually smooth the covariance matrix directly;
-the two conventions agree only when the mean is unchanged.
+parameters, i.e. for the Gaussian it smooths (mean, second moment) jointly;
+in covariance terms that is C' = (1 - gamma) C + gamma C~ + gamma (1 - gamma)
+(m - m~)(m - m~)^T, which is how it is computed.  CMA-ES-style
+implementations usually smooth the covariance matrix directly; the two
+conventions agree only when the mean is unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 from .errors import (
     BoundaryError,
@@ -65,18 +69,42 @@ class ExpectationParams:
     (e.g. ``"bernoulli:8"``, ``"gaussian:3"``, ``"categorical:4x3"``).
     Validity enforcement (floors, positive-definiteness) lives in the
     family constructors, which repair or reject on construction.
+
+    ``cov`` is set only for the Gaussian: the covariance C of the mean
+    ``values[:d]``, carried because theta's S = C + m m^T cannot hold C
+    once |m|^2 >> C.  A model is then built from (m, C), and ``values`` is
+    theta as derived from them.
     """
 
     values: np.ndarray
     family_tag: str
+    cov: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.cov is not None:
+            object.__setattr__(self, "cov", _readonly(self.cov))
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    def blend(self, other: "ExpectationParams", gamma: float) -> "ExpectationParams":
+        """(1 - gamma) * self + gamma * other.  When either side carries a
+        covariance, the blend of the (m, S) pairs is formed in covariance
+        terms, equal in exact arithmetic: mean (1 - gamma) m + gamma m~ and
+        covariance (1 - gamma) C + gamma C~ + gamma (1 - gamma) (m - m~)(m - m~)^T."""
+        if self.cov is None and other.cov is None:
+            return ExpectationParams(
+                (1.0 - gamma) * self.values + gamma * other.values, self.family_tag
+            )
+        (m, C), (mt, Ct) = GaussianModel._mean_cov(self), GaussianModel._mean_cov(other)
+        delta = m - mt
+        # An overflow reaches construction as inf, like the refit's.
+        with np.errstate(over="ignore"):
+            cov = (1.0 - gamma) * C + gamma * Ct + (gamma * (1.0 - gamma)) * np.outer(delta, delta)
+        return GaussianModel._carrier((1.0 - gamma) * m + gamma * mt, cov)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -114,8 +142,8 @@ class SearchModel:
     then calls an unchecked family kernel (``_draw``, ``_log_density``,
     ``_suff_stats``, ``_weighted_stats``, ``_score_batch``) on a checked
     batch or on the model's own samples.  Families implement the kernels.
-    The engine's free energy calls one more kernel, ``_mean_log_density``,
-    on samples its M-step has already checked.
+    The engine's M-steps and free energy call two more on samples they
+    have already checked: ``_refit`` and ``_mean_log_density``.
     """
 
     family = ""
@@ -174,17 +202,15 @@ class SearchModel:
                     f"params tagged {params.family_tag!r} cannot parameterize "
                     f"a {self.family_tag!r} model"
                 )
-            values = params.values
         else:
-            values = np.asarray(params, dtype=np.float64).reshape(-1)
-        if values.shape[0] != self.n_params:
+            params = ExpectationParams(params, self.family_tag)
+        if len(params) != self.n_params:
             raise FamilyMismatchError(
-                f"{self.family_tag!r} expects {self.n_params} parameters, "
-                f"got {values.shape[0]}"
+                f"{self.family_tag!r} expects {self.n_params} parameters, got {len(params)}"
             )
-        return self._from_values(values)
+        return self._from_params(params)
 
-    def _from_values(self, values: np.ndarray) -> "SearchModel":
+    def _from_params(self, params: ExpectationParams) -> "SearchModel":
         raise NotImplementedError
 
     # -- core operations ----------------------------------------------------
@@ -269,13 +295,15 @@ class SearchModel:
         # materializing the (n, n_params) statistics matrix.
         return w @ self._suff_stats(Z)
 
-    def _mean_log_density(self, Z, q, theta_bar) -> float:
-        """sum_i q_i log p(z_i | theta), given theta_bar = sum_i q_i T(z_i)
-        for weights q that sum to 1.  This default sums over the samples
-        with q > 0; families whose log-density is linear in T(z) override
-        it with a closed form in theta_bar."""
-        act = q > 0.0
-        return float(np.sum(q[act] * self._log_density(Z[act])))
+    def _refit(self, Z, w, total: float) -> ExpectationParams:
+        """The weighted mean sum_i w_i T(z_i) / total, unrepaired, for
+        weights w >= 0 that sum to ``total`` > 0."""
+        return ExpectationParams(self._weighted_stats(Z, w) / total, self.family_tag)
+
+    def _mean_log_density(self, theta_bar: ExpectationParams) -> float:
+        """sum_i q_i log p(z_i | theta), in closed form from the refit
+        theta_bar = sum_i q_i T(z_i) of weights q that sum to 1."""
+        raise NotImplementedError
 
     def _score_batch(self, Z) -> np.ndarray:
         raise NotImplementedError
@@ -336,9 +364,9 @@ class BernoulliProductModel(SearchModel):
     def _param_values(self) -> np.ndarray:
         return self._probs.copy()
 
-    def _from_values(self, values: np.ndarray) -> "BernoulliProductModel":
+    def _from_params(self, params) -> "BernoulliProductModel":
         # Repair policy for updates: clip into the floored box.
-        return BernoulliProductModel(np.clip(values, 0.0, 1.0))
+        return BernoulliProductModel(np.clip(params.values, 0.0, 1.0))
 
     def _draw(self, rng, n: int) -> np.ndarray:
         # A bool array, one byte per bit, by the lazy bitwise comparison of
@@ -393,9 +421,9 @@ class BernoulliProductModel(SearchModel):
             total += w[rows] @ block
         return total
 
-    def _mean_log_density(self, Z, q, theta_bar) -> float:
-        p = self._probs
-        return float(theta_bar @ np.log(p) + (1.0 - theta_bar) @ np.log1p(-p))
+    def _mean_log_density(self, theta_bar) -> float:
+        p, t = self._probs, theta_bar.values
+        return float(t @ np.log(p) + (1.0 - t) @ np.log1p(-p))
 
     def _score_batch(self, Z) -> np.ndarray:
         p = self._probs
@@ -456,54 +484,79 @@ def _vech_doubled(M: np.ndarray) -> np.ndarray:
 class GaussianModel(SearchModel):
     """Full-covariance Gaussian in expectation parameterization.
 
-    theta = (m, vech(S)) with m = E[z] and S = E[z z^T]; the covariance
-    C = S - m m^T is a derived view.  T(z) = (z, vech(z z^T)), so the
-    weighted-mean refit reproduces weighted sample moments exactly.
+    theta = (m, vech(S)) with m = E[z] and S = E[z z^T], and T(z) = (z,
+    vech(z z^T)), so the weighted-mean refit reproduces weighted sample
+    moments.  The model keeps m, the covariance C and its lower Cholesky
+    factor L.  It is built from (m, S), where C = S - m m^T, or from (m, C)
+    with ``cov=`` (``from_mean_cov``, and every refit and blend of a run,
+    which carry C in their :class:`ExpectationParams`), so that no
+    iteration forms S - m m^T, which cancels when |m|^2 >> C.
 
-    Construction symmetrizes S and repairs C to be positive definite with
-    smallest eigenvalue >= ``EIG_FLOOR`` by adding trace-scaled jitter,
-    doubling at most ``MAX_JITTER_DOUBLINGS`` times; if that fails the
-    model raises instead of silently clamping.
+    Only the lower half of the given matrix is read, as theta stores it.
+    Construction repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by
+    trace-scaled jitter (see ``_repair_cov``), doubling at most
+    ``MAX_JITTER_DOUBLINGS`` times; if that fails the model raises instead
+    of silently clamping.  A model built from theta keeps its S, and so
+    reports theta as given; otherwise theta derives from C and ``params``
+    carries C alongside.
     """
 
     family = "gaussian"
     kind = "continuous"
 
-    def __init__(self, mean, second_moment):
+    def __init__(self, mean, second_moment=None, *, cov=None):
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
-        S = np.asarray(second_moment, dtype=np.float64)
         d = m.shape[0]
-        if S.shape != (d, d):
-            raise DomainError(f"second_moment must be {d}x{d}, got {S.shape}")
+        if (second_moment is None) == (cov is None):
+            raise TypeError("GaussianModel takes one of second_moment and cov")
+        name, M = ("cov", cov) if second_moment is None else ("second_moment", second_moment)
+        M = np.asarray(M, dtype=np.float64)
+        if M.shape != (d, d):
+            raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
         _require_finite(m, "mean")
-        _require_finite(S, "second_moment")
-        S = 0.5 * (S + S.T)
-        C0 = S - np.outer(m, m)
+        _require_finite(M, name)
+        # Mirroring, unlike averaging, cannot overflow.
+        M = np.tril(M) + np.tril(M, -1).T
+        C0 = M if cov is not None else M - np.outer(m, m)
         C, L = self._repair_cov(C0)
+        # C, L and M are this constructor's own arrays.
+        for a in (C, L, M):
+            a.setflags(write=False)
+        self._mean = _readonly(m)
+        self._cov = C
+        self._chol = L
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
-        self._mean = _readonly(m)
-        self._second_moment = _readonly(S if C is C0 else C + np.outer(m, m))
-        self._cov = _readonly(C)
-        self._chol = _readonly(L)
+        self._given_S = M if cov is None and C is C0 else None
 
     @staticmethod
     def _repair_cov(C: np.ndarray):
-        """Return the repaired covariance and its lower Cholesky factor."""
+        """Return the repaired covariance and its lower Cholesky factor.
+
+        C passes as it is when its smallest eigenvalue is at least
+        ``EIG_FLOOR``, which one Cholesky of C - EIG_FLOOR I tests.  Otherwise
+        jitter max(JITTER_SCALE tr(C) / d, EIG_FLOOR) is added, doubling,
+        until the smallest eigenvalue is at least 2 EIG_FLOOR.  The margin
+        keeps a repaired C above the floor when theta's S - m m^T re-derives
+        it with rounding error near eps |m|^2, so that a model rebuilt from
+        its own theta (JSON, a bare vector) is not repaired again.
+        """
         d = C.shape[0]
         if not np.all(np.isfinite(C)):
             raise DegenerateModelError("covariance contains non-finite entries")
-        jitter = max(JITTER_SCALE * float(np.trace(C)) / d, EIG_FLOOR)
+        eye = np.eye(d)
+        floor, jitter = EIG_FLOOR, 0.0
         for attempt in range(MAX_JITTER_DOUBLINGS + 1):
-            lam_min = float(np.linalg.eigvalsh(C)[0])
-            if lam_min >= EIG_FLOOR:
-                try:
-                    return C, np.linalg.cholesky(C)
-                except np.linalg.LinAlgError:
-                    pass
+            if lapack.dpotrf(C - floor * eye, lower=1)[1] == 0:
+                L, info = lapack.dpotrf(C, lower=1, clean=1)
+                if info == 0:
+                    return C, L
             if attempt == MAX_JITTER_DOUBLINGS:
                 break
-            C = C + jitter * np.eye(d)
+            if not attempt:
+                floor = 2.0 * EIG_FLOOR
+                jitter = max(JITTER_SCALE * float(np.trace(C)) / d, EIG_FLOOR)
+            C = C + jitter * eye
             jitter *= 2.0
         raise DegenerateModelError(
             "covariance not positive definite after jitter repair"
@@ -511,9 +564,27 @@ class GaussianModel(SearchModel):
 
     @classmethod
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        m = np.asarray(mean, dtype=np.float64).reshape(-1)
-        C = np.asarray(cov, dtype=np.float64)
-        return cls(m, C + np.outer(m, m))
+        return cls(mean, cov=cov)
+
+    @staticmethod
+    def _carrier(mean: np.ndarray, cov: np.ndarray) -> ExpectationParams:
+        """The parameters of (m, C): theta = (m, vech(C + m m^T)), with C
+        carried alongside."""
+        # S overflows to inf before (m, C) does: theta cannot hold such a
+        # model, which still samples, refits and is rebuilt from (m, C).
+        with np.errstate(over="ignore"):
+            theta = np.concatenate([mean, vech(cov + np.outer(mean, mean))])
+        return ExpectationParams(theta, f"{GaussianModel.family}:{mean.shape[0]}", cov)
+
+    @staticmethod
+    def _mean_cov(params: ExpectationParams):
+        """(m, C) of Gaussian parameters: the covariance they carry, or
+        S - m m^T from theta when they carry none."""
+        d = int(params.family_tag.partition(":")[2])
+        m = params.values[:d]
+        if params.cov is not None:
+            return m, params.cov
+        return m, unvech(params.values[d:], d) - np.outer(m, m)
 
     @property
     def mean(self) -> np.ndarray:
@@ -521,11 +592,20 @@ class GaussianModel(SearchModel):
 
     @property
     def second_moment(self) -> np.ndarray:
-        return self._second_moment
+        return unvech(self.params.values[self.dim :], self.dim)
 
     @property
     def cov(self) -> np.ndarray:
         return self._cov
+
+    # Immutable, like the model.  theta as given, or derived from C with C
+    # alongside, so that with_params(model.params) rebuilds this model.
+    @functools.cached_property
+    def params(self) -> ExpectationParams:
+        if self._given_S is None:
+            return self._carrier(self._mean, self._cov)
+        theta = np.concatenate([self._mean, vech(self._given_S)])
+        return ExpectationParams(theta, self.family_tag)
 
     def _shape(self) -> tuple:
         return self._mean.shape
@@ -541,16 +621,20 @@ class GaussianModel(SearchModel):
         return cls(values[:d], unvech(values[d:], d))
 
     def _param_values(self) -> np.ndarray:
-        return np.concatenate([self._mean, vech(self._second_moment)])
+        return self.params.values
 
-    def _from_values(self, values: np.ndarray) -> "GaussianModel":
-        return self._from_layout(values, self.domain)
+    def _from_params(self, params) -> "GaussianModel":
+        if params.cov is None:
+            return self._from_layout(params.values, self.domain)
+        return GaussianModel(params.values[: self.dim], cov=params.cov)
 
-    # Derived from the immutable Cholesky factor on first use; closed-form
-    # runs never need the precision, so it is not formed at construction.
+    # Derived from the immutable Cholesky factor on first use, and shared by
+    # the free energy and MAP's log-prior; closed-form runs read it once per
+    # iteration, in the free energy.
     @functools.cached_property
     def _precision(self) -> np.ndarray:
-        P = cho_solve((self._chol, True), np.eye(self.dim))
+        P = lapack.dpotri(self._chol, lower=1)[0]
+        P = np.tril(P) + np.tril(P, -1).T
         P.setflags(write=False)
         return P
 
@@ -559,8 +643,12 @@ class GaussianModel(SearchModel):
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     def _draw(self, rng, n: int) -> np.ndarray:
+        # One (n, d) array: the normals, multiplied by L in place (trmm on
+        # the transposed view, which is the Fortran layout BLAS takes).
         X = rng.standard_normal((n, self.dim))
-        return X @ self._chol.T + self._mean
+        X = blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
+        X += self._mean
+        return X
 
     def _log_density(self, Z) -> np.ndarray:
         U = Z - self._mean
@@ -578,6 +666,30 @@ class GaussianModel(SearchModel):
         # Weighted first and second moments: O(n d + d^2) memory instead of
         # the (n, d, d) outer-product tensor.
         return np.concatenate([w @ Z, vech((Z.T * w) @ Z)])
+
+    def _refit(self, Z, w, total: float) -> ExpectationParams:
+        # Centred moments over the rows with w > 0 (a quantile shaping keeps
+        # a fraction of them): m~ = sum q z and C~ = sum q (z - m~)(z - m~)^T
+        # with q = w / total.  C~ is one triangle of a rank-k update (syrk),
+        # mirrored; BLAS lets an overflow through as inf, which construction
+        # then rejects.
+        keep = w > 0.0
+        U, q = Z[keep], w[keep] / total
+        mean = q @ U
+        U -= mean
+        U *= np.sqrt(q)[:, None]
+        C = blas.dsyrk(1.0, U.T, lower=1)
+        return self._carrier(mean, C + np.tril(C, -1).T)
+
+    def _mean_log_density(self, theta_bar) -> float:
+        # sum_i q_i log p(z_i) = -(d log 2 pi + log det C + tr(C^-1 C~)
+        # + delta^T C^-1 delta) / 2 with delta = m~ - m: the cross term
+        # vanishes about the refit's own mean.
+        m_bar, C_bar = self._mean_cov(theta_bar)
+        P = self._precision
+        delta = m_bar - self._mean
+        maha = float(np.sum(P * C_bar)) + float(delta @ P @ delta)
+        return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + maha)
 
     def _score_batch(self, Z) -> np.ndarray:
         P = self._precision
@@ -680,6 +792,12 @@ class CategoricalProductModel(SearchModel):
                 if np.all(Q >= PROB_FLOOR):
                     break
             P[low] = Q
+        # A repaired row keeps its last category as 1 - sum(rest), the way
+        # theta rebuilds it, so that a model rebuilt from its own parameters
+        # is this model.
+        fixed = off | low
+        if fixed.any():
+            P[fixed, -1] = 1.0 - P[fixed, :-1].sum(axis=1)
         self._probs = _readonly(P)
 
     @property
@@ -712,8 +830,8 @@ class CategoricalProductModel(SearchModel):
         # Not clipped like an update: negative entries raise DomainError.
         return cls(cls._table(values, domain))
 
-    def _from_values(self, values: np.ndarray) -> "CategoricalProductModel":
-        P = self._table(values, self.domain)
+    def _from_params(self, params) -> "CategoricalProductModel":
+        P = self._table(params.values, self.domain)
         return CategoricalProductModel(np.clip(P, 0.0, None))
 
     def _draw(self, rng, n: int) -> np.ndarray:
@@ -731,8 +849,8 @@ class CategoricalProductModel(SearchModel):
         sites = np.arange(self.dim)
         return logs[sites, Z].sum(axis=1)
 
-    def _mean_log_density(self, Z, q, theta_bar) -> float:
-        table = self._table(theta_bar, self.domain)
+    def _mean_log_density(self, theta_bar) -> float:
+        table = self._table(theta_bar.values, self.domain)
         return float(np.sum(table * np.log(self._probs)))
 
     def _suff_stats(self, Z) -> np.ndarray:

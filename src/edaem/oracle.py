@@ -144,10 +144,13 @@ def _log_p(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
 
 def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
     """log sum_z p(z|theta) f(z), accumulated stably in log space."""
+    return _objective(_log_p(model, space), space)
+
+
+def _objective(log_p: np.ndarray, space: EnumerableSpace) -> float:
     # Imported here: scipy.special adds about 80 ms to the package import.
     from scipy.special import logsumexp
 
-    log_p = _log_p(model, space)
     with np.errstate(divide="ignore"):
         val = float(logsumexp(log_p, b=space.f_values))
     if not np.isfinite(val):
@@ -156,7 +159,11 @@ def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
 
 
 def exact_tilted(model: SearchModel, space: EnumerableSpace) -> TiltedDistribution:
-    w = np.exp(_log_p(model, space)) * space.f_values
+    return _tilted(_log_p(model, space), space)
+
+
+def _tilted(log_p: np.ndarray, space: EnumerableSpace) -> TiltedDistribution:
+    w = np.exp(log_p) * space.f_values
     total = w.sum()
     if not total > 0.0:
         raise DegenerateObjectiveError("E_p[f] is zero under the model support")
@@ -166,10 +173,14 @@ def exact_tilted(model: SearchModel, space: EnumerableSpace) -> TiltedDistributi
 def exact_em_update(model: SearchModel, space: EnumerableSpace) -> ExpectationParams:
     """Mean sufficient statistics under the tilted distribution, with
     family repair -- the infinite-sample refit."""
+    return _exact_em_model(model, space).params
+
+
+def _exact_em_model(model: SearchModel, space: EnumerableSpace) -> SearchModel:
+    """The model of the exact EM refit, built (and repaired) once."""
     tilted = exact_tilted(model, space)
     T = model.sufficient_stats_batch(space.states)
-    theta = tilted.probs @ T
-    return model.with_params(theta).params
+    return model.with_params(tilted.probs @ T)
 
 
 def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
@@ -181,13 +192,17 @@ def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
         raise DomainError("q must be a distribution over the space's states")
     if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
         raise DomainError("q must be a probability vector over the states")
+    return _free_energy(q, _log_p(model, space), space)
+
+
+def _free_energy(q: np.ndarray, log_p: np.ndarray, space: EnumerableSpace) -> float:
+    """F(q, theta) of a checked q from log p(z|theta) at every state."""
     act = q > 0.0
-    log_p = _log_p(model, space)[act]
     f_act = space.f_values[act]
     if np.any(f_act <= 0.0):
         return float("-inf")
     qa = q[act]
-    return float(np.sum(qa * (log_p + np.log(f_act))) - np.sum(qa * np.log(qa)))
+    return float(np.sum(qa * (log_p[act] + np.log(f_act))) - np.sum(qa * np.log(qa)))
 
 
 def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
@@ -402,7 +417,7 @@ def verify_em_monotonicity(
     current = model
     objective_values = [exact_objective(current, space)]
     for _ in range(EM_N_STEPS):
-        current = current.with_params(exact_em_update(current, space))
+        current = _exact_em_model(current, space)
         objective_values.append(exact_objective(current, space))
     diffs = np.diff(objective_values)
     passed = bool(np.all(diffs >= EM_STEP_TOL))
@@ -429,17 +444,18 @@ def verify_free_energy_bound(
     exercised separately in unit tests.
     """
     rng = np.random.default_rng(seed)
-    L = exact_objective(model, space)
-    tilted = exact_tilted(model, space)
+    log_p = _log_p(model, space)  # the model is fixed: read log p once
+    L = _objective(log_p, space)
+    tilted = _tilted(log_p, space)
     support = space.f_values > 0.0
 
-    sat_gap = abs(exact_free_energy(tilted, model, space) - L)
+    sat_gap = abs(_free_energy(tilted.probs, log_p, space) - L)
     max_violation = 0.0
     max_identity_err = 0.0
     for _ in range(FE_N_RANDOM_Q):
         q = np.zeros(space.n_states)
         q[support] = rng.dirichlet(np.ones(int(support.sum())))
-        F = exact_free_energy(q, model, space)
+        F = _free_energy(q, log_p, space)
         max_violation = max(max_violation, F - L)
         gap = F - L
         identity_err = abs(gap + kl_divergence(q, tilted.probs))

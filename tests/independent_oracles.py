@@ -63,6 +63,41 @@ def categorical_reference_draw(probs, u):
     return np.minimum(Z, probs.shape[1] - 1).astype(np.int64)
 
 
+def gaussian_reference_draw(chol, mean, n, seed):
+    """n Gaussian draws as m + L x, x standard normal, in one matrix
+    product over the (n, d) normals."""
+    x = np.random.default_rng(seed).standard_normal((n, len(mean)))
+    return x @ np.asarray(chol).T + np.asarray(mean)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian moments in the (mean, second moment) layout
+# ---------------------------------------------------------------------------
+
+
+def gaussian_moment_blend(mean, cov, mean_t, cov_t, gamma):
+    """(1 - gamma) (m, S) + gamma (m~, S~) with S = C + m m', blended as
+    expectation parameters; returns the blend's mean and S' - m' m'."""
+    m, mt = np.asarray(mean, dtype=np.float64), np.asarray(mean_t, dtype=np.float64)
+    S = np.asarray(cov) + np.outer(m, m)
+    St = np.asarray(cov_t) + np.outer(mt, mt)
+    m2 = (1.0 - gamma) * m + gamma * mt
+    S2 = (1.0 - gamma) * S + gamma * St
+    return m2, S2 - np.outer(m2, m2)
+
+
+def gaussian_weighted_moments(Z, w):
+    """Weighted mean and (biased) weighted covariance from numpy's
+    averaging routines."""
+    Z = np.asarray(Z, dtype=np.float64)
+    return np.average(Z, axis=0, weights=w), np.cov(Z.T, aweights=w, bias=True)
+
+
+def gaussian_mean_log_density(Z, q, mean, cov):
+    """sum_i q_i log N(z_i; m, C), sample by sample, from scipy.stats."""
+    return float(np.asarray(q) @ multivariate_normal.logpdf(Z, mean=mean, cov=cov))
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli: per-coordinate grid search (the objective separates per bit)
 # ---------------------------------------------------------------------------

@@ -724,12 +724,18 @@ def test_run_aborts_typed_on_objective_output_of_the_wrong_length(extra):
     ],
 )
 def test_run_unrepairable_update_aborts_typed(rule):
-    # At mean 1e6 the refit's covariance S - m m^T cancels to rounding
-    # noise far above a 1e-6 spread, which no jitter repair can fix.
+    # A spread near the float64 limit, and an objective that stays finite
+    # there and keeps both tails: the refit's covariance overflows to inf,
+    # which no jitter repair can fix.
+    abs_first = objectives.Objective(
+        name="abs_first:3",
+        domain=objectives.Domain("continuous", 3),
+        batch_eval=lambda Z: np.abs(Z[:, 0]),
+    )
     cfg = runcfg(
-        model=GaussianModel.from_mean_cov(np.full(3, 1e6), 1e-6 * np.eye(3)),
-        objective=objectives.sphere_max(3),
-        shaping=shaping.ShapingSpec.parse("rank"),
+        model=GaussianModel.from_mean_cov(np.zeros(3), 1.7e308 * np.eye(3)),
+        objective=abs_first,
+        shaping=shaping.ShapingSpec.parse("quantile:0.5"),
         rule=rule,
         n_samples=20,
         iterations=5,

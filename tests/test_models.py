@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from edaem import models
@@ -32,7 +34,14 @@ from edaem.models import (
     vech,
 )
 from edaem.objectives import Domain
-from independent_oracles import bernoulli_reference_draw, categorical_reference_draw
+from independent_oracles import (
+    bernoulli_reference_draw,
+    categorical_reference_draw,
+    gaussian_mean_log_density,
+    gaussian_moment_blend,
+    gaussian_reference_draw,
+    gaussian_weighted_moments,
+)
 
 
 def enumerate_states(dim, arity=2):
@@ -272,7 +281,7 @@ def test_mean_log_density_reads_the_mean_statistics(model):
     q[::3] = 0.0
     q /= q.sum()
     ref = q @ model._log_density(Z)
-    got = model._mean_log_density(Z, q, model._weighted_stats(Z, q))
+    got = model._mean_log_density(model._refit(Z, q, float(q.sum())))
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
@@ -351,16 +360,96 @@ def test_every_public_method_rejects_off_support_input(family, method):
 
 def test_gaussian_precision_is_lazy_cached_and_read_only():
     g = GaussianModel.from_mean_cov([0.4, -0.7], [[1.1, 0.3], [0.3, 0.7]])
-    assert "_precision" not in vars(g)  # closed-form runs never form it
+    assert "_precision" not in vars(g)  # construction does not form it
     P = g._precision
     assert P is g._precision
     assert not P.flags.writeable
-    np.testing.assert_array_equal(P, cho_solve((g._chol, True), np.eye(2)))
+    assert np.array_equal(P, P.T)
+    np.testing.assert_allclose(P, cho_solve((g._chol, True), np.eye(2)), rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+
+def _gaussian_5d(seed, spread=0.5, scale=2.0):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(5, 5))
+    return GaussianModel.from_mean_cov(
+        rng.uniform(-scale, scale, 5), A @ A.T + spread * np.eye(5)
+    ), rng
+
+
+def test_gaussian_draw_is_the_matrix_product():
+    g, _ = _gaussian_5d(3)
+    X = g.sample(400, 4)
+    ref = gaussian_reference_draw(g._chol, g.mean, 400, 4)
+    np.testing.assert_allclose(X, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_gaussian_draw_makes_one_generation_array():
+    # The normals are multiplied and shifted in place: the draw's peak is
+    # the (n, d) generation itself, not two or three copies of it.
+    d, n = 100, 1000
+    g = GaussianModel.from_mean_cov(np.ones(d), np.eye(d) + 0.5)
+    g.sample(2, 0)
+    tracemalloc.start()
+    try:
+        X = g.sample(n, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (n, d) and X.flags.c_contiguous
+    assert peak < 1.2 * n * d * 8
+
+
+def test_gaussian_refit_is_the_centred_weighted_moments():
+    g, rng = _gaussian_5d(4)
+    Z = g.sample(80, 2)
+    w = rng.uniform(0.0, 1.0, size=80)
+    w[w < 0.5] = 0.0  # a quantile shaping's zeros
+    tilde = g._refit(Z, w, float(w.sum()))
+    m_ref, C_ref = gaussian_weighted_moments(Z, w)
+    np.testing.assert_allclose(tilde.values[:5], m_ref, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(tilde.cov, C_ref, rtol=0, atol=1e-13 * np.abs(C_ref).max())
+    assert np.array_equal(tilde.cov, tilde.cov.T)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.8, 1.0])
+def test_gaussian_covariance_blend_is_the_second_moment_blend(gamma):
+    g, rng = _gaussian_5d(5, scale=3.0)
+    Z = g.sample(60, 3) + 1.5  # move the refit's mean away from the model's
+    w = rng.uniform(0.0, 1.0, size=60)
+    tilde = g._refit(Z, w, float(w.sum()))
+    got = g.params.blend(tilde, gamma)
+    m_ref, C_ref = gaussian_moment_blend(g.mean, g.cov, tilde.values[:5], tilde.cov, gamma)
+    np.testing.assert_allclose(got.values[:5], m_ref, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(got.cov, C_ref, rtol=0, atol=1e-12 * np.abs(C_ref).max())
+    # theta is the blend of the thetas
+    np.testing.assert_allclose(
+        got.values, (1.0 - gamma) * g.params.values + gamma * tilde.values, rtol=1e-13
+    )
+
+
+@pytest.mark.parametrize("step", ["closed_form", "map_smoothed", "jittered"])
+def test_gaussian_moment_free_energy_is_the_per_sample_sum(step):
+    g, rng = _gaussian_5d(6)
+    w = rng.uniform(0.0, 1.0, size=40)
+    w[w < 0.6] = 0.0
+    if step == "jittered":
+        # A spread at the floor, as late in a converged run, and 3 kept
+        # rows in 5 dimensions: the refit is singular and needs jitter.
+        g = GaussianModel.from_mean_cov(g.mean, 3e-12 * np.eye(5))
+        w[np.flatnonzero(w)[3:]] = 0.0
+    Z = g._as_batch(g.sample(40, 8))
+    total = float(w.sum())
+    tilde = g._refit(Z, w, total)
+    nxt = g.with_params(g.params.blend(tilde, 0.8) if step == "map_smoothed" else tilde)
+    assert np.array_equal(nxt.cov, tilde.cov) == (step == "closed_form")
+    ref = gaussian_mean_log_density(Z, w / total, nxt.mean, nxt.cov)
+    got = nxt._mean_log_density(tilde)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_sampling_deterministic_per_seed():
@@ -614,6 +703,44 @@ def test_gaussian_symmetrization():
     S = np.array([[2.0, 0.3], [0.1, 1.0]])
     g = GaussianModel([0.0, 0.0], S)
     np.testing.assert_allclose(g.second_moment, g.second_moment.T)
+
+
+def test_gaussian_far_mean_keeps_a_small_covariance():
+    # S - m m^T would cancel to rounding noise at |m|^2 = 3e12
+    g = GaussianModel.from_mean_cov(np.full(3, 1e6), 1e-6 * np.eye(3))
+    np.testing.assert_allclose(g.cov, 1e-6 * np.eye(3), rtol=1e-12, atol=0)
+
+
+# Rank-one 2-d covariances with means in [-1, 1]: construction always
+# jitters them, and S - m m^T re-derives them with rounding error.
+_UNIT_PAIR = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_UNIT_PAIR, _UNIT_PAIR)
+def test_gaussian_rebuilt_from_its_params_is_the_same_model(v, mean):
+    g = GaussianModel.from_mean_cov(mean, np.outer(v, v))
+    again = g.with_params(g.params)
+    assert np.array_equal(again.params.values, g.params.values)
+    assert np.array_equal(again.cov, g.cov)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_UNIT_PAIR, _UNIT_PAIR)
+def test_gaussian_json_round_trip_near_singular(v, mean):
+    g = GaussianModel.from_mean_cov(mean, np.outer(v, v))
+    text = g.to_json()
+    back = model_from_json(text)
+    assert np.array_equal(back.params.values, g.params.values)
+    assert back.to_json() == text
+    assert np.array_equal(g.with_params(g.params.values).params.values, g.params.values)
+
+
+def test_categorical_rebuilt_from_its_params_after_repair_is_the_same_model():
+    # Both rows are floored; a row given valid is stored as given instead.
+    c = CategoricalProductModel([[0.0, 0.3, 0.7], [0.9995, 0.0005, 0.0]])
+    again = c.with_params(c.params)
+    assert np.array_equal(again.probs, c.probs)
 
 
 def test_categorical_repair_floors_and_renormalizes():

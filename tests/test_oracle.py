@@ -22,9 +22,10 @@ from edaem.fixtures import (
     load_fixture_set,
 )
 from edaem import models
-from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams
+from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams, SearchModel
 from edaem.objectives import Domain
 from edaem.oracle import (
+    EM_N_STEPS,
     EnumerableSpace,
     exact_em_update,
     exact_free_energy,
@@ -555,3 +556,31 @@ def test_floors_and_tolerances_are_constants_not_parameters():
         params = inspect.signature(fn).parameters
         assert not removed & set(params), fn
         assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), fn
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(SearchModel, name)
+
+    def counting(self, *args):
+        calls.append(name)
+        return method(self, *args)
+
+    monkeypatch.setattr(SearchModel, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["bern2_onemax1", "cat2x3_affine"])
+def test_em_monotonicity_builds_each_step_once(monkeypatch, fixture):
+    fx = FIXTURES[fixture]
+    calls = _count_calls(monkeypatch, "with_params")
+    assert verify_em_monotonicity(fx.model, fx.space).passed
+    assert len(calls) == EM_N_STEPS
+
+
+@pytest.mark.parametrize("fixture", ["bern2_onemax1", "bern3_onemax1", "cat2x3_affine"])
+def test_free_energy_bound_reads_log_p_once(monkeypatch, fixture):
+    fx = FIXTURES[fixture]
+    calls = _count_calls(monkeypatch, "log_density_batch")
+    assert verify_free_energy_bound(fx.model, fx.space).passed
+    assert len(calls) == 1
