@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 
 from .errors import (
     BoundaryError,
@@ -101,7 +101,8 @@ class ExpectationParams:
             )
         (m, C), (mt, Ct) = GaussianModel._mean_cov(self), GaussianModel._mean_cov(other)
         delta = m - mt
-        # An overflow reaches construction as inf, like the refit's.
+        # An overflow reaches the carrier as inf, which rejects it, like the
+        # refit's.
         with np.errstate(over="ignore"):
             cov = (1.0 - gamma) * C + gamma * Ct + (gamma * (1.0 - gamma)) * np.outer(delta, delta)
         return GaussianModel._carrier((1.0 - gamma) * m + gamma * mt, cov)
@@ -488,46 +489,53 @@ class GaussianModel(SearchModel):
     vech(z z^T)), so the weighted-mean refit reproduces weighted sample
     moments.  The model keeps m, the covariance C and its lower Cholesky
     factor L.  It is built from (m, S), where C = S - m m^T, or from (m, C)
-    with ``cov=`` (``from_mean_cov``, and every refit and blend of a run,
-    which carry C in their :class:`ExpectationParams`), so that no
-    iteration forms S - m m^T, which cancels when |m|^2 >> C.
+    by ``from_mean_cov`` (and by every refit and blend of a run, which
+    carry C in their :class:`ExpectationParams`), so that no iteration
+    forms S - m m^T, which cancels when |m|^2 >> C.
 
-    Only the lower half of the given matrix is read, as theta stores it.
-    Construction repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by
-    trace-scaled jitter (see ``_repair_cov``), doubling at most
-    ``MAX_JITTER_DOUBLINGS`` times; if that fails the model raises instead
-    of silently clamping.  A model built from theta keeps its S, and so
-    reports theta as given; otherwise theta derives from C and ``params``
-    carries C alongside.
+    An asymmetric matrix is replaced by its symmetric part.  Construction
+    repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by trace-scaled
+    jitter (see ``_repair_cov``), doubling at most ``MAX_JITTER_DOUBLINGS``
+    times; if that fails the model raises instead of silently clamping.  A
+    model built from theta keeps its S, and so reports theta as given;
+    otherwise theta derives from C and ``params`` carries C alongside.
     """
 
     family = "gaussian"
     kind = "continuous"
 
-    def __init__(self, mean, second_moment=None, *, cov=None):
+    def __init__(self, mean, second_moment):
+        m, S = self._checked(mean, second_moment, "second_moment")
+        self._build(m, S - np.outer(m, m), S)
+
+    @staticmethod
+    def _checked(mean, M, name: str):
+        """m and a float64 copy of M, symmetric, both finite."""
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
+        M = np.array(M, dtype=np.float64)
         d = m.shape[0]
-        if (second_moment is None) == (cov is None):
-            raise TypeError("GaussianModel takes one of second_moment and cov")
-        name, M = ("cov", cov) if second_moment is None else ("second_moment", second_moment)
-        M = np.asarray(M, dtype=np.float64)
         if M.shape != (d, d):
             raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
         _require_finite(m, "mean")
         _require_finite(M, name)
-        # Mirroring, unlike averaging, cannot overflow.
-        M = np.tril(M) + np.tril(M, -1).T
-        C0 = M if cov is not None else M - np.outer(m, m)
+        if not np.array_equal(M, M.T):
+            # Halving each side first cannot overflow.
+            M = 0.5 * M + 0.5 * M.T
+        return m, M
+
+    def _build(self, m: np.ndarray, C0: np.ndarray, S) -> None:
+        """Repair C0 and keep (m, C, L); S is the given second moment, or
+        None when the model is built from (m, C)."""
         C, L = self._repair_cov(C0)
-        # C, L and M are this constructor's own arrays.
-        for a in (C, L, M):
+        # C, L and S are this model's own arrays.
+        for a in (C, L) if S is None else (C, L, S):
             a.setflags(write=False)
         self._mean = _readonly(m)
         self._cov = C
         self._chol = L
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
-        self._given_S = M if cov is None and C is C0 else None
+        self._given_S = S if S is not None and C is C0 else None
 
     @staticmethod
     def _repair_cov(C: np.ndarray):
@@ -539,7 +547,10 @@ class GaussianModel(SearchModel):
         until the smallest eigenvalue is at least 2 EIG_FLOOR.  The margin
         keeps a repaired C above the floor when theta's S - m m^T re-derives
         it with rounding error near eps |m|^2, so that a model rebuilt from
-        its own theta (JSON, a bare vector) is not repaired again.
+        its own theta (JSON, a bare vector) is not repaired again while
+        eps |m|^2 stays well below EIG_FLOOR; it reaches it near |m| = 70.
+        At a farther mean theta cannot hold such a C, and the rebuilt model
+        may be repaired again, to a C that is still above the floor.
         """
         d = C.shape[0]
         if not np.all(np.isfinite(C)):
@@ -563,17 +574,26 @@ class GaussianModel(SearchModel):
         )
 
     @classmethod
+    def _from_mean_cov(cls, mean, cov) -> "GaussianModel":
+        m, C = cls._checked(mean, cov, "cov")
+        model = cls.__new__(cls)
+        model._build(m, C, None)
+        return model
+
+    @classmethod
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        return cls(mean, cov=cov)
+        model = cls._from_mean_cov(mean, cov)
+        model.params  # formed now, so that an overflowing theta raises here
+        return model
 
     @staticmethod
     def _carrier(mean: np.ndarray, cov: np.ndarray) -> ExpectationParams:
         """The parameters of (m, C): theta = (m, vech(C + m m^T)), with C
-        carried alongside."""
-        # S overflows to inf before (m, C) does: theta cannot hold such a
-        # model, which still samples, refits and is rebuilt from (m, C).
+        carried alongside.  S overflows to inf before (m, C) does; such a
+        model has no theta, and raises."""
         with np.errstate(over="ignore"):
             theta = np.concatenate([mean, vech(cov + np.outer(mean, mean))])
+        _require_finite(theta, "theta")
         return ExpectationParams(theta, f"{GaussianModel.family}:{mean.shape[0]}", cov)
 
     @staticmethod
@@ -626,15 +646,15 @@ class GaussianModel(SearchModel):
     def _from_params(self, params) -> "GaussianModel":
         if params.cov is None:
             return self._from_layout(params.values, self.domain)
-        return GaussianModel(params.values[: self.dim], cov=params.cov)
+        # The carrier that set cov checked theta.
+        return self._from_mean_cov(params.values[: self.dim], params.cov)
 
     # Derived from the immutable Cholesky factor on first use, and shared by
     # the free energy and MAP's log-prior; closed-form runs read it once per
     # iteration, in the free energy.
     @functools.cached_property
     def _precision(self) -> np.ndarray:
-        P = lapack.dpotri(self._chol, lower=1)[0]
-        P = np.tril(P) + np.tril(P, -1).T
+        P = cho_solve((self._chol, True), np.eye(self.dim))
         P.setflags(write=False)
         return P
 
@@ -671,7 +691,7 @@ class GaussianModel(SearchModel):
         # Centred moments over the rows with w > 0 (a quantile shaping keeps
         # a fraction of them): m~ = sum q z and C~ = sum q (z - m~)(z - m~)^T
         # with q = w / total.  C~ is one triangle of a rank-k update (syrk),
-        # mirrored; BLAS lets an overflow through as inf, which construction
+        # mirrored; BLAS lets an overflow through as inf, which the carrier
         # then rejects.
         keep = w > 0.0
         U, q = Z[keep], w[keep] / total

@@ -364,8 +364,7 @@ def test_gaussian_precision_is_lazy_cached_and_read_only():
     P = g._precision
     assert P is g._precision
     assert not P.flags.writeable
-    assert np.array_equal(P, P.T)
-    np.testing.assert_allclose(P, cho_solve((g._chol, True), np.eye(2)), rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(P, cho_solve((g._chol, True), np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +702,20 @@ def test_gaussian_symmetrization():
     S = np.array([[2.0, 0.3], [0.1, 1.0]])
     g = GaussianModel([0.0, 0.0], S)
     np.testing.assert_allclose(g.second_moment, g.second_moment.T)
+    # Both constructors take the symmetric part, not one triangle.
+    for h in (g, GaussianModel.from_mean_cov([0.0, 0.0], S)):
+        assert h.cov[0, 1] == h.cov[1, 0] == pytest.approx(0.2, rel=1e-15)
+    # Halving each side first: entries near the float64 limit do not overflow.
+    big = GaussianModel.from_mean_cov([0.0, 0.0], [[1.7e308, 1e308], [0.0, 1.7e308]])
+    assert big.cov[0, 1] == big.cov[1, 0] == 0.5e308
+
+
+def test_gaussian_overflowing_theta_is_rejected():
+    # (m, C) is finite but S = C + m m^T is not: no theta holds the model.
+    with pytest.raises(DegenerateModelError):
+        GaussianModel.from_mean_cov([1e200, 0.0], np.eye(2))
+    with pytest.raises(DegenerateModelError):
+        GaussianModel._carrier(np.zeros(2), np.full((2, 2), np.inf))
 
 
 def test_gaussian_far_mean_keeps_a_small_covariance():
@@ -734,6 +747,20 @@ def test_gaussian_json_round_trip_near_singular(v, mean):
     assert np.array_equal(back.params.values, g.params.values)
     assert back.to_json() == text
     assert np.array_equal(g.with_params(g.params.values).params.values, g.params.values)
+
+
+def test_gaussian_far_mean_round_trips_with_its_covariance_only():
+    # A zero covariance is jittered to 3 EIG_FLOOR I.  At |m| = 1e3,
+    # eps |m|^2 = 2e-10 is far above EIG_FLOOR: S_11 = 1e6 + 3e-12 rounds
+    # to 1e6, so theta alone re-derives a zero variance.
+    g = GaussianModel.from_mean_cov([1e3, 0.0], np.zeros((2, 2)))
+    np.testing.assert_allclose(g.cov, 3 * EIG_FLOOR * np.eye(2), rtol=1e-12, atol=0)
+    # The params carry C, so rebuilding from them keeps the model.
+    assert np.array_equal(g.with_params(g.params).cov, g.cov)
+    # JSON holds theta only: the rebuild is repaired again, above the floor.
+    back = model_from_json(g.to_json())
+    assert not np.array_equal(back.cov, g.cov)
+    assert np.linalg.eigvalsh(back.cov)[0] >= EIG_FLOOR
 
 
 def test_categorical_rebuilt_from_its_params_after_repair_is_the_same_model():
