@@ -504,15 +504,12 @@ class GaussianModel(SearchModel):
     family = "gaussian"
     kind = "continuous"
 
-    def __init__(self, mean, second_moment):
-        m, S = self._checked(mean, second_moment, "second_moment")
-        self._build(m, S - np.outer(m, m), S)
-
-    @staticmethod
-    def _checked(mean, M, name: str):
-        """m and a float64 copy of M, symmetric, both finite."""
+    def __init__(self, mean, second_moment, *, _is_cov=False):
+        # ``_is_cov`` is private: ``from_mean_cov`` and ``with_params`` pass
+        # C in place of S with it.
+        name = "cov" if _is_cov else "second_moment"
         m = np.asarray(mean, dtype=np.float64).reshape(-1)
-        M = np.array(M, dtype=np.float64)
+        M = np.array(second_moment, dtype=np.float64)
         d = m.shape[0]
         if M.shape != (d, d):
             raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
@@ -521,21 +518,17 @@ class GaussianModel(SearchModel):
         if not np.array_equal(M, M.T):
             # Halving each side first cannot overflow.
             M = 0.5 * M + 0.5 * M.T
-        return m, M
-
-    def _build(self, m: np.ndarray, C0: np.ndarray, S) -> None:
-        """Repair C0 and keep (m, C, L); S is the given second moment, or
-        None when the model is built from (m, C)."""
+        C0 = M if _is_cov else M - np.outer(m, m)
         C, L = self._repair_cov(C0)
-        # C, L and S are this model's own arrays.
-        for a in (C, L) if S is None else (C, L, S):
+        # C, L and M are this constructor's own arrays.
+        for a in (C, L, M):
             a.setflags(write=False)
         self._mean = _readonly(m)
         self._cov = C
         self._chol = L
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
-        self._given_S = S if S is not None and C is C0 else None
+        self._given_S = M if not _is_cov and C is C0 else None
 
     @staticmethod
     def _repair_cov(C: np.ndarray):
@@ -574,15 +567,8 @@ class GaussianModel(SearchModel):
         )
 
     @classmethod
-    def _from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        m, C = cls._checked(mean, cov, "cov")
-        model = cls.__new__(cls)
-        model._build(m, C, None)
-        return model
-
-    @classmethod
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        model = cls._from_mean_cov(mean, cov)
+        model = cls(mean, cov, _is_cov=True)
         model.params  # formed now, so that an overflowing theta raises here
         return model
 
@@ -647,7 +633,7 @@ class GaussianModel(SearchModel):
         if params.cov is None:
             return self._from_layout(params.values, self.domain)
         # The carrier that set cov checked theta.
-        return self._from_mean_cov(params.values[: self.dim], params.cov)
+        return GaussianModel(params.values[: self.dim], params.cov, _is_cov=True)
 
     # Derived from the immutable Cholesky factor on first use, and shared by
     # the free energy and MAP's log-prior; closed-form runs read it once per
