@@ -55,8 +55,9 @@ MAX_JITTER_DOUBLINGS = 10
 
 # Cells in the one block a Bernoulli generation streams through, so that no
 # (n, d) copy of it wider than bool is ever made: 256 KB of float64 when it
-# is refitted, and 128 KB of raw words plus 128 KB of tiled uint32
-# thresholds when it is drawn.
+# is refitted, and 64 KB of raw words plus 64 KB of tiled uint16 thresholds
+# when it is drawn.  A categorical draw and the sphere objective also
+# stream through one block of this size.
 BLOCK_CELLS = 1 << 15
 
 
@@ -371,30 +372,31 @@ class BernoulliProductModel(SearchModel):
 
     def _draw(self, rng, n: int) -> np.ndarray:
         # A bool array, one byte per bit, by the lazy bitwise comparison of
-        # a uniform with p (Knuth and Yao 1976), 32 bits at a time.  Cell k
-        # of the generation, in C order, takes half k of the raw PCG64 word
-        # stream, low half first, and z = b < thr with thr = floor(p 2^32).
-        # A tie b == thr (2^-32 per cell) is settled after the last block by
-        # one float64 uniform r per tie, in cell order: z = r < frac with
-        # frac = p 2^32 - thr.  PROB_FLOOR >= 2^-33 makes frac a multiple of
-        # 2^-53, so P(z = 1) = p exactly.  A block holds whole words (an
-        # even row count when d is odd), so the stream does not depend on
-        # BLOCK_CELLS.
+        # a uniform with p (Knuth and Yao 1976), 16 bits at a time.  Cell k
+        # of the generation, in C order, takes quarter k of the raw PCG64
+        # word stream, lowest quarter first, and z = b < thr with
+        # thr = floor(p 2^16), compared as uint16.  A tie b == thr (2^-16
+        # per cell) is settled after the last block by one float64 uniform r
+        # per tie, in cell order: z = r < frac with frac = p 2^16 - thr.
+        # PROB_FLOOR >= 2^-17 makes frac a multiple of 2^-53, so
+        # P(z = 1) = p exactly.  A block holds whole words (a row count that
+        # is a multiple of 4 when d is not), so the stream does not depend
+        # on BLOCK_CELLS.
         d = self.dim
         rows = max(1, BLOCK_CELLS // d)
-        if d % 2:
-            rows = max(2, rows - rows % 2)
+        if d % 4:
+            rows = max(4, rows - rows % 4)
         cells = min(rows, n) * d
-        # Truncation is the floor here: p 2^32 is positive and below 2^32.
-        thr = np.tile((self._probs * 2.0**32).astype(np.uint32), cells // d)
+        # Truncation is the floor here: p 2^16 is positive and below 2^16.
+        thr = np.tile((self._probs * 2.0**16).astype(np.uint16), cells // d)
         Z = np.empty((n, d), dtype=np.bool_)
         flat = Z.reshape(-1)
         ties = []
         for start in range(0, n * d, cells):
             out = flat[start : start + cells]
             t = thr[: out.size]
-            words = rng.bit_generator.random_raw((out.size + 1) // 2)
-            b = words.astype("<u8", copy=False).view("<u4")[: out.size]
+            words = rng.bit_generator.random_raw((out.size + 3) // 4)
+            b = words.astype("<u8", copy=False).view("<u2")[: out.size]
             # The output slice holds the tie mask until the comparison.
             if np.equal(b, t, out=out).any():
                 ties.append(start + np.flatnonzero(out))
@@ -402,7 +404,7 @@ class BernoulliProductModel(SearchModel):
             del words, b  # so the next block's words never coexist with these
         if ties:
             k = np.concatenate(ties)
-            scaled = self._probs[k % d] * 2.0**32
+            scaled = self._probs[k % d] * 2.0**16
             flat[k] = rng.random(k.size) < scaled - np.floor(scaled)
         return Z
 
@@ -843,11 +845,20 @@ class CategoricalProductModel(SearchModel):
     def _draw(self, rng, n: int) -> np.ndarray:
         # z counts the cumulative sums below u, up to K - 1: u > cum[:, k]
         # holds for a prefix of k, so no (n, d, K) comparison is formed.
-        u = rng.random((n, self.dim))
-        cum = np.cumsum(self._probs, axis=1)
-        Z = np.zeros((n, self.dim), dtype=np.int64)
-        for k in range(self.arity - 1):
-            Z += u > cum[:, k]
+        # The uniforms fill one block at a time (the same stream as one
+        # (n, d) call), and each block's count is kept in the narrowest
+        # unsigned type that holds K - 1 and written to Z once.
+        d = self.dim
+        cuts = np.cumsum(self._probs, axis=1).T[:-1].copy()
+        dtype = np.min_scalar_type(self.arity - 1)
+        Z = np.empty((n, d), dtype=np.int64)
+        for rows, u in _row_blocks(n, d):
+            rng.random(out=u)
+            count = np.zeros(u.shape, dtype=dtype)
+            above = np.empty(u.shape, dtype=np.bool_)
+            for cut in cuts:
+                count += np.greater(u, cut, out=above)
+            Z[rows] = count
         return Z
 
     def _log_density(self, Z) -> np.ndarray:

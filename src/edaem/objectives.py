@@ -107,13 +107,14 @@ def evaluate_unchecked(obj: Objective, Z: np.ndarray) -> np.ndarray:
 
 
 def onemax(dim: int) -> Objective:
+    # The counts are exact integers in any type that holds dim, so the
+    # values are identical for any input dtype; uint16 (below 2**16) sums a
+    # bool generation fastest, and callers convert the result.
+    count = np.uint16 if dim < 1 << 16 else np.int64
     return Objective(
         name=f"onemax:{dim}",
         domain=Domain("binary", dim),
-        # Integer sums below 2**53 are exact in int64 and in float64, so the
-        # values are identical for any dtype; a bool Z sums in int64, which
-        # is faster than float64, and callers convert the result.
-        batch_eval=lambda Z: np.sum(Z, axis=1),
+        batch_eval=lambda Z: np.sum(Z, axis=1, dtype=count),
         known_opt=(np.ones(dim, dtype=np.int64), float(dim)),
     )
 
@@ -155,10 +156,22 @@ def trap(block_size: int, n_blocks: int) -> Objective:
 
 
 def sphere_max(dim: int) -> Objective:
+    def _eval(Z):
+        # Squares one block of rows at a time, with no (n, dim) temporary;
+        # each row is summed by the same pairwise reduction as
+        # -np.sum(Z**2, axis=1), so the values are equal bit for bit.
+        from .models import _row_blocks  # here, as models imports this module
+
+        Z = np.asarray(Z, dtype=np.float64)
+        out = np.empty(Z.shape[0])
+        for rows, block in _row_blocks(*Z.shape):
+            np.sum(np.square(Z[rows], out=block), axis=1, out=out[rows])
+        return -out
+
     return Objective(
         name=f"sphere_max:{dim}",
         domain=Domain("continuous", dim),
-        batch_eval=lambda Z: -np.sum(np.asarray(Z, dtype=np.float64) ** 2, axis=1),
+        batch_eval=_eval,
         known_opt=(np.zeros(dim), 0.0),
     )
 

@@ -24,27 +24,27 @@ from scipy.stats import bernoulli, multivariate_normal
 def bernoulli_reference_draw(p, n, seed, chunk_cells=2_000_000):
     """The Bernoulli draw rule written out directly, in one pass wherever
     ``n * d`` fits in ``chunk_cells``: raw PCG64 words split by shifts
-    into 32-bit halves, low half first; cell k of the C-order (n, d)
-    generation takes half k and z = b < floor(p 2^32); at each tie
-    b == floor(p 2^32), in cell order, one float64 uniform r drawn after
-    every word decides z = r < p 2^32 - floor(p 2^32)."""
+    into four 16-bit quarters, lowest first; cell k of the C-order (n, d)
+    generation takes quarter k and z = b < floor(p 2^16); at each tie
+    b == floor(p 2^16), in cell order, one float64 uniform r drawn after
+    every word decides z = r < p 2^16 - floor(p 2^16)."""
     p = np.asarray(p, dtype=np.float64)
     d = p.size
     rng = np.random.default_rng(seed)
-    scaled = p * 2.0**32
+    scaled = p * 2.0**16
     thr = np.floor(scaled)
     rows = max(1, chunk_cells // d)
-    rows += rows % 2  # whole words per chunk, whatever the parity of d
+    rows += -rows % 4  # whole words per chunk, whatever d is modulo 4
     Z = np.empty((n, d), dtype=np.bool_)
     tie_rows, tie_cols = [], []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         cells = (stop - start) * d
-        words = rng.bit_generator.random_raw((cells + 1) // 2)
-        halves = np.empty(2 * words.size, dtype=np.uint64)
-        halves[0::2] = words & np.uint64(0xFFFFFFFF)
-        halves[1::2] = words >> np.uint64(32)
-        b = halves[:cells].reshape(stop - start, d).astype(np.float64)
+        words = rng.bit_generator.random_raw((cells + 3) // 4)
+        quarters = np.empty(4 * words.size, dtype=np.uint64)
+        for j in range(4):
+            quarters[j::4] = (words >> np.uint64(16 * j)) & np.uint64(0xFFFF)
+        b = quarters[:cells].reshape(stop - start, d).astype(np.float64)
         Z[start:stop] = b < thr
         r, c = np.nonzero(b == thr)
         tie_rows.append(start + r)

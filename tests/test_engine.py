@@ -66,15 +66,15 @@ def runcfg(**kw):
 
 
 def test_e_step_realized_example():
-    # Seed 12's first two raw words are 0x4036081c_9cd9cf38 and
-    # 0xf25e669e_f91596a8.  Low halves first, the four cells read
-    # 0x9cd9cf38, 0x4036081c, 0xf91596a8 and 0xf25e669e; at p = 0.5 the
-    # threshold is 2^31 = 0x80000000, so the samples are (0, 1, 0, 0).
+    # Seed 12's first raw word is 0x4036_081c_9cd9_cf38.  Lowest quarter
+    # first, the four cells read 0xcf38, 0x9cd9, 0x081c and 0x4036; at
+    # p = 0.5 the threshold is 2^15 = 0x8000, so the samples are
+    # (0, 0, 1, 1).
     model = BernoulliProductModel([0.5])
     pop = e_step(model, objectives.onemax(1), IDENTITY, 4, seed=12)
-    np.testing.assert_array_equal(pop.samples.reshape(-1), [0, 1, 0, 0])
-    np.testing.assert_array_equal(pop.raw_f, [0, 1, 0, 0])
-    np.testing.assert_allclose(pop.norm_w, [0, 1, 0, 0])
+    np.testing.assert_array_equal(pop.samples.reshape(-1), [0, 0, 1, 1])
+    np.testing.assert_array_equal(pop.raw_f, [0, 0, 1, 1])
+    np.testing.assert_allclose(pop.norm_w, [0, 0, 0.5, 0.5])
 
 
 def test_e_step_constant_objective_uniform_weights():
@@ -754,7 +754,7 @@ def test_empty_trace_best_is_minus_infinity():
 
 def test_bernoulli_iteration_memory_is_one_byte_per_bit():
     # One e_step + closed-form M-step + free energy at d=2000, N=1000.  The
-    # bool generation takes 2 MB and the raw words stream through one 256 KB
+    # bool generation takes 2 MB and the raw words stream through one 128 KB
     # block; any int64 or float64 copy of the generation adds 16 MB.
     d, n = 2000, 1000
     model = BernoulliProductModel(np.full(d, 0.5))
@@ -774,7 +774,8 @@ def test_bernoulli_iteration_memory_is_one_byte_per_bit():
 
 def test_bernoulli_run_does_not_depend_on_the_block_size(monkeypatch):
     # Quantile weights are 0 or 1, so every blocked partial sum is exact.
-    # At odd d a draw block holds two rows, so that it takes whole words.
+    # At d = 30 and 31 a draw block holds four rows, so that it takes whole
+    # words.
     cfgs = [
         runcfg(
             model=BernoulliProductModel(np.full(d, 0.5)),

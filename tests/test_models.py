@@ -156,8 +156,8 @@ def _bits_as(dtype, n=40, d=7, seed=3):
     return np.random.default_rng(seed).integers(0, 2, size=(n, d)).astype(dtype)
 
 
-# Block sizes for the draw: one cell (one row, or two when d is odd), a
-# handful, one large block and the default.
+# Block sizes for the draw: one cell (one row, or four when d is not a
+# multiple of 4), a handful, one large block and the default.
 DRAW_BLOCKS = (1, 2, 7, 1 << 20, models.BLOCK_CELLS)
 
 
@@ -172,11 +172,11 @@ def test_bernoulli_sample_is_bool_on_the_uniform_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 17, 1000])
-@pytest.mark.parametrize("d", [1, 3, 2000, 40000])
+@pytest.mark.parametrize("d", [1, 3, 6, 2000, 40000])
 def test_bernoulli_draw_is_the_one_shot_comparison(d, n, monkeypatch):
     # The draw streams through blocks of whole words: the last block of a
-    # run is partial, at d = 40000 each block is one row, and at odd d a
-    # block holds an even number of rows.
+    # run is partial, at d = 40000 each block is one row, and when d is not
+    # a multiple of 4 (d = 1, 3, 6) a block holds a multiple of 4 rows.
     m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
     ref = bernoulli_reference_draw(m.probs, n, 23)
     for block in DRAW_BLOCKS:
@@ -201,24 +201,32 @@ class _Words:
         out, self._words = self._words[:size], self._words[size:]
         return np.array(out, dtype=np.uint64)
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         self.calls.append("uniforms")
-        k = math.prod(np.atleast_1d(size))
-        out, self._uniforms = self._uniforms[:k], self._uniforms[k:]
-        return np.array(out).reshape(size)
+        shape = size if out is None else out.shape
+        k = math.prod(np.atleast_1d(shape))
+        got, self._uniforms = self._uniforms[:k], self._uniforms[k:]
+        if out is None:
+            return np.array(got).reshape(shape)
+        out[...] = np.reshape(got, shape)
+        return out
 
 
 @pytest.mark.parametrize("block", [1, 1 << 15])
 def test_bernoulli_draw_settles_ties_with_one_uniform_each(block, monkeypatch):
-    # p = 0.3: thr = floor(0.3 * 2^32) and frac = 0.3 * 2^32 - thr ~ 0.8.
-    # Cells in C order: tie, below, tie, above, tie, (the dropped half).
+    # p = 0.3: thr = floor(0.3 * 2^16) and frac = 0.3 * 2^16 - thr ~ 0.8.
+    # Cells in C order: tie, below, tie, above, tie, (three dropped
+    # quarters).
     monkeypatch.setattr(models, "BLOCK_CELLS", block)
     p = 0.3
-    thr = math.floor(p * 2.0**32)
-    frac = p * 2.0**32 - thr
+    thr = math.floor(p * 2.0**16)
+    frac = p * 2.0**16 - thr
     assert 0.79 < frac < 0.81
-    halves = [thr, thr - 1, thr, thr + 1, thr, 0]
-    words = [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+    quarters = [thr, thr - 1, thr, thr + 1, thr, 0, 0, 0]
+    words = [
+        sum(q << (16 * j) for j, q in enumerate(quarters[i : i + 4]))
+        for i in range(0, len(quarters), 4)
+    ]
     # The uniforms go to the ties in cell order: below frac, at it, above.
     rng = _Words(words, [frac - 1e-9, frac, 0.9])
     Z = BernoulliProductModel([p])._draw(rng, 5)
@@ -226,6 +234,34 @@ def test_bernoulli_draw_settles_ties_with_one_uniform_each(block, monkeypatch):
     assert rng._words == [] and rng._uniforms == []
     # Every word is drawn before the uniforms, whatever the block size.
     assert rng.calls[-1] == "uniforms" and rng.calls.count("uniforms") == 1
+
+
+@pytest.mark.parametrize("block", DRAW_BLOCKS)
+@pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (7, 3), (9, 6), (3, 2000), (2, 40000), (13, 31)])
+def test_bernoulli_draw_reads_a_quarter_word_per_cell(n, d, block, monkeypatch):
+    # An (n, d) draw reads ceil(n d / 4) raw words, whatever the block
+    # size; every word's quarters are 0x7fff, below thr = 0x8000 at p = 0.5,
+    # so no uniform is drawn.
+    monkeypatch.setattr(models, "BLOCK_CELLS", block)
+    words = math.ceil(n * d / 4)
+    rng = _Words([0x7FFF7FFF7FFF7FFF] * (words + 3), [])
+    Z = BernoulliProductModel(np.full(d, 0.5))._draw(rng, n)
+    assert Z.all() and Z.shape == (n, d)
+    assert len(rng._words) == 3 and "uniforms" not in rng.calls
+
+
+def test_prob_floor_keeps_the_tie_fraction_on_the_uniform_grid():
+    # For p >= 2^-17 the steps of p are at least 2^-69, so the tie fraction
+    # p 2^16 - floor(p 2^16) lies on multiples of 2^-53, the grid of the
+    # float64 uniforms, and a tie is settled with exactly that probability.
+    # One step above 2^-18 it is off the grid.
+    def on_grid(p):
+        frac = p * 2.0**16 - math.floor(p * 2.0**16)
+        return frac * 2.0**53 == math.floor(frac * 2.0**53)
+
+    assert PROB_FLOOR >= 2.0**-17
+    assert on_grid(np.nextafter(2.0**-17, 1.0)) and on_grid(np.nextafter(PROB_FLOOR, 1.0))
+    assert not on_grid(np.nextafter(2.0**-18, 1.0))
 
 
 @pytest.mark.parametrize("p", [PROB_FLOOR, 0.5, 1.0 - PROB_FLOOR])
@@ -238,9 +274,9 @@ def test_bernoulli_draw_frequency(p):
 
 @pytest.mark.parametrize("n,d", [(1000, 2000), (17, 3), (2000, 31)])
 def test_bernoulli_draw_memory_is_one_block_beyond_the_generation(n, d):
-    # Raw words (4 bytes a cell) and tiled uint32 thresholds (4 bytes a
+    # Raw words (2 bytes a cell) and tiled uint16 thresholds (2 bytes a
     # cell) over one block; no (n, d) array wider than bool.  At d = 31 a
-    # block's arrays take 261,888 of the 262,144 bytes, and the generator
+    # block's arrays take 130,944 of the 131,072 bytes, and the generator
     # and the array headers add about 2 KB, hence the 4 KB allowance.
     m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
     tracemalloc.start()
@@ -249,7 +285,7 @@ def test_bernoulli_draw_memory_is_one_block_beyond_the_generation(n, d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - Z.nbytes <= models.BLOCK_CELLS * 8 + 4096
+    assert peak - Z.nbytes <= models.BLOCK_CELLS * 4 + 4096
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (40, 7), (1000, 2000), (3, 40000)])
@@ -487,13 +523,29 @@ def test_categorical_counts_uniform():
     assert np.all(np.abs(counts - 1 / 3) < 3 * sigma)
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("K", [2, 3, 7, 50])
-def test_categorical_draw_is_the_capped_comparison_count(K, seed):
+def _assert_categorical_draw_is_the_reference(K, seed, blocks, monkeypatch):
     probs = np.random.default_rng(K).dirichlet(np.ones(K), size=6)
     c = CategoricalProductModel(probs)
     u = np.random.default_rng(seed).random((400, 6))
-    assert np.array_equal(c.sample(400, seed), categorical_reference_draw(c.probs, u))
+    ref = categorical_reference_draw(c.probs, u)
+    for block in blocks:
+        monkeypatch.setattr(models, "BLOCK_CELLS", block)
+        Z = c.sample(400, seed)
+        assert Z.dtype == np.int64
+        assert np.array_equal(Z, ref)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("K", [2, 3, 7, 50])
+def test_categorical_draw_is_the_capped_comparison_count(K, seed, monkeypatch):
+    # The draw counts one block at a time; the uniforms are one (n, d)
+    # stream whatever the block size.
+    _assert_categorical_draw_is_the_reference(K, seed, DRAW_BLOCKS, monkeypatch)
+
+
+def test_categorical_draw_counts_past_255(monkeypatch):
+    # The count is uint8 up to K = 256 and uint16 above.
+    _assert_categorical_draw_is_the_reference(300, 0, (60, models.BLOCK_CELLS), monkeypatch)
 
 
 def test_categorical_draw_caps_at_the_last_category():

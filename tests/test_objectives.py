@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edaem import models
 from edaem.errors import ConfigError, DomainError, ObjectiveError
 from edaem.models import BernoulliProductModel, CategoricalProductModel, GaussianModel
 from edaem.objectives import (
@@ -62,9 +63,46 @@ def test_leadingones_makes_no_copy_of_the_generation():
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+@pytest.mark.parametrize("d", [1, 13, 2000, (1 << 16) - 1, 70_000])
+def test_onemax_equals_the_int64_row_sum(d, dtype):
+    # d = 70000 is past uint16: a batch of all ones there would wrap to 4464
+    # in a 16-bit count.
+    Z = np.random.default_rng(d).random((5, d)) < 0.6
+    Z[0], Z[1] = True, False
+    Z = Z.astype(dtype)
+    values = onemax(d).batch_eval(Z)
+    np.testing.assert_array_equal(values, np.sum(Z.astype(np.int64), axis=1))
+    assert (values[0], values[1]) == (d, 0)
+    np.testing.assert_array_equal(evaluate_batch(onemax(d), Z), values.astype(np.float64))
+
+
 def test_sphere_max_at_origin():
     assert evaluate(sphere_max(3), [0.0, 0.0, 0.0]) == 0.0
     assert evaluate(sphere_max(3), [1.0, 2.0, 0.0]) == -5.0
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20, models.BLOCK_CELLS])
+@pytest.mark.parametrize("n,d", [(1, 1), (301, 7), (50, 10), (1000, 100), (7, 1000), (2, 40000)])
+def test_sphere_max_equals_the_squared_row_sum(n, d, block, monkeypatch):
+    # Row by row the same pairwise reduction, so equal bit for bit, at any
+    # block size.
+    monkeypatch.setattr(models, "BLOCK_CELLS", block)
+    Z = np.random.default_rng(n + d).normal(scale=3.0, size=(n, d))
+    values = sphere_max(d).batch_eval(Z)
+    assert values.tobytes() == (-np.sum(Z**2, axis=1)).tobytes()
+
+
+def test_sphere_max_makes_no_copy_of_the_generation():
+    # One (n, d) float64 array is 800 KB; the block takes 256 KB.
+    Z = np.random.default_rng(0).normal(size=(1000, 100))
+    tracemalloc.start()
+    try:
+        sphere_max(100).batch_eval(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes
 
 
 def test_rosenbrock_max_at_ones():
