@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, block_diag, cho_solve, lapack, solve_triangular
 
 from .errors import (
     BoundaryError,
@@ -140,12 +140,13 @@ class SearchModel:
     and the JSON document derive from these here.
 
     The public methods live here and are the only input boundary: each
-    checks once (``_as_batch``, which is ``domain.check``, or ``n >= 1``),
-    then calls an unchecked family kernel (``_draw``, ``_log_density``,
-    ``_suff_stats``, ``_weighted_stats``, ``_score_batch``) on a checked
-    batch or on the model's own samples.  Families implement the kernels.
-    The engine's M-steps and free energy call two more on samples they
-    have already checked: ``_refit`` and ``_mean_log_density``.
+    checks once (``_as_batch``, which is ``domain.check``, ``_as_point`` for
+    one point, or ``n >= 1``), then calls an unchecked family kernel
+    (``_draw``, ``_log_density``, ``_suff_stats``, ``_score_batch``) on a
+    checked batch or on the model's own samples.  Families implement the
+    kernels.  The engine's M-steps, its free energy and the exact-EM oracle
+    call two more on samples they have already checked: ``_refit``, the one
+    weighted-moment kernel, and ``_mean_log_density``.
     """
 
     family = ""
@@ -225,23 +226,16 @@ class SearchModel:
         return self._draw(np.random.default_rng(rng_seed), n)
 
     def log_density(self, z) -> float:
-        Z = self._as_batch(z)
-        if Z.shape[0] != 1:
-            raise DomainError("log_density takes a single point; use log_density_batch")
-        return float(self._log_density(Z)[0])
+        return float(self._log_density(self._as_point(z, "log_density"))[0])
 
     def log_density_batch(self, Z) -> np.ndarray:
         return self._log_density(self._as_batch(Z))
 
     def sufficient_stats(self, z) -> np.ndarray:
-        return self._suff_stats(self._as_batch(z))[0]
+        return self._suff_stats(self._as_point(z, "sufficient_stats"))[0]
 
     def sufficient_stats_batch(self, Z) -> np.ndarray:
         return self._suff_stats(self._as_batch(Z))
-
-    def weighted_stats(self, Z, w) -> np.ndarray:
-        """Weighted sum of sufficient statistics, sum_i w_i T(z_i)."""
-        return self._weighted_stats(self._as_batch(Z), w)
 
     def grad_log_density(self, z) -> np.ndarray:
         """Score with respect to the expectation parameters at one point.
@@ -250,7 +244,7 @@ class SearchModel:
         :class:`BoundaryError` at a floor/eigenvalue boundary.
         """
         self._check_interior()
-        return self._score_batch(self._as_batch(z))[0]
+        return self._score_batch(self._as_point(z, "grad_log_density"))[0]
 
     def grad_log_density_batch(self, Z) -> np.ndarray:
         self._check_interior()
@@ -275,13 +269,25 @@ class SearchModel:
     def log_partition(self) -> float:
         raise NotImplementedError
 
+    # log h(z) on the support; constant in every family here.
+    _log_h = 0.0
+
     def log_base_measure(self, z) -> float:
-        return 0.0
+        self._as_point(z, "log_base_measure")
+        return self._log_h
 
     # -- internals ----------------------------------------------------------
 
     def _as_batch(self, Z) -> np.ndarray:
         return self.domain.check(Z)
+
+    def _as_point(self, z, method: str) -> np.ndarray:
+        """The checked (1, dim) batch of the one point ``method`` takes."""
+        Z = self._as_batch(z)
+        if Z.shape[0] != 1:
+            batch = f"; use {method}_batch" if hasattr(self, f"{method}_batch") else ""
+            raise DomainError(f"{method} takes a single point, got {Z.shape[0]}{batch}")
+        return Z
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -292,15 +298,11 @@ class SearchModel:
     def _suff_stats(self, Z) -> np.ndarray:
         raise NotImplementedError
 
-    def _weighted_stats(self, Z, w) -> np.ndarray:
-        # Families override this when they can form the sum without
-        # materializing the (n, n_params) statistics matrix.
-        return w @ self._suff_stats(Z)
-
     def _refit(self, Z, w, total: float) -> ExpectationParams:
         """The weighted mean sum_i w_i T(z_i) / total, unrepaired, for
-        weights w >= 0 that sum to ``total`` > 0."""
-        return ExpectationParams(self._weighted_stats(Z, w) / total, self.family_tag)
+        weights w >= 0 that sum to ``total`` > 0; the Bernoulli and the
+        Gaussian form it without the (n, n_params) statistics matrix."""
+        return ExpectationParams(w @ self._suff_stats(Z) / total, self.family_tag)
 
     def _mean_log_density(self, theta_bar: ExpectationParams) -> float:
         """sum_i q_i log p(z_i | theta), in closed form from the refit
@@ -314,6 +316,15 @@ class SearchModel:
         raise NotImplementedError
 
     def _check_interior(self) -> None:
+        if self._on_boundary():
+            raise BoundaryError(
+                f"{self.family_tag} parameters sit at a floor boundary; score and "
+                "Fisher information require strictly interior parameters"
+            )
+
+    def _on_boundary(self) -> bool:
+        """Whether a probability or the smallest covariance eigenvalue is
+        at (or past) its floor."""
         raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
@@ -415,14 +426,14 @@ class BernoulliProductModel(SearchModel):
     def _suff_stats(self, Z) -> np.ndarray:
         return np.asarray(Z, dtype=np.float64)
 
-    def _weighted_stats(self, Z, w) -> np.ndarray:
-        # With integer-valued weights every partial sum is exact, so this
+    def _refit(self, Z, w, total: float) -> ExpectationParams:
+        # With integer-valued weights every partial sum is exact, so the sum
         # equals w @ Z bit for bit; otherwise only the summation order differs.
-        total = np.zeros(self.dim)
+        acc = np.zeros(self.dim)
         for rows, block in _row_blocks(*Z.shape):
             block[...] = Z[rows]
-            total += w[rows] @ block
-        return total
+            acc += w[rows] @ block
+        return ExpectationParams(acc / total, self.family_tag)
 
     def _mean_log_density(self, theta_bar) -> float:
         p, t = self._probs, theta_bar.values
@@ -436,13 +447,8 @@ class BernoulliProductModel(SearchModel):
         p = self._probs
         return np.diag(1.0 / (p * (1.0 - p)))
 
-    def _check_interior(self) -> None:
-        p = self._probs
-        if np.any(p <= PROB_FLOOR) or np.any(p >= 1.0 - PROB_FLOOR):
-            raise BoundaryError(
-                "a probability sits at the floor boundary; score and Fisher "
-                "information require strictly interior parameters"
-            )
+    def _on_boundary(self) -> bool:
+        return bool(np.any(self._probs <= PROB_FLOOR) or np.any(self._probs >= 1.0 - PROB_FLOOR))
 
     def natural_params(self) -> np.ndarray:
         p = self._probs
@@ -670,11 +676,6 @@ class GaussianModel(SearchModel):
         idx = _tril_indices(self.dim)
         return np.concatenate([Z, outer[:, idx[0], idx[1]]], axis=1)
 
-    def _weighted_stats(self, Z, w) -> np.ndarray:
-        # Weighted first and second moments: O(n d + d^2) memory instead of
-        # the (n, d, d) outer-product tensor.
-        return np.concatenate([w @ Z, vech((Z.T * w) @ Z)])
-
     def _refit(self, Z, w, total: float) -> ExpectationParams:
         # Centred moments over the rows with w > 0 (a quantile shaping keeps
         # a fraction of them): m~ = sum q z and C~ = sum q (z - m~)(z - m~)^T
@@ -740,13 +741,8 @@ class GaussianModel(SearchModel):
         info = np.linalg.inv(G)
         return 0.5 * (info + info.T)
 
-    def _check_interior(self) -> None:
-        lam_min = float(np.linalg.eigvalsh(self._cov)[0])
-        if lam_min <= EIG_FLOOR:
-            raise BoundaryError(
-                "covariance smallest eigenvalue is at the floor; "
-                "score and Fisher information require strict interiority"
-            )
+    def _on_boundary(self) -> bool:
+        return float(np.linalg.eigvalsh(self._cov)[0]) <= EIG_FLOOR
 
     def natural_params(self) -> np.ndarray:
         P = self._precision
@@ -756,7 +752,8 @@ class GaussianModel(SearchModel):
         m = self._mean
         return float(0.5 * m @ self._precision @ m + 0.5 * self._log_det)
 
-    def log_base_measure(self, z) -> float:
+    @property
+    def _log_h(self) -> float:
         return -0.5 * self.dim * math.log(2.0 * math.pi)
 
 
@@ -786,26 +783,23 @@ class CategoricalProductModel(SearchModel):
         row_sums = P.sum(axis=1)
         if np.any(row_sums <= 0.0):
             raise DomainError("each categorical row must have positive mass")
-        # Touch only rows that violate the invariants, so valid inputs are
-        # stored bit-identically.
+        # Only rows off the simplex are normalized.  Every row stores its
+        # last category as 1 - sum(rest), the way theta rebuilds it, so that
+        # a model rebuilt from its own parameters is this model.
         off = np.abs(row_sums - 1.0) > 1e-12
         if off.any():
             P[off] = P[off] / row_sums[off, None]
+        P[:, -1] = 1.0 - P[:, :-1].sum(axis=1)
         low = (P < PROB_FLOOR).any(axis=1)
         if low.any():
             Q = P[low]
             for _ in range(8):
                 Q = np.clip(Q, PROB_FLOOR, None)
                 Q = Q / Q.sum(axis=1)[:, None]
+                Q[:, -1] = 1.0 - Q[:, :-1].sum(axis=1)
                 if np.all(Q >= PROB_FLOOR):
                     break
             P[low] = Q
-        # A repaired row keeps its last category as 1 - sum(rest), the way
-        # theta rebuilds it, so that a model rebuilt from its own parameters
-        # is this model.
-        fixed = off | low
-        if fixed.any():
-            P[fixed, -1] = 1.0 - P[fixed, :-1].sum(axis=1)
         self._probs = _readonly(P)
 
     @property
@@ -871,44 +865,22 @@ class CategoricalProductModel(SearchModel):
         return float(np.sum(table * np.log(self._probs)))
 
     def _suff_stats(self, Z) -> np.ndarray:
-        n = Z.shape[0]
-        d, K = self.dim, self.arity
-        T = np.zeros((n, d, K - 1))
-        mask = Z < K - 1
-        rows, sites = np.nonzero(mask)
-        T[rows, sites, Z[rows, sites]] = 1.0
-        return T.reshape(n, d * (K - 1))
+        # Per site the one-hot row of z without its last column.
+        return np.eye(self.arity, self.arity - 1)[Z].reshape(Z.shape[0], -1)
 
     def _score_batch(self, Z) -> np.ndarray:
-        n = Z.shape[0]
-        d, K = self.dim, self.arity
-        G = np.zeros((n, d, K - 1))
-        last = Z == K - 1
-        rows, sites = np.nonzero(last)
-        G[rows, sites, :] = -1.0 / self._probs[sites, K - 1][:, None]
-        rows, sites = np.nonzero(~last)
-        vals = Z[rows, sites]
-        G[rows, sites, vals] = 1.0 / self._probs[sites, vals]
-        return G.reshape(n, d * (K - 1))
+        # T(z) / p[:, :-1] - 1[z = K - 1] / p[:, -1], site by site.
+        n, d, K = Z.shape[0], self.dim, self.arity
+        T = self._suff_stats(Z).reshape(n, d, K - 1)
+        last = (Z == K - 1)[:, :, None]
+        return (T / self._probs[:, :-1] - last / self._probs[:, -1:]).reshape(n, -1)
 
     def _fisher(self) -> np.ndarray:
-        d, K = self.dim, self.arity
-        blocks = []
-        for j in range(d):
-            p = self._probs[j]
-            blocks.append(np.diag(1.0 / p[: K - 1]) + 1.0 / p[K - 1])
-        out = np.zeros((self.n_params, self.n_params))
-        for j, blk in enumerate(blocks):
-            s = j * (K - 1)
-            out[s : s + K - 1, s : s + K - 1] = blk
-        return out
+        # One block per site: diag(1 / p[:-1]) + 1 / p[-1].
+        return block_diag(*(np.diag(1.0 / p[:-1]) + 1.0 / p[-1] for p in self._probs))
 
-    def _check_interior(self) -> None:
-        if np.any(self._probs <= PROB_FLOOR):
-            raise BoundaryError(
-                "a category probability sits at the floor boundary; score and "
-                "Fisher information require strictly interior parameters"
-            )
+    def _on_boundary(self) -> bool:
+        return bool(np.any(self._probs <= PROB_FLOOR))
 
     def natural_params(self) -> np.ndarray:
         logs = np.log(self._probs)

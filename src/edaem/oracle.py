@@ -5,8 +5,8 @@ only ever estimates can be computed exactly:
 
 * the objective L(theta) = log E_p[f],
 * the tilted distribution p(z|theta) f(z) / E_p[f],
-* the exact EM refit (mean sufficient statistics under the tilted
-  distribution),
+* the exact EM refit: ``run()``'s closed-form M-step (``_refit``) with
+  every state as the generation and the tilted distribution as weights,
 * the free energy F(q, theta) for an arbitrary distribution q.
 
 The ``verify_*`` functions are executable forms of identities the sampled
@@ -173,14 +173,14 @@ def _tilted(log_p: np.ndarray, space: EnumerableSpace) -> TiltedDistribution:
 def exact_em_update(model: SearchModel, space: EnumerableSpace) -> ExpectationParams:
     """Mean sufficient statistics under the tilted distribution, with
     family repair -- the infinite-sample refit."""
-    return _exact_em_model(model, space).params
+    return _exact_em_model(model, space, _log_p(model, space)).params
 
 
-def _exact_em_model(model: SearchModel, space: EnumerableSpace) -> SearchModel:
-    """The model of the exact EM refit, built (and repaired) once."""
-    tilted = exact_tilted(model, space)
-    T = model.sufficient_stats_batch(space.states)
-    return model.with_params(tilted.probs @ T)
+def _exact_em_model(model: SearchModel, space: EnumerableSpace, log_p: np.ndarray) -> SearchModel:
+    """The model of the exact EM refit from log p(z|theta) at every state,
+    built (and repaired) once; the tilted probabilities sum to 1."""
+    tilted = _tilted(log_p, space)
+    return model.with_params(model._refit(model._as_batch(space.states), tilted.probs, 1.0))
 
 
 def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
@@ -337,12 +337,12 @@ def verify_ngd_correspondence(
         raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
 
     base_f = space.f_values
+    fisher = model.fisher_information()  # of the model, the same at every scale
     discs, ratios = [], []
     for s in NGD_SCALES:
         fs = 1.0 + s * (base_f - 1.0)
         sub = replace(space, f_values=fs)
         grad = exact_objective_gradient(model, sub)
-        fisher = model.fisher_information()
         theta_ngd = model.params.values + np.linalg.solve(fisher, grad)
         theta_em = exact_em_update(model, sub).values
         disc = float(np.linalg.norm(theta_ngd - theta_em))
@@ -415,10 +415,12 @@ def verify_em_monotonicity(
     never decreases by more than ``-EM_STEP_TOL`` (exact EM: no sampling
     noise)."""
     current = model
-    objective_values = [exact_objective(current, space)]
+    log_p = _log_p(current, space)  # read once per iterate, for L and the refit
+    objective_values = [_objective(log_p, space)]
     for _ in range(EM_N_STEPS):
-        current = _exact_em_model(current, space)
-        objective_values.append(exact_objective(current, space))
+        current = _exact_em_model(current, space, log_p)
+        log_p = _log_p(current, space)
+        objective_values.append(_objective(log_p, space))
     diffs = np.diff(objective_values)
     passed = bool(np.all(diffs >= EM_STEP_TOL))
     return CheckReport(

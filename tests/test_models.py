@@ -3,6 +3,7 @@ information, parameter repair, and serialization."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -29,6 +30,7 @@ from edaem.models import (
     CategoricalProductModel,
     ExpectationParams,
     GaussianModel,
+    SearchModel,
     model_from_json,
     unvech,
     vech,
@@ -96,13 +98,14 @@ def test_sufficient_stats_categorical_one_hot_minimal():
         CategoricalProductModel([[0.25, 0.35, 0.4]]),
     ],
 )
-def test_weighted_stats_equals_weighted_sum_of_stats(model):
+def test_refit_is_the_weighted_mean_of_stats(model):
     rng = np.random.default_rng(41)
     Z = model.sample(64, 43)
     w = rng.uniform(0.0, 3.0, size=64)
     w[::5] = 0.0
-    ref = w @ model.sufficient_stats_batch(Z)
-    got = model.weighted_stats(Z, w)
+    total = float(w.sum())
+    ref = w @ model.sufficient_stats_batch(Z) / total
+    got = model._refit(model._as_batch(Z), w, total).values
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
@@ -289,15 +292,17 @@ def test_bernoulli_draw_memory_is_one_block_beyond_the_generation(n, d):
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (40, 7), (1000, 2000), (3, 40000)])
-def test_bernoulli_blocked_weighted_stats_is_the_gemv(n, d):
+def test_bernoulli_blocked_refit_is_the_gemv(n, d):
     rng = np.random.default_rng(n + d)
     m = BernoulliProductModel(np.full(d, 0.4))
     Z = m.sample(n, 5)
     ints = rng.integers(0, 4, size=n).astype(np.float64)
-    assert np.array_equal(m.weighted_stats(Z, ints), ints @ Z.astype(np.float64))
+    t = float(ints.sum()) or 1.0
+    assert np.array_equal(m._refit(Z, ints, t).values, (ints @ Z.astype(np.float64)) / t)
     frac = rng.uniform(0.0, 1.0, size=n)
+    t = float(frac.sum())
     np.testing.assert_allclose(
-        m.weighted_stats(Z, frac), frac @ Z.astype(np.float64), rtol=1e-12, atol=0.0
+        m._refit(Z, frac, t).values, (frac @ Z.astype(np.float64)) / t, rtol=1e-12, atol=0.0
     )
 
 
@@ -330,7 +335,7 @@ def test_bernoulli_bool_int_float_inputs_agree_exactly():
         for got, want in [
             (m.log_density_batch(Z), m.log_density_batch(ref)),
             (m.sufficient_stats_batch(Z), m.sufficient_stats_batch(ref)),
-            (m.weighted_stats(Z, w), m.weighted_stats(ref, w)),
+            (m._refit(m._as_batch(Z), w, 2.0).values, m._refit(m._as_batch(ref), w, 2.0).values),
             (m._score_batch(Z), m._score_batch(ref)),
         ]:
             assert got.dtype == np.float64
@@ -380,10 +385,23 @@ _PUBLIC_INPUT_METHODS = {
     "log_density_batch": lambda m, z: m.log_density_batch([z, z]),
     "sufficient_stats": lambda m, z: m.sufficient_stats(z),
     "sufficient_stats_batch": lambda m, z: m.sufficient_stats_batch([z, z]),
-    "weighted_stats": lambda m, z: m.weighted_stats([z, z], np.ones(2)),
     "grad_log_density": lambda m, z: m.grad_log_density(z),
     "grad_log_density_batch": lambda m, z: m.grad_log_density_batch([z, z]),
+    "log_base_measure": lambda m, z: m.log_base_measure(z),
 }
+
+
+def test_input_table_covers_the_public_point_methods():
+    # Every public method whose first argument is a point or a batch.
+    takes_points = set()
+    for name in dir(SearchModel):
+        attr = getattr(SearchModel, name)
+        if name.startswith("_") or not inspect.isfunction(attr):
+            continue
+        params = list(inspect.signature(attr).parameters)
+        if params[1:2] in (["z"], ["Z"]):
+            takes_points.add(name)
+    assert takes_points == set(_PUBLIC_INPUT_METHODS)
 
 
 @pytest.mark.parametrize("method", sorted(_PUBLIC_INPUT_METHODS))
@@ -392,6 +410,29 @@ def test_every_public_method_rejects_off_support_input(family, method):
     model, point = _OFF_SUPPORT[family]
     with pytest.raises(DomainError):
         _PUBLIC_INPUT_METHODS[method](model, np.array(point))
+
+
+# A valid batch of several points per family; a dim-1 Gaussian reads a
+# vector as a batch.
+_BATCHES = {
+    "bernoulli": (BernoulliProductModel([0.4, 0.6]), [[0, 1], [1, 0]]),
+    "gaussian": (GaussianModel.from_mean_cov([0.5], [[2.0]]), [1.0, 2.0, 3.0]),
+    "categorical": (
+        CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]), [[2, 0], [1, 1]]
+    ),
+}
+
+
+@pytest.mark.parametrize("method", ["log_density", "sufficient_stats", "grad_log_density"])
+@pytest.mark.parametrize("family", sorted(_BATCHES))
+def test_single_point_methods_reject_a_batch(family, method):
+    model, Z = _BATCHES[family]
+    with pytest.raises(DomainError, match=f"{method}_batch"):
+        getattr(model, method)(Z)
+    # One point of the batch passes.
+    assert np.array_equal(
+        getattr(model, method)(Z[0]), getattr(model, f"{method}_batch")(Z[:1])[0]
+    )
 
 
 def test_gaussian_precision_is_lazy_cached_and_read_only():
@@ -550,11 +591,12 @@ def test_categorical_draw_counts_past_255(monkeypatch):
 
 def test_categorical_draw_caps_at_the_last_category():
     # The first row sums to 1 - 1e-13, within the constructor's tolerance,
-    # so it is stored as given; uniforms above that sum land in the last
+    # so it is not normalized; like every row it stores its last category
+    # as 1 - sum(rest).  Uniforms above the last cut land in the last
     # category, as do those above a cumulative sum that ends at 1.
     probs = np.array([[0.5, 0.25, 0.25 - 1e-13], [0.2, 0.3, 0.5]])
     c = CategoricalProductModel(probs)
-    assert c.probs[0, 2] == probs[0, 2]
+    assert c.probs[0, 2] == 1.0 - probs[0, :2].sum()
     u = np.array([[1.0 - 1e-14, 1.0 - 2.0**-53], [0.0, 0.2], [0.6, 0.5], [0.75, 0.7]])
     Z = c._draw(_Words([], u.reshape(-1)), 4)
     assert np.array_equal(Z, categorical_reference_draw(c.probs, u))
@@ -816,10 +858,28 @@ def test_gaussian_far_mean_round_trips_with_its_covariance_only():
 
 
 def test_categorical_rebuilt_from_its_params_after_repair_is_the_same_model():
-    # Both rows are floored; a row given valid is stored as given instead.
+    # Both rows are floored.
     c = CategoricalProductModel([[0.0, 0.3, 0.7], [0.9995, 0.0005, 0.0]])
     again = c.with_params(c.params)
     assert np.array_equal(again.probs, c.probs)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [[0.2, 0.5, 0.3]],
+        np.full((2, 3), 1.0 / 3.0),
+        np.random.default_rng(7).dirichlet(np.ones(12), size=40),
+    ],
+    ids=["given", "thirds", "dirichlet12"],
+)
+def test_categorical_valid_rows_round_trip_exactly(probs):
+    # theta drops the last category, so a rebuilt row re-derives it as
+    # 1 - sum(rest); the model must store it that way already.
+    c = CategoricalProductModel(probs)
+    for again in (c.with_params(c.params), model_from_json(c.to_json())):
+        assert np.array_equal(again.probs, c.probs)
+    assert np.array_equal(c.probs[:, -1], 1.0 - c.probs[:, :-1].sum(axis=1))
 
 
 def test_categorical_repair_floors_and_renormalizes():

@@ -484,6 +484,20 @@ def test_exact_e_step_weights_reproduce_exact_update():
     np.testing.assert_allclose(ours, exact, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_exact_em_is_the_closed_form_m_step_over_every_state(name):
+    # With every state as the generation and the tilted distribution as its
+    # shaped and normalized weights, the closed-form M-step and one repair
+    # give the exact EM update bit for bit.
+    from edaem.engine import Population, m_step_closed_form
+
+    fx = FIXTURES[name]
+    q = exact_tilted(fx.model, fx.space).probs
+    pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=q, norm_w=q)
+    got = fx.model.with_params(m_step_closed_form(pop, fx.model)).params.values
+    assert np.array_equal(got, exact_em_update(fx.model, fx.space).values)
+
+
 def test_em_monotonicity_all_fixtures():
     for fx in default_fixtures():
         rep = verify_em_monotonicity(fx.model, fx.space, fixture=fx.name)
@@ -576,6 +590,16 @@ def test_em_monotonicity_builds_each_step_once(monkeypatch, fixture):
     calls = _count_calls(monkeypatch, "with_params")
     assert verify_em_monotonicity(fx.model, fx.space).passed
     assert len(calls) == EM_N_STEPS
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_em_monotonicity_reads_log_p_once_per_iterate(monkeypatch, fixture):
+    # The start and each of the EM_N_STEPS iterates: one read serves both
+    # L(theta) and the next refit.
+    fx = FIXTURES[fixture]
+    calls = _count_calls(monkeypatch, "log_density_batch")
+    assert verify_em_monotonicity(fx.model, fx.space).passed
+    assert len(calls) == EM_N_STEPS + 1
 
 
 @pytest.mark.parametrize("fixture", ["bern2_onemax1", "bern3_onemax1", "cat2x3_affine"])
