@@ -30,14 +30,7 @@ from .models import (
     SearchModel,
 )
 from .objectives import Objective, parse_objective
-from .oracle import (
-    EnumerableSpace,
-    TiltedDistribution,
-    exact_em_update,
-    exact_free_energy,
-    exact_objective,
-    exact_tilted,
-)
+from .oracle import EnumerableSpace, Exact, TiltedDistribution
 from .shaping import ShapingSpec, shape
 
 __version__ = "0.1.0"
@@ -47,6 +40,7 @@ __all__ = [
     "CategoricalProductModel",
     "EdaemError",
     "EnumerableSpace",
+    "Exact",
     "ExpectationParams",
     "GaussianModel",
     "IterationRecord",
@@ -59,10 +53,6 @@ __all__ = [
     "Trace",
     "UpdateRule",
     "e_step",
-    "exact_em_update",
-    "exact_free_energy",
-    "exact_objective",
-    "exact_tilted",
     "m_step_closed_form",
     "m_step_gradient",
     "m_step_map",

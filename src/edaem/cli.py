@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success; 1 diagnostics found a failing check; 2 config or
 argument violation; 3 the run raised (a degeneracy or any other error);
 4 I/O failure.  Failures emit a machine-readable JSON object on stderr.
-Set EDAEM_LOG=debug|info|warning for verbosity.
+A run that aborts still writes the trace.csv rows of the iterations it
+completed, and no summary.json.  Set EDAEM_LOG=debug|info|warning for verbosity.
 
 The CLI composes library calls only; every number it writes is computable
 from (config, seed) through the public engine/oracle API.
@@ -29,9 +30,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig
 from .engine import run as engine_run
-from .errors import ConfigError
+from .errors import ConfigError, RunAbortedError
 from .fixtures import load_fixture_set
-from .traceio import write_trace
+from .traceio import write_trace, write_trace_csv
 
 logger = logging.getLogger("edaem")
 
@@ -82,6 +83,15 @@ def cmd_run(args) -> int:
         return _fail(exc, EXIT_CONFIG)
     try:
         trace = engine_run(config)
+    except RunAbortedError as exc:
+        # Keep the iterations that completed; a partial run has no summary.
+        logger.debug("run aborted", exc_info=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            write_trace_csv(exc.trace, os.path.join(out_dir, "trace.csv"))
+        except OSError as io_exc:
+            return _fail(io_exc, EXIT_IO)
+        return _fail(exc, EXIT_RUNTIME)
     except Exception as exc:
         logger.debug("run failed", exc_info=True)
         return _fail(exc, EXIT_RUNTIME)
@@ -102,7 +112,7 @@ def cmd_diagnose(args) -> int:
     reports = []
     for fixture in fixtures:
         logger.info("diagnosing fixture %s", fixture.name)
-        reports.extend(check(fixture) for check in fixture.checks)
+        reports.extend(fixture.reports())
 
     width_check = max(len(r.check_name) for r in reports)
     width_fix = max(len(r.fixture) for r in reports)

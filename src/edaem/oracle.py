@@ -1,23 +1,23 @@
 """Exact computations on small enumerable spaces, and the diagnostic suite.
 
 On a space small enough to enumerate, the quantities the sampled optimizer
-only ever estimates can be computed exactly:
-
-* the objective L(theta) = log E_p[f],
-* the tilted distribution p(z|theta) f(z) / E_p[f],
-* the exact EM refit: ``run()``'s closed-form M-step (``_refit``) with
-  every state as the generation and the tilted distribution as weights,
-* the free energy F(q, theta) for an arbitrary distribution q.
+only ever estimates can be computed exactly.  ``space.at(model)`` checks
+that the model samples the space's :class:`~edaem.objectives.Domain`
+(else :class:`DomainError`, as the E-step does), reads log p(z|theta) at
+every state once, and returns an :class:`Exact` view that answers from
+that read: L(theta) = log E_p[f], the tilted distribution
+p(z|theta) f(z) / E_p[f], the exact EM refit (``run()``'s closed-form
+M-step over every state, weighted by the tilted distribution), the free
+energy F(q, theta) of any distribution q, and the enumerated gradient.
 
 The ``verify_*`` functions are executable forms of identities the sampled
 algorithm is built on: the EM refit maximizes a proximal-point objective,
 it coincides with a unit-step natural-gradient update, sampled refits
 converge to it as the generation grows, and exact EM never decreases
-L(theta).  Each returns a :class:`CheckReport` that serializes to JSON.
-
-A space enumerates one :class:`~edaem.objectives.Domain`.  Every
-``exact_*`` and ``verify_*`` function takes a model on that domain and
-raises :class:`DomainError` for any other, as the E-step does.
+L(theta).  Each reads one view per model and returns a
+:class:`CheckReport`.  Their tolerances and the sampled-refit plan are
+constants (``NGD_*``, ``EM_*``, ``FE_*``, ``MC_*``), the same for every
+fixture.
 
 Enumeration is capped at 2**20 states; these diagnostics are desk-scale by
 design.
@@ -25,17 +25,17 @@ design.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import engine as engine_mod
 from . import shaping as shaping_mod
 from .errors import DegenerateObjectiveError, DomainError
-from .models import PROB_FLOOR, ExpectationParams, SearchModel
+from .models import PROB_FLOOR, SearchModel
 from .objectives import Domain
 
 MAX_STATES = 2**20
@@ -54,6 +54,10 @@ EM_STEP_TOL = -1e-12
 # Free-energy bound: random q drawn, and the tolerance of each identity.
 FE_N_RANDOM_Q = 20
 FE_TOL = 1e-10
+# Sampled-refit convergence: generation sizes, and the seeds averaged at
+# each size.  A fixture's error bound is calibrated for exactly this plan.
+MC_N_LIST = (100, 1_000, 10_000, 100_000)
+MC_SEEDS = tuple(range(20))
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,16 @@ class EnumerableSpace:
         f_values = np.asarray(f(states), dtype=np.float64).reshape(n)
         return cls(states=states, f_values=f_values, domain=domain)
 
+    def at(self, model: SearchModel) -> "Exact":
+        """The exact quantities of ``model`` on this space, from one read
+        of log p(z|theta) at every state; a model on another domain raises
+        :class:`DomainError`."""
+        if model.domain != self.domain:
+            raise DomainError(
+                f"{model.family_tag!r} samples {model.domain}; the space enumerates {self.domain}"
+            )
+        return Exact(model, self, model.log_density_batch(self.states))
+
 
 @dataclass(frozen=True)
 class TiltedDistribution:
@@ -114,10 +128,92 @@ class TiltedDistribution:
             raise DegenerateObjectiveError(f"tilted probabilities sum to {total}")
 
 
+@dataclass(frozen=True, eq=False)
+class Exact:
+    """One model on one enumerable space, with ``log_p`` = log p(z|theta)
+    at every state; build it with :meth:`EnumerableSpace.at`.  Each
+    quantity is computed from ``log_p`` on first use and kept."""
+
+    model: SearchModel
+    space: EnumerableSpace
+    log_p: np.ndarray
+
+    @functools.cached_property
+    def objective(self) -> float:
+        """L(theta) = log sum_z p(z|theta) f(z), accumulated stably in log space."""
+        # Imported here: scipy.special adds about 80 ms to the package import.
+        from scipy.special import logsumexp
+
+        with np.errstate(divide="ignore"):
+            val = float(logsumexp(self.log_p, b=self.space.f_values))
+        if not np.isfinite(val):
+            raise DegenerateObjectiveError("E_p[f] is zero under the model support")
+        return val
+
+    @functools.cached_property
+    def tilted(self) -> TiltedDistribution:
+        w = np.exp(self.log_p) * self.space.f_values
+        total = w.sum()
+        if not total > 0.0:
+            raise DegenerateObjectiveError("E_p[f] is zero under the model support")
+        return TiltedDistribution(probs=w / total)
+
+    @functools.cached_property
+    def em_model(self) -> SearchModel:
+        """The model of the exact EM refit -- mean sufficient statistics
+        under the tilted distribution, the infinite-sample refit -- built
+        and repaired once; the tilted probabilities sum to 1."""
+        m = self.model
+        return m.with_params(m._refit(self.space.states, self.tilted.probs, 1.0))
+
+    def free_energy(self, q) -> float:
+        """F(q, theta) = sum_z q(z) log(p(z|theta) f(z)) + H[q], with
+        0 log 0 = 0.  Returns -inf (a flag, not a crash) when q places mass
+        where p*f vanishes."""
+        q = q.probs if isinstance(q, TiltedDistribution) else np.asarray(q, dtype=np.float64)
+        if q.shape != (self.space.n_states,):
+            raise DomainError("q must be a distribution over the space's states")
+        if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
+            raise DomainError("q must be a probability vector over the states")
+        act = q > 0.0
+        f_act = self.space.f_values[act]
+        if np.any(f_act <= 0.0):
+            return float("-inf")
+        qa = q[act]
+        return float(np.sum(qa * (self.log_p[act] + np.log(f_act))) - np.sum(qa * np.log(qa)))
+
+    @functools.cached_property
+    def scores(self) -> np.ndarray:
+        """The score of every state with respect to the expectation
+        parameters, one row per state."""
+        return self.model.grad_log_density_batch(self.space.states)
+
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        """Enumerated gradient of L(theta) = log E_p[f] with respect to the
+        expectation parameters: E_p[f * score] / E_p[f]."""
+        p = np.exp(self.log_p)
+        ef = float(p @ self.space.f_values)
+        if not ef > 0.0:
+            raise DegenerateObjectiveError("E_p[f] is zero under the model support")
+        return (p * self.space.f_values) @ self.scores / ef
+
+    def with_f(self, f_values) -> "Exact":
+        """The same model with the objective table ``f_values`` on the same
+        states.  log p and the scores do not depend on f, so the new view
+        shares them (the scores are read here if not yet read); every other
+        quantity is computed afresh."""
+        view = Exact(self.model, replace(self.space, f_values=f_values), self.log_p)
+        view.__dict__["scores"] = self.scores
+        return view
+
+
 @dataclass
 class CheckReport:
+    """One check's outcome; the fixture that ran it stamps its name."""
+
     check_name: str
-    fixture: str
+    fixture: str = ""
     values: dict = field(default_factory=dict)
     passed: bool = False
 
@@ -128,81 +224,6 @@ class CheckReport:
             "values": self.values,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-
-def _log_p(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
-    """log p(z|theta) at every state, for a model on the space's domain."""
-    if model.domain != space.domain:
-        raise DomainError(
-            f"{model.family_tag!r} samples {model.domain}; the space enumerates {space.domain}"
-        )
-    return model.log_density_batch(space.states)
-
-
-def exact_objective(model: SearchModel, space: EnumerableSpace) -> float:
-    """log sum_z p(z|theta) f(z), accumulated stably in log space."""
-    return _objective(_log_p(model, space), space)
-
-
-def _objective(log_p: np.ndarray, space: EnumerableSpace) -> float:
-    # Imported here: scipy.special adds about 80 ms to the package import.
-    from scipy.special import logsumexp
-
-    with np.errstate(divide="ignore"):
-        val = float(logsumexp(log_p, b=space.f_values))
-    if not np.isfinite(val):
-        raise DegenerateObjectiveError("E_p[f] is zero under the model support")
-    return val
-
-
-def exact_tilted(model: SearchModel, space: EnumerableSpace) -> TiltedDistribution:
-    return _tilted(_log_p(model, space), space)
-
-
-def _tilted(log_p: np.ndarray, space: EnumerableSpace) -> TiltedDistribution:
-    w = np.exp(log_p) * space.f_values
-    total = w.sum()
-    if not total > 0.0:
-        raise DegenerateObjectiveError("E_p[f] is zero under the model support")
-    return TiltedDistribution(probs=w / total)
-
-
-def exact_em_update(model: SearchModel, space: EnumerableSpace) -> ExpectationParams:
-    """Mean sufficient statistics under the tilted distribution, with
-    family repair -- the infinite-sample refit."""
-    return _exact_em_model(model, space, _log_p(model, space)).params
-
-
-def _exact_em_model(model: SearchModel, space: EnumerableSpace, log_p: np.ndarray) -> SearchModel:
-    """The model of the exact EM refit from log p(z|theta) at every state,
-    built (and repaired) once; the tilted probabilities sum to 1."""
-    tilted = _tilted(log_p, space)
-    return model.with_params(model._refit(model._as_batch(space.states), tilted.probs, 1.0))
-
-
-def exact_free_energy(q, model: SearchModel, space: EnumerableSpace) -> float:
-    """F(q, theta) = sum_z q(z) log(p(z|theta) f(z)) + H[q], with
-    0 log 0 = 0.  Returns -inf (a flag, not a crash) when q places mass
-    where p*f vanishes."""
-    q = q.probs if isinstance(q, TiltedDistribution) else np.asarray(q, dtype=np.float64)
-    if q.shape != (space.n_states,):
-        raise DomainError("q must be a distribution over the space's states")
-    if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
-        raise DomainError("q must be a probability vector over the states")
-    return _free_energy(q, _log_p(model, space), space)
-
-
-def _free_energy(q: np.ndarray, log_p: np.ndarray, space: EnumerableSpace) -> float:
-    """F(q, theta) of a checked q from log p(z|theta) at every state."""
-    act = q > 0.0
-    f_act = space.f_values[act]
-    if np.any(f_act <= 0.0):
-        return float("-inf")
-    qa = q[act]
-    return float(np.sum(qa * (log_p[act] + np.log(f_act))) - np.sum(qa * np.log(qa)))
 
 
 def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
@@ -215,27 +236,13 @@ def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
     return float(np.sum(q[act] * (np.log(q[act]) - np.log(r[act]))))
 
 
-def exact_objective_gradient(model: SearchModel, space: EnumerableSpace) -> np.ndarray:
-    """Enumerated gradient of L(theta) = log E_p[f] with respect to the
-    expectation parameters: E_p[f * score] / E_p[f]."""
-    p = np.exp(_log_p(model, space))
-    scores = model.grad_log_density_batch(space.states)
-    ef = float(p @ space.f_values)
-    if not ef > 0.0:
-        raise DegenerateObjectiveError("E_p[f] is zero under the model support")
-    return (p * space.f_values) @ scores / ef
-
-
 # ---------------------------------------------------------------------------
 # verification suite
 # ---------------------------------------------------------------------------
 
 
 def verify_ppm_equivalence(
-    model: SearchModel,
-    space: EnumerableSpace,
-    grid_step: float = 1e-3,
-    fixture: str = "",
+    model: SearchModel, space: EnumerableSpace, grid_step: float = 1e-3
 ) -> CheckReport:
     """Grid-maximize theta -> L(theta) - KL(tilted(theta_t) || tilted(theta))
     and check the argmax lands within one grid step of the exact EM refit,
@@ -265,10 +272,11 @@ def verify_ppm_equivalence(
     # Column z of row i is log p(z_j = z | theta_j = grid_1d[i]).
     log_table = np.stack([np.log1p(-grid_1d), np.log(grid_1d)], axis=1)
 
+    exact = space.at(model)
     support = space.f_values > 0.0
     Zs = space.states[support]  # only states with f > 0 enter L and the KL
     log_f = np.log(space.f_values[support])
-    qs = exact_tilted(model, space).probs[support]
+    qs = exact.tilted.probs[support]
     qa = qs[qs > 0.0]
     q_log_q = np.sum(qa * np.log(qa))
 
@@ -301,13 +309,12 @@ def verify_ppm_equivalence(
                 r, c = divmod(k, last.shape[1])
                 best_theta = grid_1d[[*(i[r] for i in idx), c0 + c]]
 
-    em = exact_em_update(model, space).values
+    em = exact.em_model.params.values
     gap = np.abs(best_theta - em)
     tol = max(grid_step, eff_step)
     passed = bool(np.all(gap <= tol + 1e-12))
     return CheckReport(
         check_name="ppm_equivalence",
-        fixture=fixture,
         values={
             "ppm_argmax": [float(v) for v in best_theta],
             "em_update": [float(v) for v in em],
@@ -319,9 +326,7 @@ def verify_ppm_equivalence(
     )
 
 
-def verify_ngd_correspondence(
-    model: SearchModel, space: EnumerableSpace, fixture: str = ""
-) -> CheckReport:
+def verify_ngd_correspondence(model: SearchModel, space: EnumerableSpace) -> CheckReport:
     """Compare theta + I(theta)^{-1} grad L(theta) against the exact EM
     refit, with exact enumerated gradient and Fisher information.
 
@@ -336,15 +341,14 @@ def verify_ngd_correspondence(
     if np.any(space.f_values <= 0.0):
         raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
 
-    base_f = space.f_values
+    exact = space.at(model)
     fisher = model.fisher_information()  # of the model, the same at every scale
     discs, ratios = [], []
     for s in NGD_SCALES:
-        fs = 1.0 + s * (base_f - 1.0)
-        sub = replace(space, f_values=fs)
-        grad = exact_objective_gradient(model, sub)
+        scaled = exact.with_f(1.0 + s * (space.f_values - 1.0))
+        grad = scaled.gradient
         theta_ngd = model.params.values + np.linalg.solve(fisher, grad)
-        theta_em = exact_em_update(model, sub).values
+        theta_em = scaled.em_model.params.values
         disc = float(np.linalg.norm(theta_ngd - theta_em))
         gnorm2 = float(grad @ grad)
         discs.append(disc)
@@ -357,7 +361,6 @@ def verify_ngd_correspondence(
     passed = bool(discs[0] <= NGD_EQUALITY_TOL and bounded)
     return CheckReport(
         check_name="ngd_correspondence",
-        fixture=fixture,
         values={
             "scales": [float(s) for s in NGD_SCALES],
             "discrepancies": discs,
@@ -370,24 +373,19 @@ def verify_ngd_correspondence(
 
 
 def verify_mc_convergence(
-    model: SearchModel,
-    space: EnumerableSpace,
-    objective,
-    n_list: Sequence[int],
-    seeds: Sequence[int],
-    error_bound: float,
-    fixture: str = "",
+    model: SearchModel, space: EnumerableSpace, objective, error_bound: float
 ) -> CheckReport:
-    """Sampled refit error ||theta_N - exact refit|| averaged over seeds,
-    for increasing generation sizes; the mean error must shrink with N
-    (one inversion tolerated) and end below ``error_bound``."""
+    """Sampled refit error ||theta_N - exact refit|| averaged over
+    ``MC_SEEDS``, for each generation size N in ``MC_N_LIST``; the mean
+    error must shrink with N (one inversion tolerated) and end below
+    ``error_bound``."""
     identity = shaping_mod.ShapingSpec("identity")
-    exact = exact_em_update(model, space).values
+    exact = space.at(model).em_model.params.values
     mean_errors = []
-    for n in n_list:
+    for n in MC_N_LIST:
         errs = []
-        for seed in seeds:
-            pop = engine_mod.e_step(model, objective, identity, int(n), int(seed))
+        for seed in MC_SEEDS:
+            pop = engine_mod.e_step(model, objective, identity, n, seed)
             theta = engine_mod.m_step_closed_form(pop, model).values
             errs.append(float(np.linalg.norm(theta - exact)))
         mean_errors.append(float(np.mean(errs)))
@@ -397,9 +395,8 @@ def verify_mc_convergence(
     passed = bool(inversions <= 1 and mean_errors[-1] <= error_bound)
     return CheckReport(
         check_name="mc_convergence",
-        fixture=fixture,
         values={
-            "n_list": [int(n) for n in n_list],
+            "n_list": list(MC_N_LIST),
             "mean_errors": mean_errors,
             "inversions": inversions,
             "error_bound": error_bound,
@@ -408,24 +405,19 @@ def verify_mc_convergence(
     )
 
 
-def verify_em_monotonicity(
-    model: SearchModel, space: EnumerableSpace, fixture: str = ""
-) -> CheckReport:
+def verify_em_monotonicity(model: SearchModel, space: EnumerableSpace) -> CheckReport:
     """Iterate the exact EM refit ``EM_N_STEPS`` times and check L(theta)
     never decreases by more than ``-EM_STEP_TOL`` (exact EM: no sampling
     noise)."""
-    current = model
-    log_p = _log_p(current, space)  # read once per iterate, for L and the refit
-    objective_values = [_objective(log_p, space)]
+    exact = space.at(model)
+    objective_values = [exact.objective]
     for _ in range(EM_N_STEPS):
-        current = _exact_em_model(current, space, log_p)
-        log_p = _log_p(current, space)
-        objective_values.append(_objective(log_p, space))
+        exact = space.at(exact.em_model)
+        objective_values.append(exact.objective)
     diffs = np.diff(objective_values)
     passed = bool(np.all(diffs >= EM_STEP_TOL))
     return CheckReport(
         check_name="em_monotonicity",
-        fixture=fixture,
         values={
             "objective_values": [float(v) for v in objective_values],
             "min_step": float(diffs.min()) if diffs.size else 0.0,
@@ -436,7 +428,7 @@ def verify_em_monotonicity(
 
 
 def verify_free_energy_bound(
-    model: SearchModel, space: EnumerableSpace, seed: int = 0, fixture: str = ""
+    model: SearchModel, space: EnumerableSpace, seed: int = 0
 ) -> CheckReport:
     """Check F(q, theta) <= L(theta) for random q, equality at q = tilted,
     and the gap identity F - L = -KL(q || tilted), each to ``FE_TOL``.
@@ -446,18 +438,18 @@ def verify_free_energy_bound(
     exercised separately in unit tests.
     """
     rng = np.random.default_rng(seed)
-    log_p = _log_p(model, space)  # the model is fixed: read log p once
-    L = _objective(log_p, space)
-    tilted = _tilted(log_p, space)
+    exact = space.at(model)
+    L = exact.objective
+    tilted = exact.tilted
     support = space.f_values > 0.0
 
-    sat_gap = abs(_free_energy(tilted.probs, log_p, space) - L)
+    sat_gap = abs(exact.free_energy(tilted) - L)
     max_violation = 0.0
     max_identity_err = 0.0
     for _ in range(FE_N_RANDOM_Q):
         q = np.zeros(space.n_states)
         q[support] = rng.dirichlet(np.ones(int(support.sum())))
-        F = _free_energy(q, log_p, space)
+        F = exact.free_energy(q)
         max_violation = max(max_violation, F - L)
         gap = F - L
         identity_err = abs(gap + kl_divergence(q, tilted.probs))
@@ -468,7 +460,6 @@ def verify_free_energy_bound(
     )
     return CheckReport(
         check_name="free_energy_bound",
-        fixture=fixture,
         values={
             "satiation_gap": float(sat_gap),
             "max_bound_violation": float(max_violation),

@@ -35,21 +35,13 @@ from edaem.engine import (
     m_step_map,
     run,
 )
-from edaem.fixtures import (
-    MC_ERROR_BOUND_BERN2_ONEMAX1,
-    MC_N_LIST,
-    MC_SEEDS,
-    default_fixtures,
-)
+from edaem.fixtures import MC_ERROR_BOUND_BERN2_ONEMAX1, default_fixtures
 from edaem.models import (
     BernoulliProductModel,
     CategoricalProductModel,
     GaussianModel,
 )
 from edaem.oracle import (
-    exact_free_energy,
-    exact_objective,
-    exact_tilted,
     kl_divergence,
     verify_em_monotonicity,
     verify_mc_convergence,
@@ -184,16 +176,15 @@ def test_criterion_4_free_energy_bound_and_gap():
     worst_satiation = 0.0
     for name in BIT_FIXTURES:
         fx = FIXTURES[name]
-        L = exact_objective(fx.model, fx.space)
-        tilted = exact_tilted(fx.model, fx.space)
-        worst_satiation = max(
-            worst_satiation, abs(exact_free_energy(tilted, fx.model, fx.space) - L)
-        )
+        exact = fx.space.at(fx.model)
+        L = exact.objective
+        tilted = exact.tilted
+        worst_satiation = max(worst_satiation, abs(exact.free_energy(tilted) - L))
         support = fx.space.f_values > 0.0
         for _ in range(20):
             q = np.zeros(fx.space.n_states)
             q[support] = rng.dirichlet(np.ones(int(support.sum())))
-            F = exact_free_energy(q, fx.model, fx.space)
+            F = exact.free_energy(q)
             worst_violation = max(worst_violation, F - L)
             worst_identity = max(
                 worst_identity, abs((F - L) + kl_divergence(q, tilted.probs))
@@ -208,7 +199,7 @@ def test_criterion_5_exact_em_monotonicity():
     worst = 0.0
     ok = True
     for fx in default_fixtures():
-        rep = verify_em_monotonicity(fx.model, fx.space, fixture=fx.name)
+        rep = verify_em_monotonicity(fx.model, fx.space)
         ok = ok and rep.passed
         worst = min(worst, rep.values["min_step"])
     report(5, "exact EM never decreases the objective", ok,
@@ -218,9 +209,7 @@ def test_criterion_5_exact_em_monotonicity():
 def test_criterion_6_mc_em_consistency():
     fx = FIXTURES["bern2_onemax1"]
     rep = verify_mc_convergence(
-        fx.model, fx.space, fx.objective,
-        n_list=MC_N_LIST, seeds=MC_SEEDS, error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1,
-        fixture=fx.name,
+        fx.model, fx.space, fx.objective, error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1
     )
     errs = rep.values["mean_errors"]
     report(6, "sampled refit converges to exact refit", rep.passed,
@@ -233,7 +222,7 @@ def test_criterion_7_ppm_equivalence():
     worst = 0.0
     for name in ["bern1_f13", "bern2_onemax1", "bern2_const"]:
         fx = FIXTURES[name]
-        rep = verify_ppm_equivalence(fx.model, fx.space, grid_step=1e-3, fixture=name)
+        rep = verify_ppm_equivalence(fx.model, fx.space, grid_step=1e-3)
         ok = ok and rep.passed
         worst = max(worst, rep.values["max_abs_gap"])
     report(7, "proximal-point argmax matches exact EM refit", ok,
@@ -242,7 +231,7 @@ def test_criterion_7_ppm_equivalence():
 
 def test_criterion_8_ngd_correspondence():
     fx = FIXTURES["bern1_f13"]
-    rep = verify_ngd_correspondence(fx.model, fx.space, fixture=fx.name)
+    rep = verify_ngd_correspondence(fx.model, fx.space)
     disc = rep.values["discrepancy"]
     ok = rep.passed and disc <= 1e-10
     rng = np.random.default_rng(808)

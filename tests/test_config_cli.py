@@ -14,7 +14,8 @@ import pytest
 from edaem import cli, oracle
 from edaem.config import RunConfig
 from edaem.engine import run as engine_run
-from edaem.errors import ConfigError
+from edaem.errors import ConfigError, RunAbortedError
+from edaem.traceio import TRACE_COLUMNS, write_trace_csv
 
 
 def base_doc(**over):
@@ -277,6 +278,46 @@ def test_cmd_run_runtime_degeneracy_exit_3(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "RunAbortedError"
+    # Aborted at iteration 0: the partial trace is the header alone.
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        assert list(csv.reader(fh)) == [list(TRACE_COLUMNS)]
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+# The gradient rule steps this Gaussian to a covariance no jitter repairs;
+# the run aborts at iteration 20.
+GRADIENT_ABORT_DOC = {
+    "objective": "sphere:5",
+    "model": {"family": "gaussian", "dim": 5, "init": "default"},
+    "shaping": "quantile:0.25",
+    "update": {"kind": "gradient", "alpha": 1e-3, "k": 3},
+    "n_samples": 100,
+    "iterations": 40,
+    "seed": 0,
+}
+
+
+def test_cmd_run_abort_keeps_the_partial_trace(tmp_path, capsys):
+    cfg = write_config(tmp_path, GRADIENT_ABORT_DOC)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    with pytest.raises(RunAbortedError) as aborted:
+        engine_run(RunConfig.from_file(cfg))
+    assert err == {"error": "RunAbortedError", "message": str(aborted.value), "exit_code": 3}
+    assert len(aborted.value.trace.records) == 20
+    write_trace_csv(aborted.value.trace, str(tmp_path / "expected.csv"))
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert not (out / "summary.json").exists()
+
+
+def test_cmd_run_abort_io_failure_exit_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, GRADIENT_ABORT_DOC)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("not a directory")
+    assert cli.main(["run", "--config", cfg, "--out", str(blocker)]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["exit_code"] == 4
 
 
 def test_cmd_run_missing_out_dir_exit_2(tmp_path, capsys):

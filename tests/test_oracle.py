@@ -14,24 +14,13 @@ from independent_oracles import ppm_grid_objective
 
 from edaem import oracle
 from edaem.errors import DegenerateObjectiveError, DomainError
-from edaem.fixtures import (
-    MC_ERROR_BOUND_BERN2_ONEMAX1,
-    MC_N_LIST,
-    MC_SEEDS,
-    default_fixtures,
-    load_fixture_set,
-)
+from edaem.fixtures import MC_ERROR_BOUND_BERN2_ONEMAX1, default_fixtures, load_fixture_set
 from edaem import models
 from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams, SearchModel
 from edaem.objectives import Domain
 from edaem.oracle import (
     EM_N_STEPS,
     EnumerableSpace,
-    exact_em_update,
-    exact_free_energy,
-    exact_objective,
-    exact_objective_gradient,
-    exact_tilted,
     kl_divergence,
     verify_em_monotonicity,
     verify_free_energy_bound,
@@ -67,21 +56,21 @@ def const_space(d, c):
 
 
 def test_exact_objective_single_bit():
-    assert exact_objective(BernoulliProductModel([0.5]), space_1bit_f13()) == pytest.approx(
+    assert space_1bit_f13().at(BernoulliProductModel([0.5])).objective == pytest.approx(
         math.log(2.0), abs=1e-14
     )
 
 
 def test_exact_objective_constant():
     model = BernoulliProductModel([0.3, 0.8])
-    assert exact_objective(model, const_space(2, 5.0)) == pytest.approx(
+    assert const_space(2, 5.0).at(model).objective == pytest.approx(
         math.log(5.0), abs=1e-14
     )
 
 
 def test_exact_objective_three_bit_onemax_plus_one():
     model = BernoulliProductModel([0.5, 0.5, 0.5])
-    assert exact_objective(model, onemax_plus_one_space(3)) == pytest.approx(
+    assert onemax_plus_one_space(3).at(model).objective == pytest.approx(
         math.log(2.5), abs=1e-14
     )
 
@@ -89,17 +78,17 @@ def test_exact_objective_three_bit_onemax_plus_one():
 def test_exact_objective_degenerate():
     space = const_space(1, 0.0)
     with pytest.raises(DegenerateObjectiveError):
-        exact_objective(BernoulliProductModel([0.5]), space)
+        space.at(BernoulliProductModel([0.5])).objective
 
 
 def test_exact_tilted_single_bit():
-    t = exact_tilted(BernoulliProductModel([0.5]), space_1bit_f13())
+    t = space_1bit_f13().at(BernoulliProductModel([0.5])).tilted
     np.testing.assert_allclose(t.probs, [0.25, 0.75])
 
 
 def test_exact_tilted_constant_is_model():
     model = BernoulliProductModel([0.3, 0.8])
-    t = exact_tilted(model, const_space(2, 3.0))
+    t = const_space(2, 3.0).at(model).tilted
     p = np.exp(model.log_density_batch(const_space(2, 3.0).states))
     np.testing.assert_allclose(t.probs, p, atol=1e-14)
 
@@ -108,23 +97,23 @@ def test_exact_tilted_uniform_with_zeros():
     space = EnumerableSpace.build(
         Domain("binary", 2), lambda Z: np.array([0.0, 1.0, 1.0, 2.0])
     )
-    t = exact_tilted(BernoulliProductModel([0.5, 0.5]), space)
+    t = space.at(BernoulliProductModel([0.5, 0.5])).tilted
     np.testing.assert_allclose(t.probs, [0.0, 0.25, 0.25, 0.5])
 
 
 def test_exact_em_update_single_bit():
-    out = exact_em_update(BernoulliProductModel([0.5]), space_1bit_f13())
+    out = space_1bit_f13().at(BernoulliProductModel([0.5])).em_model.params
     np.testing.assert_allclose(out.values, [0.75])
 
 
 def test_exact_em_update_constant_fixed_point():
     model = BernoulliProductModel([0.3, 0.8])
-    out = exact_em_update(model, const_space(2, 2.0))
+    out = const_space(2, 2.0).at(model).em_model.params
     np.testing.assert_allclose(out.values, model.probs, atol=1e-14)
 
 
 def test_exact_em_update_two_bit_onemax_plus_one():
-    out = exact_em_update(BernoulliProductModel([0.5, 0.5]), onemax_plus_one_space(2))
+    out = onemax_plus_one_space(2).at(BernoulliProductModel([0.5, 0.5])).em_model.params
     np.testing.assert_allclose(out.values, [0.625, 0.625])
 
 
@@ -134,20 +123,15 @@ def test_exact_em_update_two_bit_onemax_plus_one():
 
 
 def test_free_energy_satiation_at_tilted():
-    model = BernoulliProductModel([0.5])
-    space = space_1bit_f13()
-    t = exact_tilted(model, space)
-    assert exact_free_energy(t, model, space) == pytest.approx(
-        exact_objective(model, space), abs=1e-12
-    )
+    exact = space_1bit_f13().at(BernoulliProductModel([0.5]))
+    assert exact.free_energy(exact.tilted) == pytest.approx(exact.objective, abs=1e-12)
 
 
 def test_free_energy_jensen_gap_at_model():
-    model = BernoulliProductModel([0.5])
-    space = space_1bit_f13()
-    F = exact_free_energy(np.array([0.5, 0.5]), model, space)
+    exact = space_1bit_f13().at(BernoulliProductModel([0.5]))
+    F = exact.free_energy(np.array([0.5, 0.5]))
     assert F == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
-    assert F < exact_objective(model, space)
+    assert F < exact.objective
 
 
 def test_free_energy_gap_identity_random_q():
@@ -157,28 +141,27 @@ def test_free_energy_gap_identity_random_q():
         model = BernoulliProductModel(probs)
         f_table = rng.uniform(0.1, 2.0, size=8)
         space = EnumerableSpace.build(Domain("binary", 3), lambda Z, f=f_table: f)
-        L = exact_objective(model, space)
-        tilted = exact_tilted(model, space)
+        exact = space.at(model)
+        L = exact.objective
         q = rng.dirichlet(np.ones(8))
-        F = exact_free_energy(q, model, space)
-        assert F - L == pytest.approx(-kl_divergence(q, tilted.probs), abs=1e-10)
+        F = exact.free_energy(q)
+        assert F - L == pytest.approx(-kl_divergence(q, exact.tilted.probs), abs=1e-10)
         assert F <= L + 1e-10
 
 
 def test_free_energy_neg_inf_flag():
     space = EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([0.0, 1.0]))
-    model = BernoulliProductModel([0.5])
+    exact = space.at(BernoulliProductModel([0.5]))
     q = np.array([0.5, 0.5])  # mass on the f = 0 state
-    assert exact_free_energy(q, model, space) == float("-inf")
+    assert exact.free_energy(q) == float("-inf")
     # and the gap identity still holds in the extended sense
-    assert kl_divergence(q, exact_tilted(model, space).probs) == float("inf")
+    assert kl_divergence(q, exact.tilted.probs) == float("inf")
 
 
 def test_free_energy_rejects_non_distribution():
-    model = BernoulliProductModel([0.5])
-    space = space_1bit_f13()
+    exact = space_1bit_f13().at(BernoulliProductModel([0.5]))
     with pytest.raises(DomainError):
-        exact_free_energy(np.array([0.9, 0.6]), model, space)
+        exact.free_energy(np.array([0.9, 0.6]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +170,7 @@ def test_free_energy_rejects_non_distribution():
 
 
 def test_exact_gradient_single_bit_value():
-    g = exact_objective_gradient(BernoulliProductModel([0.5]), space_1bit_f13())
+    g = space_1bit_f13().at(BernoulliProductModel([0.5])).gradient
     np.testing.assert_allclose(g, [1.0], atol=1e-14)
 
 
@@ -196,15 +179,15 @@ def test_exact_gradient_matches_finite_differences():
     f_table = rng.uniform(0.2, 3.0, size=4)
     space = EnumerableSpace.build(Domain("binary", 2), lambda Z: f_table)
     model = BernoulliProductModel([0.35, 0.6])
-    grad = exact_objective_gradient(model, space)
+    grad = space.at(model).gradient
     h = 1e-7
     for j in range(2):
         vp, vm = model.probs.copy(), model.probs.copy()
         vp[j] += h
         vm[j] -= h
         fd = (
-            exact_objective(BernoulliProductModel(vp), space)
-            - exact_objective(BernoulliProductModel(vm), space)
+            space.at(BernoulliProductModel(vp)).objective
+            - space.at(BernoulliProductModel(vm)).objective
         ) / (2 * h)
         assert grad[j] == pytest.approx(fd, rel=1e-6)
 
@@ -229,25 +212,28 @@ MISMATCHED = {
 }
 
 ORACLE_CALLS = {
-    "exact_objective": lambda m, fx: exact_objective(m, fx.space),
-    "exact_tilted": lambda m, fx: exact_tilted(m, fx.space),
-    "exact_em_update": lambda m, fx: exact_em_update(m, fx.space),
-    "exact_free_energy": lambda m, fx: exact_free_energy(
-        np.full(fx.space.n_states, 1.0 / fx.space.n_states), m, fx.space
-    ),
-    "exact_objective_gradient": lambda m, fx: exact_objective_gradient(m, fx.space),
+    "EnumerableSpace.at": lambda m, fx: fx.space.at(m),
     "verify_ppm_equivalence": lambda m, fx: verify_ppm_equivalence(m, fx.space, 0.05),
     "verify_ngd_correspondence": lambda m, fx: verify_ngd_correspondence(m, fx.space),
     "verify_mc_convergence": lambda m, fx: verify_mc_convergence(
-        m, fx.space, fx.objective, n_list=(10,), seeds=(0,), error_bound=1.0
+        m, fx.space, fx.objective, error_bound=1.0
     ),
     "verify_em_monotonicity": lambda m, fx: verify_em_monotonicity(m, fx.space),
     "verify_free_energy_bound": lambda m, fx: verify_free_energy_bound(m, fx.space),
 }
 
 
+def _takes_a_model(fn):
+    return inspect.isfunction(fn) and "model" in inspect.signature(fn).parameters
+
+
 def test_oracle_calls_table_covers_the_public_functions():
-    public = {n for n in dir(oracle) if n.startswith(("exact_", "verify_"))}
+    # A model enters the oracle through space.at or a verify_* function;
+    # every quantity of the Exact view derives from the one space.at read.
+    public = {n for n, fn in vars(oracle).items() if not n.startswith("_") and _takes_a_model(fn)}
+    public |= {
+        f"EnumerableSpace.{n}" for n, fn in vars(EnumerableSpace).items() if _takes_a_model(fn)
+    }
     assert public == set(ORACLE_CALLS)
 
 
@@ -361,15 +347,15 @@ def test_ppm_argmax_maximizes_the_reference_objective_on_drawn_tables(problem):
 
 def test_ppm_fails_when_the_refit_is_moved_three_grid_steps(monkeypatch):
     step = 0.01
-    exact = oracle.exact_em_update
+    refit = BernoulliProductModel._refit
 
-    def moved(model, space):
-        p = exact(model, space)
+    def moved(self, Z, w, total):
+        p = refit(self, Z, w, total)
         return ExpectationParams(p.values + 3 * step, p.family_tag)
 
     model, space = BernoulliProductModel([0.5, 0.5]), onemax_plus_one_space(2)
     assert verify_ppm_equivalence(model, space, grid_step=step).passed
-    monkeypatch.setattr(oracle, "exact_em_update", moved)
+    monkeypatch.setattr(BernoulliProductModel, "_refit", moved)
     assert not verify_ppm_equivalence(model, space, grid_step=step).passed
 
 
@@ -456,12 +442,7 @@ def test_ngd_requires_positive_objective():
 def test_mc_convergence_on_calibrated_fixture():
     fx = FIXTURES["bern2_onemax1"]
     rep = verify_mc_convergence(
-        fx.model,
-        fx.space,
-        fx.objective,
-        n_list=MC_N_LIST,
-        seeds=MC_SEEDS,
-        error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1,
+        fx.model, fx.space, fx.objective, error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1
     )
     assert rep.passed, rep.values
     errs = rep.values["mean_errors"]
@@ -480,7 +461,7 @@ def test_exact_e_step_weights_reproduce_exact_update():
         samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=w, norm_w=w / w.sum()
     )
     ours = m_step_closed_form(pop, fx.model).values
-    exact = exact_em_update(fx.model, fx.space).values
+    exact = fx.space.at(fx.model).em_model.params.values
     np.testing.assert_allclose(ours, exact, atol=1e-12)
 
 
@@ -492,15 +473,16 @@ def test_exact_em_is_the_closed_form_m_step_over_every_state(name):
     from edaem.engine import Population, m_step_closed_form
 
     fx = FIXTURES[name]
-    q = exact_tilted(fx.model, fx.space).probs
+    exact = fx.space.at(fx.model)
+    q = exact.tilted.probs
     pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=q, norm_w=q)
     got = fx.model.with_params(m_step_closed_form(pop, fx.model)).params.values
-    assert np.array_equal(got, exact_em_update(fx.model, fx.space).values)
+    assert np.array_equal(got, exact.em_model.params.values)
 
 
 def test_em_monotonicity_all_fixtures():
     for fx in default_fixtures():
-        rep = verify_em_monotonicity(fx.model, fx.space, fixture=fx.name)
+        rep = verify_em_monotonicity(fx.model, fx.space)
         assert rep.passed, (fx.name, rep.values)
 
 
@@ -522,17 +504,19 @@ def test_em_monotonicity_constant_objective_flat():
 
 def test_free_energy_bound_reports():
     for fx in default_fixtures():
-        rep = verify_free_energy_bound(fx.model, fx.space, seed=5, fixture=fx.name)
+        rep = verify_free_energy_bound(fx.model, fx.space, seed=5)
         assert rep.passed, (fx.name, rep.values)
 
 
 def test_report_json_shape():
-    rep = verify_ngd_correspondence(
-        BernoulliProductModel([0.5]), space_1bit_f13(), fixture="bern1_f13"
-    )
-    doc = rep.to_json_dict()
-    assert set(doc) == {"check_name", "fixture", "values", "pass"}
-    assert doc["fixture"] == "bern1_f13"
+    reports = FIXTURES["bern1_f13"].reports()
+    assert [r.check_name for r in reports] == [
+        "ppm_equivalence", "ngd_correspondence", "em_monotonicity", "free_energy_bound",
+    ]
+    for rep in reports:
+        doc = rep.to_json_dict()
+        assert list(doc) == ["check_name", "fixture", "values", "pass"]
+        assert doc["fixture"] == "bern1_f13"
 
 
 def test_fixture_set_loading():
@@ -553,7 +537,8 @@ def test_fixture_set_loading():
 def test_floors_and_tolerances_are_constants_not_parameters():
     removed = {
         "floor", "eig_floor", "jitter_scale", "scales", "growth_limit", "noise_floor",
-        "equality_tol", "n_steps", "step_tol", "n_random_q", "tol",
+        "equality_tol", "n_steps", "step_tol", "n_random_q", "tol", "fixture", "n_list",
+        "seeds",
     }
     fns = [
         models.BernoulliProductModel,
@@ -592,19 +577,21 @@ def test_em_monotonicity_builds_each_step_once(monkeypatch, fixture):
     assert len(calls) == EM_N_STEPS
 
 
-@pytest.mark.parametrize("fixture", sorted(FIXTURES))
-def test_em_monotonicity_reads_log_p_once_per_iterate(monkeypatch, fixture):
-    # The start and each of the EM_N_STEPS iterates: one read serves both
-    # L(theta) and the next refit.
+@pytest.mark.parametrize(
+    "fixture, k",
+    [(name, k) for name, fx in FIXTURES.items() for k in range(len(fx.checks))],
+    ids=lambda v: v if isinstance(v, str) else f"check{v}",
+)
+def test_each_check_reads_log_p_once_per_model(monkeypatch, fixture, k):
+    # One read of log p(z|theta) serves every exact quantity of a model:
+    # EM monotonicity reads its start and each of its EM_N_STEPS iterates,
+    # every other check reads its one model, and NGD reads the scores once
+    # for all of its objective scales.
     fx = FIXTURES[fixture]
-    calls = _count_calls(monkeypatch, "log_density_batch")
-    assert verify_em_monotonicity(fx.model, fx.space).passed
-    assert len(calls) == EM_N_STEPS + 1
-
-
-@pytest.mark.parametrize("fixture", ["bern2_onemax1", "bern3_onemax1", "cat2x3_affine"])
-def test_free_energy_bound_reads_log_p_once(monkeypatch, fixture):
-    fx = FIXTURES[fixture]
-    calls = _count_calls(monkeypatch, "log_density_batch")
-    assert verify_free_energy_bound(fx.model, fx.space).passed
-    assert len(calls) == 1
+    log_p = _count_calls(monkeypatch, "log_density_batch")
+    scores = _count_calls(monkeypatch, "grad_log_density_batch")
+    rep = fx.checks[k](fx)
+    assert rep.passed
+    n_models = EM_N_STEPS + 1 if rep.check_name == "em_monotonicity" else 1
+    n_scores = 1 if rep.check_name == "ngd_correspondence" else 0
+    assert (len(log_p), len(scores)) == (n_models, n_scores), rep.check_name
