@@ -30,7 +30,7 @@ from .models import (
     SearchModel,
 )
 from .objectives import Objective, parse_objective
-from .oracle import EnumerableSpace, Exact, TiltedDistribution
+from .oracle import EnumerableSpace, Exact
 from .shaping import ShapingSpec, shape
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "RunConfig",
     "SearchModel",
     "ShapingSpec",
-    "TiltedDistribution",
     "Trace",
     "UpdateRule",
     "e_step",

@@ -139,9 +139,10 @@ class SearchModel:
     (``_param_count``); ``domain``, ``dim``, ``n_params``, ``family_tag``
     and the JSON document derive from these here.
 
-    The public methods live here and are the only input boundary: each
-    checks once (``_as_batch``, which is ``domain.check``, ``_as_point`` for
-    one point, or ``n >= 1``), then calls an unchecked family kernel
+    The public methods live here and are the only input boundary.  A
+    method on points takes a batch (``*_batch``; a point of length ``dim``
+    is a batch of one).  Each checks once (``_as_batch``, which is
+    ``domain.check``, or ``n >= 1``), then calls an unchecked family kernel
     (``_draw``, ``_log_density``, ``_suff_stats``, ``_score_batch``) on a
     checked batch or on the model's own samples.  Families implement the
     kernels.  The engine's M-steps, its free energy and the exact-EM oracle
@@ -225,28 +226,19 @@ class SearchModel:
             raise ValueError("n must be >= 1")
         return self._draw(np.random.default_rng(rng_seed), n)
 
-    def log_density(self, z) -> float:
-        return float(self._log_density(self._as_point(z, "log_density"))[0])
-
     def log_density_batch(self, Z) -> np.ndarray:
         return self._log_density(self._as_batch(Z))
-
-    def sufficient_stats(self, z) -> np.ndarray:
-        return self._suff_stats(self._as_point(z, "sufficient_stats"))[0]
 
     def sufficient_stats_batch(self, Z) -> np.ndarray:
         return self._suff_stats(self._as_batch(Z))
 
-    def grad_log_density(self, z) -> np.ndarray:
-        """Score with respect to the expectation parameters at one point.
+    def grad_log_density_batch(self, Z) -> np.ndarray:
+        """Score with respect to the expectation parameters, one row per
+        point.
 
         Requires strictly interior parameters; raises
         :class:`BoundaryError` at a floor/eigenvalue boundary.
         """
-        self._check_interior()
-        return self._score_batch(self._as_point(z, "grad_log_density"))[0]
-
-    def grad_log_density_batch(self, Z) -> np.ndarray:
         self._check_interior()
         return self._score_batch(self._as_batch(Z))
 
@@ -263,31 +255,18 @@ class SearchModel:
 
     def natural_params(self) -> np.ndarray:
         """Natural parameter vector eta, laid out to pair with T(z) so that
-        log p(z) = log h(z) + eta . T(z) - log_partition()."""
+        log p(z) = log h(z) + eta . T(z) - log_partition(), where the base
+        measure log h(z) is -d log(2 pi) / 2 for the Gaussian and 0 for the
+        discrete families."""
         raise NotImplementedError
 
     def log_partition(self) -> float:
         raise NotImplementedError
 
-    # log h(z) on the support; constant in every family here.
-    _log_h = 0.0
-
-    def log_base_measure(self, z) -> float:
-        self._as_point(z, "log_base_measure")
-        return self._log_h
-
     # -- internals ----------------------------------------------------------
 
     def _as_batch(self, Z) -> np.ndarray:
         return self.domain.check(Z)
-
-    def _as_point(self, z, method: str) -> np.ndarray:
-        """The checked (1, dim) batch of the one point ``method`` takes."""
-        Z = self._as_batch(z)
-        if Z.shape[0] != 1:
-            batch = f"; use {method}_batch" if hasattr(self, f"{method}_batch") else ""
-            raise DomainError(f"{method} takes a single point, got {Z.shape[0]}{batch}")
-        return Z
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -752,10 +731,6 @@ class GaussianModel(SearchModel):
         m = self._mean
         return float(0.5 * m @ self._precision @ m + 0.5 * self._log_det)
 
-    @property
-    def _log_h(self) -> float:
-        return -0.5 * self.dim * math.log(2.0 * math.pi)
-
 
 class CategoricalProductModel(SearchModel):
     """Product of independent categorical sites with common arity K.
@@ -790,15 +765,23 @@ class CategoricalProductModel(SearchModel):
         if off.any():
             P[off] = P[off] / row_sums[off, None]
         P[:, -1] = 1.0 - P[:, :-1].sum(axis=1)
-        low = (P < PROB_FLOOR).any(axis=1)
+        # Entries below the floor are set to it and the others rescaled onto
+        # the remaining mass, until no rescaled entry falls to it: at most K
+        # passes, as each floors one more entry.  Entries within 1e-15 count
+        # as floored, so that a floored last category rebuilt as
+        # 1 - sum(rest) is not repaired again.
+        low = (P < PROB_FLOOR - 1e-15).any(axis=1)
         if low.any():
             Q = P[low]
-            for _ in range(8):
-                Q = np.clip(Q, PROB_FLOOR, None)
-                Q = Q / Q.sum(axis=1)[:, None]
-                Q[:, -1] = 1.0 - Q[:, :-1].sum(axis=1)
-                if np.all(Q >= PROB_FLOOR):
+            floored = Q <= PROB_FLOOR + 1e-15
+            for _ in range(P.shape[1]):
+                rest = np.where(floored, 0.0, Q)
+                scale = (1.0 - PROB_FLOOR * floored.sum(axis=1)) / rest.sum(axis=1)
+                Q = np.where(floored, PROB_FLOOR, rest * scale[:, None])
+                floored, before = Q <= PROB_FLOOR + 1e-15, floored
+                if np.array_equal(floored, before):
                     break
+            Q[:, -1] = 1.0 - Q[:, :-1].sum(axis=1)
             P[low] = Q
         self._probs = _readonly(P)
 

@@ -81,18 +81,10 @@ class Objective:
     batch_eval: Callable[[np.ndarray], np.ndarray]
     known_opt: Optional[tuple] = None
 
-    def __call__(self, z) -> float:
-        return evaluate(self, z)
-
-
-def evaluate(obj: Objective, z) -> float:
-    Z = obj.domain.check(z)
-    if Z.shape[0] != 1:
-        raise DomainError("evaluate takes a single point; use evaluate_batch")
-    return float(evaluate_unchecked(obj, Z)[0])
-
 
 def evaluate_batch(obj: Objective, Z) -> np.ndarray:
+    """The values of a checked batch; one point of length ``dim`` is a
+    batch of one."""
     return evaluate_unchecked(obj, obj.domain.check(Z))
 
 

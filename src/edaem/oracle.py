@@ -8,16 +8,18 @@ every state once, and returns an :class:`Exact` view that answers from
 that read: L(theta) = log E_p[f], the tilted distribution
 p(z|theta) f(z) / E_p[f], the exact EM refit (``run()``'s closed-form
 M-step over every state, weighted by the tilted distribution), the free
-energy F(q, theta) of any distribution q, and the enumerated gradient.
+energy F(q, theta) and KL(q || tilted) of any distribution q, a random q,
+the enumerated gradient, and the view under a rescaled objective.
 
 The ``verify_*`` functions are executable forms of identities the sampled
 algorithm is built on: the EM refit maximizes a proximal-point objective,
 it coincides with a unit-step natural-gradient update, sampled refits
 converge to it as the generation grows, and exact EM never decreases
 L(theta).  Each reads one view per model and returns a
-:class:`CheckReport`.  Their tolerances and the sampled-refit plan are
-constants (``NGD_*``, ``EM_*``, ``FE_*``, ``MC_*``), the same for every
-fixture.
+:class:`CheckReport`; apart from the binary-only proximal-point grid, a
+check reads nothing of the space but ``space.at(model)``.  Their
+tolerances and the sampled-refit plan are constants (``NGD_*``, ``EM_*``,
+``FE_*``, ``MC_*``), the same for every fixture.
 
 Enumeration is capped at 2**20 states; these diagnostics are desk-scale by
 design.
@@ -26,7 +28,6 @@ design.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -77,10 +78,6 @@ class EnumerableSpace:
             )
 
     @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def n_states(self) -> int:
         return self.states.shape[0]
 
@@ -98,9 +95,9 @@ class EnumerableSpace:
             raise DomainError(
                 f"{arity}^{dim} = {n} states exceeds the enumeration cap {MAX_STATES}"
             )
-        states = np.array(
-            list(itertools.product(range(arity), repeat=dim)), dtype=np.int64
-        )
+        # The row-major order of the index grid is lexicographic order.
+        grid = np.indices((arity,) * dim, dtype=np.int64).reshape(dim, n)
+        states = np.ascontiguousarray(grid.T)
         f_values = np.asarray(f(states), dtype=np.float64).reshape(n)
         return cls(states=states, f_values=f_values, domain=domain)
 
@@ -115,24 +112,12 @@ class EnumerableSpace:
         return Exact(model, self, model.log_density_batch(self.states))
 
 
-@dataclass(frozen=True)
-class TiltedDistribution:
-    """p(z|theta) f(z) normalized over the space; zero exactly where f or
-    the model density is zero."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        total = float(np.sum(self.probs))
-        if not abs(total - 1.0) <= 1e-12:
-            raise DegenerateObjectiveError(f"tilted probabilities sum to {total}")
-
-
 @dataclass(frozen=True, eq=False)
 class Exact:
     """One model on one enumerable space, with ``log_p`` = log p(z|theta)
     at every state; build it with :meth:`EnumerableSpace.at`.  Each
-    quantity is computed from ``log_p`` on first use and kept."""
+    quantity is computed from ``log_p`` on first use and kept.  A q is a
+    probability vector over the states, in the space's order."""
 
     model: SearchModel
     space: EnumerableSpace
@@ -151,12 +136,19 @@ class Exact:
         return val
 
     @functools.cached_property
-    def tilted(self) -> TiltedDistribution:
+    def tilted(self) -> np.ndarray:
+        """p(z|theta) f(z) normalized over the states, read-only; zero
+        exactly where f or the model density is zero."""
         w = np.exp(self.log_p) * self.space.f_values
         total = w.sum()
         if not total > 0.0:
             raise DegenerateObjectiveError("E_p[f] is zero under the model support")
-        return TiltedDistribution(probs=w / total)
+        probs = w / total
+        total = float(np.sum(probs))
+        if not abs(total - 1.0) <= 1e-12:
+            raise DegenerateObjectiveError(f"tilted probabilities sum to {total}")
+        probs.setflags(write=False)
+        return probs
 
     @functools.cached_property
     def em_model(self) -> SearchModel:
@@ -164,17 +156,21 @@ class Exact:
         under the tilted distribution, the infinite-sample refit -- built
         and repaired once; the tilted probabilities sum to 1."""
         m = self.model
-        return m.with_params(m._refit(self.space.states, self.tilted.probs, 1.0))
+        return m.with_params(m._refit(self.space.states, self.tilted, 1.0))
+
+    def _distribution(self, q) -> np.ndarray:
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (self.space.n_states,):
+            raise DomainError("q must be a distribution over the space's states")
+        if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
+            raise DomainError("q must be a probability vector over the states")
+        return q
 
     def free_energy(self, q) -> float:
         """F(q, theta) = sum_z q(z) log(p(z|theta) f(z)) + H[q], with
         0 log 0 = 0.  Returns -inf (a flag, not a crash) when q places mass
         where p*f vanishes."""
-        q = q.probs if isinstance(q, TiltedDistribution) else np.asarray(q, dtype=np.float64)
-        if q.shape != (self.space.n_states,):
-            raise DomainError("q must be a distribution over the space's states")
-        if np.any(q < -1e-15) or not abs(q.sum() - 1.0) <= 1e-9:
-            raise DomainError("q must be a probability vector over the states")
+        q = self._distribution(q)
         act = q > 0.0
         f_act = self.space.f_values[act]
         if np.any(f_act <= 0.0):
@@ -198,12 +194,32 @@ class Exact:
             raise DegenerateObjectiveError("E_p[f] is zero under the model support")
         return (p * self.space.f_values) @ self.scores / ef
 
-    def with_f(self, f_values) -> "Exact":
-        """The same model with the objective table ``f_values`` on the same
-        states.  log p and the scores do not depend on f, so the new view
-        shares them (the scores are read here if not yet read); every other
-        quantity is computed afresh."""
-        view = Exact(self.model, replace(self.space, f_values=f_values), self.log_p)
+    def kl(self, q) -> float:
+        """KL(q || tilted) with 0 log 0 = 0; +inf when q places mass where
+        the tilted distribution has none."""
+        q, r = self._distribution(q), self.tilted
+        act = q > 0.0
+        if np.any(r[act] <= 0.0):
+            return float("inf")
+        return float(np.sum(q[act] * (np.log(q[act]) - np.log(r[act]))))
+
+    def random_q(self, rng: np.random.Generator) -> np.ndarray:
+        """A random distribution over the states: a flat Dirichlet draw on
+        the states where f > 0, zero elsewhere, so that F(q, theta) and the
+        KL stay finite."""
+        support = self.space.f_values > 0.0
+        q = np.zeros(self.space.n_states)
+        q[support] = rng.dirichlet(np.ones(int(support.sum())))
+        return q
+
+    def rescaled(self, s: float) -> "Exact":
+        """The view under f_s = 1 + s (f - 1), for f > 0 everywhere.  It
+        shares log p and the scores, which do not depend on f (the scores
+        are read here if not yet read)."""
+        f = self.space.f_values
+        if np.any(f <= 0.0):
+            raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
+        view = Exact(self.model, replace(self.space, f_values=1.0 + s * (f - 1.0)), self.log_p)
         view.__dict__["scores"] = self.scores
         return view
 
@@ -224,16 +240,6 @@ class CheckReport:
             "values": self.values,
             "pass": self.passed,
         }
-
-
-def kl_divergence(q: np.ndarray, r: np.ndarray) -> float:
-    """KL(q || r) with 0 log 0 = 0; +inf when q has mass where r does not."""
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    act = q > 0.0
-    if np.any(r[act] <= 0.0):
-        return float("inf")
-    return float(np.sum(q[act] * (np.log(q[act]) - np.log(r[act]))))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +265,13 @@ def verify_ppm_equivalence(
     distributions vanish together); the count of such excluded states is
     reported.
     """
-    if space.domain.kind != "binary" or space.dim > 3:
+    d = space.domain.dim
+    if space.domain.kind != "binary" or d > 3:
         raise DomainError("verify_ppm_equivalence supports binary spaces with d <= 3")
     if not 0.0 < grid_step <= 1.0 - 2.0 * PROB_FLOOR:
         raise DomainError(
             f"grid_step = {grid_step!r}; it must be finite and in (0, {1.0 - 2.0 * PROB_FLOOR:g}]"
         )
-    d = space.dim
     n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / grid_step)) + 1
     grid_1d = np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, n_points)
     eff_step = float(grid_1d[1] - grid_1d[0])
@@ -276,7 +282,7 @@ def verify_ppm_equivalence(
     support = space.f_values > 0.0
     Zs = space.states[support]  # only states with f > 0 enter L and the KL
     log_f = np.log(space.f_values[support])
-    qs = exact.tilted.probs[support]
+    qs = exact.tilted[support]
     qa = qs[qs > 0.0]
     q_log_q = np.sum(qa * np.log(qa))
 
@@ -338,14 +344,11 @@ def verify_ngd_correspondence(model: SearchModel, space: EnumerableSpace) -> Che
     above ``NGD_NOISE_FLOOR`` only: below it they measure float noise
     divided by a vanishing gradient, not the approximation order.
     """
-    if np.any(space.f_values <= 0.0):
-        raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
-
     exact = space.at(model)
     fisher = model.fisher_information()  # of the model, the same at every scale
     discs, ratios = [], []
     for s in NGD_SCALES:
-        scaled = exact.with_f(1.0 + s * (space.f_values - 1.0))
+        scaled = exact.rescaled(s)
         grad = scaled.gradient
         theta_ngd = model.params.values + np.linalg.solve(fisher, grad)
         theta_em = scaled.em_model.params.values
@@ -440,20 +443,15 @@ def verify_free_energy_bound(
     rng = np.random.default_rng(seed)
     exact = space.at(model)
     L = exact.objective
-    tilted = exact.tilted
-    support = space.f_values > 0.0
 
-    sat_gap = abs(exact.free_energy(tilted) - L)
+    sat_gap = abs(exact.free_energy(exact.tilted) - L)
     max_violation = 0.0
     max_identity_err = 0.0
     for _ in range(FE_N_RANDOM_Q):
-        q = np.zeros(space.n_states)
-        q[support] = rng.dirichlet(np.ones(int(support.sum())))
-        F = exact.free_energy(q)
-        max_violation = max(max_violation, F - L)
-        gap = F - L
-        identity_err = abs(gap + kl_divergence(q, tilted.probs))
-        max_identity_err = max(max_identity_err, identity_err)
+        q = exact.random_q(rng)
+        gap = exact.free_energy(q) - L
+        max_violation = max(max_violation, gap)
+        max_identity_err = max(max_identity_err, abs(gap + exact.kl(q)))
 
     passed = bool(
         sat_gap <= FE_TOL and max_violation <= FE_TOL and max_identity_err <= FE_TOL

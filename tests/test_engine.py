@@ -363,6 +363,31 @@ def test_map_blends_unrepaired_refit(gamma):
     assert np.max(np.abs(ours - grid)) <= 1e-4
 
 
+NATURAL_STEP_MODELS = {
+    "bernoulli": BernoulliProductModel([0.3, 0.62, 0.5]),
+    "gaussian": GaussianModel.from_mean_cov([0.4, -0.7], [[1.1, 0.3], [0.3, 0.7]]),
+    "categorical": CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.025, 0.5, 1.0])
+@pytest.mark.parametrize("family", sorted(NATURAL_STEP_MODELS))
+def test_natural_gradient_step_is_the_map_blend(family, gamma):
+    # In mean coordinates the score is I(theta) (T(z) - theta), so the
+    # step theta + alpha I^-1 sum_i w_i score(z_i) is theta + alpha sum(w)
+    # (theta~ - theta): the MAP blend with gamma = alpha sum(w).
+    model = NATURAL_STEP_MODELS[family]
+    rng = np.random.default_rng(29)
+    Z = model.sample(50, 31)
+    w = rng.uniform(0.05, 2.0, size=50)
+    alpha = gamma / float(w.sum())
+    grad = w @ model.grad_log_density_batch(Z)
+    theta = model.params.values
+    natural = theta + alpha * np.linalg.solve(model.fisher_information(), grad)
+    blend = m_step_map(model.params, m_step_closed_form(make_pop(Z, w), model), gamma)
+    np.testing.assert_allclose(natural, blend.values, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # gradient M-step
 # ---------------------------------------------------------------------------

@@ -57,34 +57,34 @@ def enumerate_states(dim, arity=2):
 
 def test_bernoulli_log_density_uniform():
     m = BernoulliProductModel([0.5, 0.5])
-    assert m.log_density([0, 1]) == pytest.approx(math.log(0.25), abs=1e-14)
+    assert m.log_density_batch([0, 1])[0] == pytest.approx(math.log(0.25), abs=1e-14)
 
 
 def test_bernoulli_log_density_definition():
     m = BernoulliProductModel([0.75])
-    assert m.log_density([1]) == pytest.approx(math.log(0.75), abs=1e-14)
+    assert m.log_density_batch([1])[0] == pytest.approx(math.log(0.75), abs=1e-14)
 
 
 def test_gaussian_standard_normal_mode():
     g = GaussianModel.from_mean_cov([0.0], [[1.0]])
-    assert g.log_density(0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
+    assert g.log_density_batch(0.0)[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
 
 
 def test_sufficient_stats_bernoulli_is_identity():
     m = BernoulliProductModel([0.4, 0.4, 0.4])
-    np.testing.assert_array_equal(m.sufficient_stats([1, 0, 1]), [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(m.sufficient_stats_batch([1, 0, 1])[0], [1.0, 0.0, 1.0])
 
 
 def test_sufficient_stats_gaussian_z_and_square():
     g = GaussianModel.from_mean_cov([0.0], [[1.0]])
-    np.testing.assert_allclose(g.sufficient_stats([2.0]), [2.0, 4.0])
+    np.testing.assert_allclose(g.sufficient_stats_batch([2.0])[0], [2.0, 4.0])
 
 
 def test_sufficient_stats_categorical_one_hot_minimal():
     c = CategoricalProductModel([[1 / 3, 1 / 3, 1 / 3]])
     # value 2 is the dropped redundant coordinate: minimal stats all zero
-    np.testing.assert_array_equal(c.sufficient_stats([2]), [0.0, 0.0])
-    np.testing.assert_array_equal(c.sufficient_stats([0]), [1.0, 0.0])
+    np.testing.assert_array_equal(c.sufficient_stats_batch([2])[0], [0.0, 0.0])
+    np.testing.assert_array_equal(c.sufficient_stats_batch([0])[0], [1.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -133,7 +133,8 @@ def test_discrete_normalization(model):
     ],
 )
 def test_canonical_form_identity(model):
-    # log p(z) = log h(z) + eta . T(z) - A(theta)
+    # log p(z) = log h(z) + eta . T(z) - A(theta), where log h is constant:
+    # -d log(2 pi) / 2 for the Gaussian, 0 for the discrete families.
     rng = np.random.default_rng(1)
     if isinstance(model, GaussianModel):
         Z = model.sample(5, 3)
@@ -141,18 +142,18 @@ def test_canonical_form_identity(model):
         Z = rng.integers(0, model.arity, size=(5, model.dim))
     else:
         Z = rng.integers(0, 2, size=(5, model.dim))
+    log_h = -0.5 * model.dim * math.log(2 * math.pi) if isinstance(model, GaussianModel) else 0.0
     eta = model.natural_params()
     A = model.log_partition()
-    for z in Z:
-        lhs = model.log_density(z)
-        rhs = model.log_base_measure(z) + eta @ model.sufficient_stats(z) - A
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    lhs = model.log_density_batch(Z)
+    rhs = log_h + model.sufficient_stats_batch(Z) @ eta - A
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
 
 def test_bernoulli_domain_error():
     m = BernoulliProductModel([0.5, 0.5])
     with pytest.raises(DomainError):
-        m.log_density([0, 2])
+        m.log_density_batch([0, 2])
 
 
 def _bits_as(dtype, n=40, d=7, seed=3):
@@ -351,7 +352,7 @@ def test_bernoulli_as_batch_rejects_non_binary(bad):
 def test_categorical_domain_error():
     c = CategoricalProductModel([[0.5, 0.5]])
     with pytest.raises(DomainError):
-        c.log_density([2])
+        c.log_density_batch([2])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
@@ -363,13 +364,13 @@ def test_categorical_check_rejects_non_integers_without_a_cast_warning(bad):
         with pytest.raises(DomainError):
             Domain("categorical", 2, 3).check(Z)
         with pytest.raises(DomainError):
-            model.log_density(Z[0])
+            model.log_density_batch(Z[0])
 
 
 def test_gaussian_domain_error_on_nan():
     g = GaussianModel.from_mean_cov([0.0], [[1.0]])
     with pytest.raises(DomainError):
-        g.log_density([float("nan")])
+        g.log_density_batch([float("nan")])
 
 
 # Interior models, so the score methods reach the input check, each with one
@@ -380,19 +381,21 @@ _OFF_SUPPORT = {
     "categorical": (CategoricalProductModel([[0.25, 0.35, 0.4], [0.5, 0.2, 0.3]]), [3, 0]),
 }
 
+# Each public point method, on one point (keyed by the quantity) and on a
+# batch of two.
 _PUBLIC_INPUT_METHODS = {
-    "log_density": lambda m, z: m.log_density(z),
+    "log_density": lambda m, z: m.log_density_batch(z),
     "log_density_batch": lambda m, z: m.log_density_batch([z, z]),
-    "sufficient_stats": lambda m, z: m.sufficient_stats(z),
+    "sufficient_stats": lambda m, z: m.sufficient_stats_batch(z),
     "sufficient_stats_batch": lambda m, z: m.sufficient_stats_batch([z, z]),
-    "grad_log_density": lambda m, z: m.grad_log_density(z),
+    "grad_log_density": lambda m, z: m.grad_log_density_batch(z),
     "grad_log_density_batch": lambda m, z: m.grad_log_density_batch([z, z]),
-    "log_base_measure": lambda m, z: m.log_base_measure(z),
 }
 
 
 def test_input_table_covers_the_public_point_methods():
-    # Every public method whose first argument is a point or a batch.
+    # Every public method whose first argument is a point or a batch; each
+    # takes a batch, and one point as a batch of one.
     takes_points = set()
     for name in dir(SearchModel):
         attr = getattr(SearchModel, name)
@@ -401,7 +404,8 @@ def test_input_table_covers_the_public_point_methods():
         params = list(inspect.signature(attr).parameters)
         if params[1:2] in (["z"], ["Z"]):
             takes_points.add(name)
-    assert takes_points == set(_PUBLIC_INPUT_METHODS)
+    assert takes_points == {n for n in _PUBLIC_INPUT_METHODS if n.endswith("_batch")}
+    assert takes_points == {f"{n}_batch" for n in _PUBLIC_INPUT_METHODS if "_batch" not in n}
 
 
 @pytest.mark.parametrize("method", sorted(_PUBLIC_INPUT_METHODS))
@@ -425,14 +429,15 @@ _BATCHES = {
 
 @pytest.mark.parametrize("method", ["log_density", "sufficient_stats", "grad_log_density"])
 @pytest.mark.parametrize("family", sorted(_BATCHES))
-def test_single_point_methods_reject_a_batch(family, method):
+def test_batch_methods_take_one_point(family, method):
+    # One point of a batch is a batch of one, and reads as its row of the
+    # whole batch.
     model, Z = _BATCHES[family]
-    with pytest.raises(DomainError, match=f"{method}_batch"):
-        getattr(model, method)(Z)
-    # One point of the batch passes.
-    assert np.array_equal(
-        getattr(model, method)(Z[0]), getattr(model, f"{method}_batch")(Z[:1])[0]
-    )
+    batch = getattr(model, f"{method}_batch")
+    one = batch(Z[0])
+    assert one.shape[0] == 1
+    assert np.array_equal(one, batch(Z[:1]))
+    assert np.array_equal(one[0], batch(Z)[0])
 
 
 def test_gaussian_precision_is_lazy_cached_and_read_only():
@@ -615,8 +620,8 @@ def test_sample_rejects_nonpositive_n():
 
 def test_bernoulli_score_analytic():
     m = BernoulliProductModel([0.5])
-    assert m.grad_log_density([1])[0] == pytest.approx(2.0)
-    assert m.grad_log_density([0])[0] == pytest.approx(-2.0)
+    assert m.grad_log_density_batch([1])[0, 0] == pytest.approx(2.0)
+    assert m.grad_log_density_batch([0])[0, 0] == pytest.approx(-2.0)
 
 
 @pytest.mark.parametrize(
@@ -628,7 +633,7 @@ def test_bernoulli_score_analytic():
     ],
 )
 def test_score_matches_central_differences(model, point):
-    grad = model.grad_log_density(point)
+    grad = model.grad_log_density_batch(point)[0]
     vals = model.params.values
     h = 1e-6 * max(1.0, float(np.max(np.abs(vals))))
     for i in range(len(vals)):
@@ -636,8 +641,8 @@ def test_score_matches_central_differences(model, point):
         vp[i] += h
         vm[i] -= h
         fd = (
-            model.with_params(vp).log_density(point)
-            - model.with_params(vm).log_density(point)
+            model.with_params(vp).log_density_batch(point)[0]
+            - model.with_params(vm).log_density_batch(point)[0]
         ) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -645,7 +650,7 @@ def test_score_matches_central_differences(model, point):
 def test_score_boundary_error():
     at_floor = BernoulliProductModel([1.0])  # clips to the ceiling
     with pytest.raises(BoundaryError):
-        at_floor.grad_log_density([1])
+        at_floor.grad_log_density_batch([1])
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +891,19 @@ def test_categorical_repair_floors_and_renormalizes():
     c = CategoricalProductModel([[1.0, 0.0, 0.0]])
     assert np.all(c.probs >= PROB_FLOOR - 1e-15)
     assert c.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [3, 50, 999])
+def test_categorical_repair_of_one_hot_rows_is_floored_and_round_trips(K):
+    # One-hot rows put K - 1 entries below the floor; every one ends on it,
+    # and the repaired model rebuilds bit for bit from theta and from JSON.
+    probs = np.eye(2, K)
+    probs[1] = np.roll(probs[1], K // 2)
+    c = CategoricalProductModel(probs)
+    assert np.all(c.probs >= PROB_FLOOR - 1e-15)
+    np.testing.assert_allclose(c.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for again in (c.with_params(c.params), model_from_json(c.to_json())):
+        assert np.array_equal(again.probs, c.probs)
 
 
 def test_with_params_family_mismatch():

@@ -13,7 +13,6 @@ from edaem.models import BernoulliProductModel, CategoricalProductModel, Gaussia
 from edaem.objectives import (
     Domain,
     Objective,
-    evaluate,
     evaluate_batch,
     leadingones,
     onemax,
@@ -26,13 +25,13 @@ from edaem.objectives import (
 
 
 def test_onemax_counts_bits():
-    assert evaluate(onemax(4), [1, 1, 0, 1]) == 3.0
+    assert evaluate_batch(onemax(4), [1, 1, 0, 1])[0] == 3.0
 
 
 def test_leadingones_prefix():
-    assert evaluate(leadingones(4), [1, 1, 0, 1]) == 2.0
-    assert evaluate(leadingones(4), [0, 1, 1, 1]) == 0.0
-    assert evaluate(leadingones(4), [1, 1, 1, 1]) == 4.0
+    assert evaluate_batch(leadingones(4), [1, 1, 0, 1])[0] == 2.0
+    assert evaluate_batch(leadingones(4), [0, 1, 1, 1])[0] == 0.0
+    assert evaluate_batch(leadingones(4), [1, 1, 1, 1])[0] == 4.0
 
 
 def _leadingones_by_cumprod(Z):
@@ -78,8 +77,8 @@ def test_onemax_equals_the_int64_row_sum(d, dtype):
 
 
 def test_sphere_max_at_origin():
-    assert evaluate(sphere_max(3), [0.0, 0.0, 0.0]) == 0.0
-    assert evaluate(sphere_max(3), [1.0, 2.0, 0.0]) == -5.0
+    assert evaluate_batch(sphere_max(3), [0.0, 0.0, 0.0])[0] == 0.0
+    assert evaluate_batch(sphere_max(3), [1.0, 2.0, 0.0])[0] == -5.0
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 20, models.BLOCK_CELLS])
@@ -106,25 +105,25 @@ def test_sphere_max_makes_no_copy_of_the_generation():
 
 
 def test_rosenbrock_max_at_ones():
-    assert evaluate(rosenbrock_max(3), [1.0, 1.0, 1.0]) == 0.0
-    assert evaluate(rosenbrock_max(2), [0.0, 0.0]) == -1.0
+    assert evaluate_batch(rosenbrock_max(3), [1.0, 1.0, 1.0])[0] == 0.0
+    assert evaluate_batch(rosenbrock_max(2), [0.0, 0.0])[0] == -1.0
 
 
 def test_rastrigin_max_at_origin():
-    assert evaluate(rastrigin_max(4), [0.0] * 4) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_batch(rastrigin_max(4), [0.0] * 4)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trap_block_values():
     t = trap(3, 1)
-    assert evaluate(t, [1, 1, 1]) == 3.0  # full block
-    assert evaluate(t, [0, 0, 0]) == 2.0  # deceptive slope
-    assert evaluate(t, [1, 0, 0]) == 1.0
-    assert evaluate(t, [1, 1, 0]) == 0.0
+    assert evaluate_batch(t, [1, 1, 1])[0] == 3.0  # full block
+    assert evaluate_batch(t, [0, 0, 0])[0] == 2.0  # deceptive slope
+    assert evaluate_batch(t, [1, 0, 0])[0] == 1.0
+    assert evaluate_batch(t, [1, 1, 0])[0] == 0.0
 
 
 def test_trap_blocks_sum():
     t = trap(3, 2)
-    assert evaluate(t, [1, 1, 1, 0, 0, 0]) == 5.0
+    assert evaluate_batch(t, [1, 1, 1, 0, 0, 0])[0] == 5.0
 
 
 @pytest.mark.parametrize(
@@ -152,11 +151,11 @@ def test_parse_objective_rejects(text):
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        evaluate(onemax(3), [1, 2, 0])
+        evaluate_batch(onemax(3), [1, 2, 0])
     with pytest.raises(DomainError):
-        evaluate(sphere_max(3), [1.0, float("inf"), 0.0])
+        evaluate_batch(sphere_max(3), [1.0, float("inf"), 0.0])
     with pytest.raises(DomainError):
-        evaluate(onemax(3), [1, 0])
+        evaluate_batch(onemax(3), [1, 0])
 
 
 @pytest.mark.parametrize("obj", [onemax(12), leadingones(12), trap(3, 4)])
@@ -201,7 +200,7 @@ def test_random_probing_never_beats_declared_optimum(obj, sampler):
     argmax, best = obj.known_opt
     vals = evaluate_batch(obj, sampler(rng))
     assert np.all(vals <= best + 1e-12)
-    assert evaluate(obj, argmax) == pytest.approx(best, abs=1e-12)
+    assert evaluate_batch(obj, argmax)[0] == pytest.approx(best, abs=1e-12)
 
 
 def test_negated_objectives_nonpositive():
@@ -264,19 +263,12 @@ def _accepted(fn, z):
 @pytest.mark.parametrize("z,counts", INPUT_TABLE.values(), ids=INPUT_TABLE)
 def test_objective_and_model_read_one_input_alike(z, counts):
     # The objective and the model check inputs with their one Domain: the
-    # same points are accepted by both, and the single-point forms accept
-    # exactly the inputs that hold one point.
+    # same points are accepted by both, one point as a batch of one.
     for (obj, model), n in zip(DOMAIN_PAIRS, counts):
         assert obj.domain == model.domain
         f = _accepted(lambda z: evaluate_batch(obj, z), z)
         logp = _accepted(model.log_density_batch, z)
-        f_one = _accepted(lambda z: evaluate(obj, z), z)
-        logp_one = _accepted(model.log_density, z)
         if n == 0:
-            assert f is logp is f_one is logp_one is None, obj.name
+            assert f is logp is None, obj.name
             continue
         assert f.shape == logp.shape == (n,), obj.name
-        if n == 1:
-            assert np.array_equal(f_one, f) and np.array_equal(logp_one, logp)
-        else:
-            assert f_one is logp_one is None, obj.name

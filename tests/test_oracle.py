@@ -4,7 +4,9 @@ identity, and the verification suite on the shipped fixtures."""
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from edaem.objectives import Domain
 from edaem.oracle import (
     EM_N_STEPS,
     EnumerableSpace,
-    kl_divergence,
     verify_em_monotonicity,
     verify_free_energy_bound,
     verify_mc_convergence,
@@ -83,14 +84,14 @@ def test_exact_objective_degenerate():
 
 def test_exact_tilted_single_bit():
     t = space_1bit_f13().at(BernoulliProductModel([0.5])).tilted
-    np.testing.assert_allclose(t.probs, [0.25, 0.75])
+    np.testing.assert_allclose(t, [0.25, 0.75])
 
 
 def test_exact_tilted_constant_is_model():
     model = BernoulliProductModel([0.3, 0.8])
     t = const_space(2, 3.0).at(model).tilted
     p = np.exp(model.log_density_batch(const_space(2, 3.0).states))
-    np.testing.assert_allclose(t.probs, p, atol=1e-14)
+    np.testing.assert_allclose(t, p, atol=1e-14)
 
 
 def test_exact_tilted_uniform_with_zeros():
@@ -98,7 +99,7 @@ def test_exact_tilted_uniform_with_zeros():
         Domain("binary", 2), lambda Z: np.array([0.0, 1.0, 1.0, 2.0])
     )
     t = space.at(BernoulliProductModel([0.5, 0.5])).tilted
-    np.testing.assert_allclose(t.probs, [0.0, 0.25, 0.25, 0.5])
+    np.testing.assert_allclose(t, [0.0, 0.25, 0.25, 0.5])
 
 
 def test_exact_em_update_single_bit():
@@ -145,7 +146,7 @@ def test_free_energy_gap_identity_random_q():
         L = exact.objective
         q = rng.dirichlet(np.ones(8))
         F = exact.free_energy(q)
-        assert F - L == pytest.approx(-kl_divergence(q, exact.tilted.probs), abs=1e-10)
+        assert F - L == pytest.approx(-exact.kl(q), abs=1e-10)
         assert F <= L + 1e-10
 
 
@@ -155,13 +156,62 @@ def test_free_energy_neg_inf_flag():
     q = np.array([0.5, 0.5])  # mass on the f = 0 state
     assert exact.free_energy(q) == float("-inf")
     # and the gap identity still holds in the extended sense
-    assert kl_divergence(q, exact.tilted.probs) == float("inf")
+    assert exact.kl(q) == float("inf")
 
 
 def test_free_energy_rejects_non_distribution():
     exact = space_1bit_f13().at(BernoulliProductModel([0.5]))
     with pytest.raises(DomainError):
         exact.free_energy(np.array([0.9, 0.6]))
+
+
+def test_tilted_is_a_read_only_probability_vector():
+    t = space_1bit_f13().at(BernoulliProductModel([0.5])).tilted
+    assert isinstance(t, np.ndarray) and not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.5
+
+
+def test_kl_single_bit_value():
+    exact = space_1bit_f13().at(BernoulliProductModel([0.5]))
+    # tilted = (1/4, 3/4)
+    want = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
+    assert exact.kl([0.5, 0.5]) == pytest.approx(want, abs=1e-15)
+    assert exact.kl(exact.tilted) == 0.0
+    with pytest.raises(DomainError):
+        exact.kl([0.9, 0.6])
+
+
+def test_random_q_is_a_flat_dirichlet_draw_on_the_states_where_f_is_positive():
+    fx = FIXTURES["bern3_trap"]  # f = 0 on some states
+    exact = fx.space.at(fx.model)
+    support = fx.space.f_values > 0.0
+    assert not support.all()
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        q = exact.random_q(rng)
+        assert np.array_equal(q[support], ref.dirichlet(np.ones(int(support.sum()))))
+        assert np.all(q[~support] == 0.0)
+        assert np.isfinite(exact.free_energy(q)) and np.isfinite(exact.kl(q))
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 0.125])
+def test_rescaled_view_is_the_view_of_the_rescaled_table(s):
+    fx = FIXTURES["cat2x3_affine"]
+    exact = fx.space.at(fx.model)
+    scaled = exact.rescaled(s)
+    assert scaled.log_p is exact.log_p and scaled.scores is exact.scores
+    table = 1.0 + s * (fx.space.f_values - 1.0)
+    direct = EnumerableSpace(fx.space.states, table, fx.space.domain).at(fx.model)
+    assert scaled.objective == direct.objective
+    assert np.array_equal(scaled.gradient, direct.gradient)
+    assert np.array_equal(scaled.em_model.params.values, direct.em_model.params.values)
+
+
+def test_rescaled_requires_a_positive_objective():
+    fx = FIXTURES["bern3_trap"]
+    with pytest.raises(DomainError, match="requires f > 0 everywhere"):
+        fx.space.at(fx.model).rescaled(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +303,15 @@ def test_model_on_another_domain_than_the_space_raises(pair, call):
 def test_space_lexicographic_order():
     space = onemax_plus_one_space(2)
     np.testing.assert_array_equal(space.states, [[0, 0], [0, 1], [1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("arity, dim", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (7, 2)])
+def test_space_states_are_the_lexicographic_product(arity, dim):
+    domain = Domain("binary", dim) if arity == 2 else Domain("categorical", dim, arity)
+    states = EnumerableSpace.build(domain, lambda Z: np.ones(Z.shape[0])).states
+    want = np.array(list(itertools.product(range(arity), repeat=dim)), dtype=np.int64)
+    assert states.dtype == np.int64 and states.flags.c_contiguous
+    assert np.array_equal(states, want)
 
 
 def test_space_enumeration_cap():
@@ -474,7 +533,7 @@ def test_exact_em_is_the_closed_form_m_step_over_every_state(name):
 
     fx = FIXTURES[name]
     exact = fx.space.at(fx.model)
-    q = exact.tilted.probs
+    q = exact.tilted
     pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=q, norm_w=q)
     got = fx.model.with_params(m_step_closed_form(pop, fx.model)).params.values
     assert np.array_equal(got, exact.em_model.params.values)
@@ -555,6 +614,40 @@ def test_floors_and_tolerances_are_constants_not_parameters():
         params = inspect.signature(fn).parameters
         assert not removed & set(params), fn
         assert all(p.kind is not p.VAR_KEYWORD for p in params.values()), fn
+
+
+class _AnswersOnly:
+    """A space that offers the checks only its domain and ``at(model)``,
+    as a space without an enumeration of its states would."""
+
+    __slots__ = ("_space",)
+
+    def __init__(self, space):
+        self._space = space
+
+    @property
+    def domain(self):
+        return self._space.domain
+
+    def at(self, model):
+        return self._space.at(model)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_checks_read_the_space_only_through_at(fixture):
+    # Every check but the binary-only proximal-point grid reads the space
+    # through space.at(model) alone, so a space that answers only that
+    # gives the same reports.
+    fx = FIXTURES[fixture]
+    answers_only = replace(fx)
+    answers_only.__dict__["space"] = _AnswersOnly(fx.space)  # in place of the cached build
+    ran = []
+    for check in fx.checks:
+        real = check(fx)
+        if real.check_name != "ppm_equivalence":
+            assert check(answers_only) == real, real.check_name
+            ran.append(real.check_name)
+    assert {"em_monotonicity", "free_energy_bound"} <= set(ran)
 
 
 def _count_calls(monkeypatch, name):
