@@ -88,7 +88,7 @@ def _onemax_plus_one(dim: int, *checks) -> Fixture:
     obj = _binary_objective(
         f"onemax_plus_one:{dim}",
         dim,
-        lambda Z: 1.0 + np.asarray(Z, dtype=np.float64).sum(axis=1),
+        lambda Z: 1.0 + np.asarray(Z, dtype=np.float64) @ np.ones(dim),
     )
     return Fixture(f"bern{dim}_onemax1", BernoulliProductModel(np.full(dim, 0.5)), obj, checks)
 

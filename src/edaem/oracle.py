@@ -19,7 +19,9 @@ L(theta).  Each reads one view per model and returns a
 :class:`CheckReport`; apart from the binary-only proximal-point grid, a
 check reads nothing of the space but ``space.at(model)``.  Their
 tolerances and the sampled-refit plan are constants (``NGD_*``, ``EM_*``,
-``FE_*``, ``MC_*``), the same for every fixture.
+``FE_*``, ``MC_*``), the same for every fixture.  The proximal-point grid
+contracts the objective table with per-coordinate (1 - t, t) tables, in
+blocks of about ``PPM_BLOCK_POINTS`` grid points.
 
 Enumeration is capped at 2**20 states; these diagnostics are desk-scale by
 design.
@@ -59,6 +61,9 @@ FE_TOL = 1e-10
 # each size.  A fixture's error bound is calibrated for exactly this plan.
 MC_N_LIST = (100, 1_000, 10_000, 100_000)
 MC_SEEDS = tuple(range(20))
+# Grid points in one block of the proximal-point grid search: 500 KB per
+# float64 array of the block, whatever the grid size.
+PPM_BLOCK_POINTS = 62_500
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,13 @@ class EnumerableSpace:
     domain: Domain
 
     def __post_init__(self):
+        bad = ~np.isfinite(self.f_values)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise DomainError(
+                f"objective table is not finite: f = {self.f_values[k]} at state "
+                f"{self.states[k].tolist()}"
+            )
         if np.any(self.f_values < 0.0):
             raise DomainError(
                 "objective table contains negative values; the tilted "
@@ -247,6 +259,67 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _ppm_blocks(exact: Exact, grid_1d: np.ndarray):
+    """L(theta) and KL(tilted(theta_t) || tilted(theta)) at every point of
+    the binary product grid grid_1d^d, where theta_t is ``exact``'s model.
+
+    E_p[f] is multilinear in the per-coordinate (1 - t, t) tables.  The
+    objective table, scaled by max f, is scattered by state into a (2,)*d
+    tensor; each block of grid rows contracts its leading coordinates, and
+    one (rows, 2) @ (2, columns) product over the last coordinate gives
+    E_p[f] at every point of the block.  The KL is
+    sum q log q - sum q log f - sum_j a_j[theta_j] + L(theta), where q is
+    the tilted distribution at theta_t and a_j the (log(1 - t), log t)
+    table against coordinate j's marginal of q; states with f = 0 carry no
+    mass under either tilted distribution.  Blocks hold about
+    ``PPM_BLOCK_POINTS`` grid points.  Yields, in row-major order,
+    (rows, columns, L, kl): the slices of the flattened leading coordinates
+    and of the last one, and two (rows, columns) arrays.
+    """
+    space, q = exact.space, exact.tilted
+    d, n_points = space.domain.dim, len(grid_1d)
+    # Column z of row i is p(z_j = z | theta_j = grid_1d[i]), and its log.
+    prob_table = np.stack([1.0 - grid_1d, grid_1d], axis=1)
+    log_table = np.stack([np.log1p(-grid_1d), np.log(grid_1d)], axis=1)
+    f = space.f_values
+    f_max = float(f.max())
+    f_tensor = np.zeros((2,) * d)
+    f_tensor[tuple(space.states.T)] = f / f_max
+    support = f > 0.0
+    qa = q[q > 0.0]
+    kl_const = float(np.sum(qa * np.log(qa))) - float(q[support] @ np.log(f[support]))
+    a = [log_table @ np.bincount(space.states[:, j], weights=q, minlength=2) for j in range(d)]
+
+    rows = max(1, PPM_BLOCK_POINTS // n_points)
+    cols = min(n_points, PPM_BLOCK_POINTS)
+    n_rows = n_points ** (d - 1)
+    # Every block is written into the same two buffers: the arrays yielded
+    # are valid until the next block.  Fresh arrays per block made the
+    # d = 2 grids at step 1e-3 about 1.6x slower on a 2-CPU machine.
+    L_buf, kl_buf = np.empty(rows * cols), np.empty(rows * cols)
+    for r0 in range(0, n_rows, rows):
+        row_block = slice(r0, min(r0 + rows, n_rows))
+        lead = np.arange(row_block.start, row_block.stop)
+        idx = np.unravel_index(lead, (n_points,) * (d - 1)) if d > 1 else ()
+        head = f_tensor.reshape(1, -1)
+        a_head = np.zeros(len(lead))
+        for j, i in enumerate(idx):
+            head = (prob_table[i, :, None] * head.reshape(len(head), 2, -1)).sum(axis=1)
+            a_head += a[j][i]
+        head = head.reshape(len(a_head), 2)
+        for c0 in range(0, n_points, cols):
+            col_block = slice(c0, min(c0 + cols, n_points))
+            shape = (len(head), col_block.stop - c0)
+            L = L_buf[: shape[0] * shape[1]].reshape(shape)
+            np.matmul(head, prob_table[col_block].T, out=L)
+            np.log(L, out=L)
+            L += np.log(f_max)
+            kl = np.subtract(L, a[-1][col_block], out=kl_buf[: L.size].reshape(shape))
+            kl -= a_head[:, None]
+            kl += kl_const
+            yield row_block, col_block, L, kl
+
+
 def verify_ppm_equivalence(
     model: SearchModel, space: EnumerableSpace, grid_step: float = 1e-3
 ) -> CheckReport:
@@ -254,16 +327,13 @@ def verify_ppm_equivalence(
     and check the argmax lands within one grid step of the exact EM refit,
     per coordinate.
 
-    The product grid is walked in row-major blocks of about 250k (grid
-    point, state) cells.  Each block broadcasts the last coordinate's column
-    of the (log(1 - t), log t) table over the sums of the leading
-    coordinates, so log p(z|theta) is a table lookup and no array spans more
-    than one block; L(theta) and the KL are still computed at every grid
-    point.  ``grid_step`` must be finite and in (0, 1 - 2 PROB_FLOOR].
-
-    Grid points where f has zeros contribute no KL terms there (both tilted
-    distributions vanish together); the count of such excluded states is
-    reported.
+    ``_ppm_blocks`` computes L(theta) and the KL at every grid point by
+    contracting the scaled objective table with the per-coordinate
+    (1 - t, t) tables, in row-major blocks of about ``PPM_BLOCK_POINTS``
+    grid points, so no array grows with the grid; the strict > keeps the
+    first argmax.  ``grid_step`` must be finite and in
+    (0, 1 - 2 PROB_FLOOR].  The count of states where f is zero, which add
+    no KL terms, is reported.
     """
     d = space.domain.dim
     if space.domain.kind != "binary" or d > 3:
@@ -275,45 +345,18 @@ def verify_ppm_equivalence(
     n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / grid_step)) + 1
     grid_1d = np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, n_points)
     eff_step = float(grid_1d[1] - grid_1d[0])
-    # Column z of row i is log p(z_j = z | theta_j = grid_1d[i]).
-    log_table = np.stack([np.log1p(-grid_1d), np.log(grid_1d)], axis=1)
 
     exact = space.at(model)
-    support = space.f_values > 0.0
-    Zs = space.states[support]  # only states with f > 0 enter L and the KL
-    log_f = np.log(space.f_values[support])
-    qs = exact.tilted[support]
-    qa = qs[qs > 0.0]
-    q_log_q = np.sum(qa * np.log(qa))
-
     best_val = -np.inf
     best_theta = None
-    # A block is `rows` grid rows (fixed leading coordinates) by `cols`
-    # values of the last coordinate, in row-major order, so the strict >
-    # keeps the first argmax.  Blocks are laid out (state, grid point), so
-    # each reduction over the few states is an elementwise pass over
-    # contiguous rows; per-row reductions over 4 columns cost ~40x more.
-    chunk = max(1, 250_000 // len(Zs))
-    rows, cols = max(1, chunk // n_points), min(n_points, chunk)
-    n_rows = n_points ** (d - 1)
-    for r0 in range(0, n_rows, rows):
-        lead = np.arange(r0, min(r0 + rows, n_rows))
-        idx = np.unravel_index(lead, (n_points,) * (d - 1)) if d > 1 else ()
-        head = log_f[:, None] + sum(log_table[i, Zs[:, j, None]] for j, i in enumerate(idx))
-        for c0 in range(0, n_points, cols):
-            last = log_table[c0 : c0 + cols, Zs[:, -1]].T
-            x = (head[:, :, None] + last[:, None, :]).reshape(len(Zs), -1)
-            m = x.max(axis=0)
-            e = x - m
-            np.exp(e, out=e)
-            L = m + np.log(e.sum(axis=0))
-            x -= L  # log tilted(theta) on the support
-            vals = L - (q_log_q - qs @ x)
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:
-                best_val = float(vals[k])
-                r, c = divmod(k, last.shape[1])
-                best_theta = grid_1d[[*(i[r] for i in idx), c0 + c]]
+    for rows, cols, L, kl in _ppm_blocks(exact, grid_1d):
+        vals = np.subtract(L, kl, out=kl)
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best_val:
+            best_val = float(vals.flat[k])
+            r, c = divmod(k, vals.shape[1])
+            lead = np.unravel_index(rows.start + r, (n_points,) * (d - 1))
+            best_theta = grid_1d[[*lead, cols.start + c]]
 
     em = exact.em_model.params.values
     gap = np.abs(best_theta - em)
@@ -326,7 +369,7 @@ def verify_ppm_equivalence(
             "em_update": [float(v) for v in em],
             "max_abs_gap": float(gap.max()),
             "grid_step": eff_step,
-            "excluded_states": int(np.sum(~support)),
+            "excluded_states": int(np.sum(space.f_values <= 0.0)),
         },
         passed=passed,
     )

@@ -474,10 +474,11 @@ def test_cmd_diagnose_calls_each_check_through_the_oracle_module(monkeypatch, ca
 
 
 def test_cmd_diagnose_default_peak_memory_below_16_mb(capsys):
-    # The PPM grid search works in blocks of about 250k (grid point, state)
-    # cells and looks up log p(z|theta) in a per-coordinate table: about 8 MB
-    # traced.  A full grid of the d = 2 fixtures at step 1e-3 would take
-    # about 290 MB, and per-block copies of the grid about 21 MB.
+    # The PPM grid search works in blocks of about 62.5k grid points and
+    # contracts per-coordinate probability tables, so the MC check's
+    # generations (about 5 MB traced) set the peak.  A full grid of the
+    # d = 2 fixtures at step 1e-3 would take about 290 MB, and per-block
+    # copies of the grid about 21 MB.
     tracemalloc.start()
     try:
         assert cli.main(["diagnose", "default"]) == 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,14 @@ def test_space_rejects_negative_objective():
         EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_space_rejects_a_non_finite_objective_and_names_the_state(bad):
+    # Admitted, a NaN or inf surfaces in every check as "E_p[f] is zero
+    # under the model support", which names the wrong cause.
+    with pytest.raises(DomainError, match=r"not finite: f = -?(nan|inf) at state \[1, 0\]"):
+        EnumerableSpace.build(Domain("binary", 2), lambda Z: np.array([1.0, 2.0, bad, bad]))
+
+
 # ---------------------------------------------------------------------------
 # verification suite on the shipped fixtures
 # ---------------------------------------------------------------------------
@@ -416,6 +425,92 @@ def test_ppm_fails_when_the_refit_is_moved_three_grid_steps(monkeypatch):
     assert verify_ppm_equivalence(model, space, grid_step=step).passed
     monkeypatch.setattr(BernoulliProductModel, "_refit", moved)
     assert not verify_ppm_equivalence(model, space, grid_step=step).passed
+
+
+BINARY_FIXTURES = sorted(n for n, fx in FIXTURES.items() if fx.space.domain.kind == "binary")
+
+
+def _fixture_ppm_step(fx):
+    return 0.02 if fx.model.dim == 3 else 1e-3
+
+
+@pytest.mark.parametrize("name", BINARY_FIXTURES)
+def test_ppm_report_does_not_depend_on_the_block_size(monkeypatch, name):
+    # One row, 7 rows and the whole grid, plus a third of a row, so that
+    # the last coordinate is split into column blocks as well.
+    fx = FIXTURES[name]
+    step = _fixture_ppm_step(fx)
+    n_points = int(round((1.0 - 2.0 * PROB_FLOOR) / step)) + 1
+    expected = verify_ppm_equivalence(fx.model, fx.space, step)
+    for block in (n_points // 3 + 1, n_points, 7 * n_points, n_points**fx.model.dim):
+        monkeypatch.setattr(oracle, "PPM_BLOCK_POINTS", block)
+        assert verify_ppm_equivalence(fx.model, fx.space, step) == expected, block
+
+
+def _permuted(space, order):
+    perm = np.arange(space.n_states)
+    if order == "reversed":
+        perm = perm[::-1]
+    elif order == "shuffled":
+        perm = np.random.default_rng(0).permutation(space.n_states)
+    return EnumerableSpace(space.states[perm], space.f_values[perm], space.domain)
+
+
+@pytest.mark.parametrize("name", BINARY_FIXTURES)
+@pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
+@pytest.mark.parametrize("block", [4, oracle.PPM_BLOCK_POINTS])
+def test_ppm_grid_holds_L_and_the_kl_at_every_point(monkeypatch, name, order, block):
+    # The blocks cover the grid once, and at every point they hold the
+    # Exact view's L(theta) and KL(tilted(theta_t) || tilted(theta)), also
+    # when the states come in another order than the lexicographic one.
+    # Blocks of 4 points split the last coordinate into 2 column blocks.
+    monkeypatch.setattr(oracle, "PPM_BLOCK_POINTS", block)
+    fx = FIXTURES[name]
+    d, grid_1d = fx.model.dim, np.linspace(PROB_FLOOR, 1.0 - PROB_FLOOR, 7)
+    L_grid, kl_grid = np.full((2, 7 ** (d - 1), 7), np.nan)
+    for rows, cols, L, kl in oracle._ppm_blocks(_permuted(fx.space, order).at(fx.model), grid_1d):
+        assert np.all(np.isnan(L_grid[rows, cols]))
+        L_grid[rows, cols], kl_grid[rows, cols] = L, kl
+    q_t = fx.space.at(fx.model).tilted
+    for k, theta in enumerate(itertools.product(grid_1d, repeat=d)):
+        view = fx.space.at(BernoulliProductModel(theta))
+        assert L_grid.flat[k] == pytest.approx(view.objective, rel=0.0, abs=1e-12)
+        assert kl_grid.flat[k] == pytest.approx(view.kl(q_t), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", BINARY_FIXTURES)
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_ppm_reads_the_states_it_is_given(name, order):
+    # The objective table is scattered by the states themselves, not
+    # reshaped in an assumed order.  The exact refit sums the states in the
+    # order given, so the EM update may move by a rounding step.
+    fx = FIXTURES[name]
+    step = _fixture_ppm_step(fx)
+    expected = verify_ppm_equivalence(fx.model, fx.space, step)
+    got = verify_ppm_equivalence(fx.model, _permuted(fx.space, order), step)
+    assert got.passed == expected.passed
+    assert got.values["ppm_argmax"] == expected.values["ppm_argmax"]
+    np.testing.assert_allclose(
+        got.values["em_update"], expected.values["em_update"], rtol=0.0, atol=1e-15
+    )
+    for key in ("max_abs_gap", "grid_step", "excluded_states"):
+        assert got.values[key] == pytest.approx(expected.values[key], rel=0.0, abs=1e-15)
+
+
+def test_ppm_memory_is_a_few_blocks_whatever_the_grid():
+    # 999^2 grid points, walked in blocks of PPM_BLOCK_POINTS: two block
+    # buffers for L(theta) and the KL, about 1.1 MB traced in all.  An
+    # array over (grid point, state) cells, or blocks four times as large,
+    # would not fit.
+    fx = FIXTURES["bern2_onemax1"]
+    space = fx.space  # enumerated once per fixture, outside the traced region
+    tracemalloc.start()
+    try:
+        assert verify_ppm_equivalence(fx.model, space, grid_step=1e-3).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * oracle.PPM_BLOCK_POINTS * 8
 
 
 @pytest.mark.parametrize("step", [2.0, 0.0, -0.01, float("nan"), float("inf")])
