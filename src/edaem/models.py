@@ -54,11 +54,16 @@ JITTER_SCALE = 1e-10
 MAX_JITTER_DOUBLINGS = 10
 
 # Cells in the one block a Bernoulli generation streams through, so that no
-# (n, d) copy of it wider than bool is ever made: 256 KB of float64 when it
-# is refitted, and 64 KB of raw words plus 64 KB of tiled uint16 thresholds
-# when it is drawn.  A categorical draw and the sphere objective also
-# stream through one block of this size.
+# (n, d) copy of it wider than bool is ever made: 64 KB of raw words plus
+# 64 KB of tiled uint16 thresholds when it is drawn, and 256 KB of float64
+# when a refit takes the blocked gemv.  A categorical draw and the sphere
+# objective also stream through one block of this size.
 BLOCK_CELLS = 1 << 15
+# The Bernoulli refit counts the kept rows of a bool batch of at least
+# COUNT_MIN_DIM bits (below that the gemv is faster) in chunks of at most
+# COUNT_CHUNK_ROWS rows, the most a uint16 count holds.
+COUNT_MIN_DIM = 64
+COUNT_CHUNK_ROWS = 65535
 
 
 @dataclass(frozen=True)
@@ -388,8 +393,9 @@ class BernoulliProductModel(SearchModel):
             words = rng.bit_generator.random_raw((out.size + 3) // 4)
             b = words.astype("<u8", copy=False).view("<u2")[: out.size]
             # The output slice holds the tie mask until the comparison.
-            if np.equal(b, t, out=out).any():
-                ties.append(start + np.flatnonzero(out))
+            k = np.flatnonzero(np.equal(b, t, out=out))
+            if k.size:
+                ties.append(start + k)
             np.less(b, t, out=out)
             del words, b  # so the next block's words never coexist with these
         if ties:
@@ -408,7 +414,19 @@ class BernoulliProductModel(SearchModel):
     def _refit(self, Z, w, total: float) -> ExpectationParams:
         # With integer-valued weights every partial sum is exact, so the sum
         # equals w @ Z bit for bit; otherwise only the summation order differs.
+        # Weights of 0 and 1 (quantile and cdf shaping) make it a count of
+        # ones over the kept rows, which a wide bool batch gathers as bool
+        # and counts in uint16; any other batch takes a blocked gemv over
+        # float64 copies of every row.
         acc = np.zeros(self.dim)
+        if Z.dtype == np.bool_ and self.dim >= COUNT_MIN_DIM:
+            keep = np.flatnonzero(w)
+            if np.all(w[keep] == 1.0):
+                kept = Z[keep].view(np.uint8)
+                for start in range(0, keep.size, COUNT_CHUNK_ROWS):
+                    chunk = kept[start : start + COUNT_CHUNK_ROWS]
+                    acc += np.add.reduce(chunk, axis=0, dtype=np.uint16)
+                return ExpectationParams(acc / total, self.family_tag)
         for rows, block in _row_blocks(*Z.shape):
             block[...] = Z[rows]
             acc += w[rows] @ block

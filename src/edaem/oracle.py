@@ -69,13 +69,16 @@ PPM_BLOCK_POINTS = 62_500
 @dataclass(frozen=True)
 class EnumerableSpace:
     """All states of a binary or categorical domain, in lexicographic
-    order, with the objective table cached alongside."""
+    order, with the objective table cached alongside.  The states are
+    checked against the domain once, here, so that :meth:`at` reads log p
+    on them unchecked."""
 
     states: np.ndarray  # (M, d) int64
     f_values: np.ndarray  # (M,)
     domain: Domain
 
     def __post_init__(self):
+        self.domain.check(self.states)
         bad = ~np.isfinite(self.f_values)
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -121,7 +124,7 @@ class EnumerableSpace:
             raise DomainError(
                 f"{model.family_tag!r} samples {model.domain}; the space enumerates {self.domain}"
             )
-        return Exact(model, self, model.log_density_batch(self.states))
+        return Exact(model, self, model._log_density(self.states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,15 +140,20 @@ class Exact:
 
     @functools.cached_property
     def objective(self) -> float:
-        """L(theta) = log sum_z p(z|theta) f(z), accumulated stably in log space."""
-        # Imported here: scipy.special adds about 80 ms to the package import.
-        from scipy.special import logsumexp
-
-        with np.errstate(divide="ignore"):
-            val = float(logsumexp(self.log_p, b=self.space.f_values))
-        if not np.isfinite(val):
+        """L(theta) = log sum_z p(z|theta) f(z), accumulated stably in log
+        space by scipy's real-valued ``logsumexp`` steps: the states at the
+        largest log p among those with f > 0 are summed apart, as m, and
+        L = log1p(s / m) + log m + max for the sum s over the others."""
+        f = self.space.f_values
+        a = np.where(f > 0.0, self.log_p, -np.inf)
+        top = a.max()
+        at_top = a == top
+        m = float(np.sum(f * at_top)) if np.isfinite(top) else 0.0
+        if not m > 0.0:
             raise DegenerateObjectiveError("E_p[f] is zero under the model support")
-        return val
+        a[at_top] = -np.inf
+        s = np.sum(f * np.exp(a - top)) / m
+        return float(np.log1p(s) + np.log(m) + top)
 
     @functools.cached_property
     def tilted(self) -> np.ndarray:

@@ -6,8 +6,9 @@ into selection weights without moving the optima.  Kinds:
 * ``identity``       -- weights are the raw values (all must be >= 0).
 * ``exponential(b)`` -- exp(b * (f - max f)); the max shift guards against
   overflow and cancels once weights are normalized.
-* ``quantile(rho)``  -- weight 1 on the ceil(rho*N) largest values, else 0;
-  ties broken by sample index (stable), so reruns are deterministic.
+* ``quantile(rho)``  -- weight 1 on the ceil(rho*N) largest values (rho*N
+  rounded to 9 decimals first), else 0; ties broken by sample index
+  (stable), so reruns are deterministic.
 * ``rank``           -- (1 + average ascending rank) / N, in (0, 1]; tied
   values share a weight.
 * ``cdf_threshold(q)`` -- indicator of f >= empirical q-quantile; unlike
@@ -102,7 +103,9 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
     elif spec.kind == "exponential":
         w = np.exp(spec.beta * (f - f.max()))
     elif spec.kind == "quantile":
-        m = math.ceil(spec.rho * n)
+        # rho * n rounded to 9 decimals first, so that a product meant as
+        # an integer (0.07 * 100 = 7.000000000000001) keeps that many.
+        m = max(1, math.ceil(round(spec.rho * n, 9)))
         order = np.argsort(-f, kind="stable")
         w = np.zeros(n)
         w[order[:m]] = 1.0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from edaem import models
+from edaem import models, shaping
 from edaem.errors import (
     BoundaryError,
     DegenerateModelError,
@@ -36,6 +36,7 @@ from edaem.models import (
     vech,
 )
 from edaem.objectives import Domain
+from edaem.shaping import ShapingSpec
 from independent_oracles import (
     bernoulli_reference_draw,
     categorical_reference_draw,
@@ -305,6 +306,80 @@ def test_bernoulli_blocked_refit_is_the_gemv(n, d):
     np.testing.assert_allclose(
         m._refit(Z, frac, t).values, (frac @ Z.astype(np.float64)) / t, rtol=1e-12, atol=0.0
     )
+
+
+def _gemv_calls(monkeypatch) -> list:
+    # The blocked gemv is the one caller of _row_blocks in the refit.
+    calls, blocks = [], models._row_blocks
+    monkeypatch.setattr(models, "_row_blocks", lambda n, d: calls.append((n, d)) or blocks(n, d))
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [3, models.COUNT_CHUNK_ROWS])
+@pytest.mark.parametrize("n,d", [(1, 64), (10, 64), (7, 100), (1000, 2000)])
+def test_bernoulli_refit_counts_the_kept_rows(n, d, chunk, monkeypatch):
+    # 0/1 weights on a bool batch of at least COUNT_MIN_DIM bits: a count
+    # over the kept rows, in chunks of `chunk` rows, equal to the gemv bit
+    # for bit.
+    monkeypatch.setattr(models, "COUNT_CHUNK_ROWS", chunk)
+    gemv = _gemv_calls(monkeypatch)
+    assert d >= models.COUNT_MIN_DIM
+    m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
+    Z = m.sample(n, 5)
+    w = (np.random.default_rng(n + d).uniform(size=n) < 0.5).astype(np.float64)
+    w[0] = 1.0
+    t = float(w.sum())
+    assert np.array_equal(m._refit(Z, w, t).values, (w @ Z.astype(np.float64)) / t)
+    assert gemv == []
+
+
+def test_bernoulli_count_chunk_is_the_uint16_limit():
+    # 65536 kept rows of ones would wrap a single uint16 count to 0.
+    d = models.COUNT_MIN_DIM
+    Z = np.ones((models.COUNT_CHUNK_ROWS + 1, d), dtype=np.bool_)
+    w = np.ones(Z.shape[0])
+    assert models.COUNT_CHUNK_ROWS == np.iinfo(np.uint16).max
+    m = BernoulliProductModel(np.full(d, 0.5))
+    assert np.array_equal(m._refit(Z, w, float(w.sum())).values, np.ones(d))
+
+
+@pytest.mark.parametrize("case", ["rank", "exp", "narrow", "float batch", "weight 2"])
+def test_bernoulli_refit_keeps_the_gemv(case, monkeypatch):
+    # Weights other than 0/1, batches narrower than COUNT_MIN_DIM bits
+    # (the MC fixture's shape) and non-bool batches take the blocked gemv.
+    n, d = (100_000, 2) if case == "narrow" else (300, 100)
+    m = BernoulliProductModel(np.full(d, 0.4))
+    Z = m.sample(n, 6)
+    f = np.random.default_rng(7).normal(size=n)
+    spec = {"rank": "rank", "exp": "exp:1.0"}.get(case, "quantile:0.5")
+    w = shaping.shape(ShapingSpec.parse(spec), f)
+    if case == "float batch":
+        Z = m._as_batch(Z.astype(np.int64))
+    if case == "weight 2":
+        w[np.flatnonzero(w)[0]] = 2.0
+    gemv = _gemv_calls(monkeypatch)
+    t = float(w.sum())
+    got = m._refit(Z, w, t).values
+    assert gemv == [(n, d)]
+    np.testing.assert_allclose(got, (w @ Z.astype(np.float64)) / t, rtol=1e-12, atol=0.0)
+
+
+def test_bernoulli_count_refit_memory_is_the_kept_rows():
+    # The kept rows as bool, plus the row indices and a few float64 rows of
+    # d (the accumulator, the mean and its read-only copy).
+    n, d = 1000, 2000
+    m = BernoulliProductModel(np.full(d, 0.5))
+    Z = m.sample(n, 3)
+    w = np.zeros(n)
+    w[::2] = 1.0
+    kept = int(w.sum()) * d
+    tracemalloc.start()
+    try:
+        m._refit(Z, w, float(w.sum()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 16 * n + 40 * d
 
 
 @pytest.mark.parametrize(

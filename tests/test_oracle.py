@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from independent_oracles import ppm_grid_objective
+from scipy.special import logsumexp
 
 from edaem import oracle
 from edaem.errors import DegenerateObjectiveError, DomainError
@@ -81,6 +82,45 @@ def test_exact_objective_degenerate():
     space = const_space(1, 0.0)
     with pytest.raises(DegenerateObjectiveError):
         space.at(BernoulliProductModel([0.5])).objective
+
+
+def test_exact_objective_is_scipys_logsumexp():
+    # Drawn tables with zeros in f and ties at the largest log p, some of
+    # them at states where f is zero; scipy is the reference here.
+    rng = np.random.default_rng(2101)
+    model = BernoulliProductModel([0.5] * 6)
+    for trial in range(3000):
+        d = int(rng.integers(1, 7))
+        f = rng.choice([0.0, 0.5, 1.0, 3.0, 1e-8, 1e8], size=2**d)
+        f[rng.integers(2**d)] = rng.uniform(0.1, 10.0)
+        levels = rng.normal(size=3) * rng.choice([1.0, 1e3])
+        log_p = rng.choice(levels, size=2**d) + (trial % 2) * rng.normal(size=2**d) * 1e-3
+        space = EnumerableSpace.build(Domain("binary", d), lambda Z: f)
+        got = oracle.Exact(model, space, log_p).objective
+        with np.errstate(divide="ignore"):
+            want = float(logsumexp(log_p, b=f))
+        assert got == want, (trial, got, want)
+
+
+def test_exact_objective_is_degenerate_where_f_meets_no_mass():
+    space = EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array([0.0, 2.0]))
+    model = BernoulliProductModel([0.5])
+    assert oracle.Exact(model, space, np.array([0.0, -1.0])).objective == math.log(2.0) - 1.0
+    with pytest.raises(DegenerateObjectiveError):
+        oracle.Exact(model, space, np.array([0.0, -np.inf])).objective
+
+
+def test_the_space_checks_its_states_and_at_reads_them_unchecked(monkeypatch):
+    with pytest.raises(DomainError, match="binary support"):
+        EnumerableSpace(np.array([[0], [2]]), np.ones(2), Domain("binary", 1))
+    space = onemax_plus_one_space(3)
+    model = BernoulliProductModel([0.2, 0.5, 0.7])
+    checks = []
+    check = Domain.check
+    monkeypatch.setattr(Domain, "check", lambda self, Z: checks.append(1) or check(self, Z))
+    exact = space.at(model)
+    assert checks == []
+    assert np.array_equal(exact.log_p, model.log_density_batch(space.states))
 
 
 def test_exact_tilted_single_bit():
@@ -745,15 +785,15 @@ def test_checks_read_the_space_only_through_at(fixture):
     assert {"em_monotonicity", "free_energy_bound"} <= set(ran)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, cls=SearchModel):
     calls = []
-    method = getattr(SearchModel, name)
+    method = getattr(cls, name)
 
     def counting(self, *args):
         calls.append(name)
         return method(self, *args)
 
-    monkeypatch.setattr(SearchModel, name, counting)
+    monkeypatch.setattr(cls, name, counting)
     return calls
 
 
@@ -776,7 +816,7 @@ def test_each_check_reads_log_p_once_per_model(monkeypatch, fixture, k):
     # every other check reads its one model, and NGD reads the scores once
     # for all of its objective scales.
     fx = FIXTURES[fixture]
-    log_p = _count_calls(monkeypatch, "log_density_batch")
+    log_p = _count_calls(monkeypatch, "_log_density", type(fx.model))
     scores = _count_calls(monkeypatch, "grad_log_density_batch")
     rep = fx.checks[k](fx)
     assert rep.passed

@@ -1,0 +1,112 @@
+"""Self-test of tools/pair.py on a stub benchmark: each run prints one
+result line, so no real benchmark runs here."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "pair_tool", Path(__file__).resolve().parent.parent / "tools" / "pair.py"
+)
+pair_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pair_tool)
+
+STUB = '''\
+import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+scale = float(Path("scale.txt").read_text())
+with open(Path.cwd().parent / "calls.log", "a") as fh:
+    fh.write(Path.cwd().name + "\\n")
+print("# stub machine")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "run_s": {"value": scale * (1.0 + seed % 3), "unit": "s"},
+    "success_rate": {"value": 100.0, "unit": "%"}}}))
+'''
+
+SPEC = {
+    "command": [sys.executable, "stub.py"],
+    "run_seconds": 1,
+    "workloads": [{"name": "a"}, {"name": "b"}],
+    "end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "success_rate", "unit": "%", "better": "higher", "bound": 0.01},
+    ],
+}
+
+
+def _tree(path: Path, scale: float) -> Path:
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    (path / "stub.py").write_text(STUB)
+    (path / "scale.txt").write_text(str(scale))
+    return path
+
+
+def test_pairs_alternate_and_a_faster_change_wins(tmp_path):
+    parent, change = _tree(tmp_path / "parent", 1.0), _tree(tmp_path / "change", 0.5)
+    rec = pair_tool.pair(parent, change, [1, 2, 3, 4], None, log=lambda s: None)
+    assert rec["machine"] == ["# stub machine"] and "--seconds 1 " in rec["command"]
+    assert rec["workloads"]["a"]["first_in_pair"] == ["parent", "change"] * 2
+    assert rec["workloads"]["b"]["first_in_pair"] == ["change", "parent"] * 2
+    # Pair 1 runs a parent first and b change first, pair 2 the reverse.
+    pairs_1_2 = ["parent", "change", "change", "parent", "change", "parent", "parent", "change"]
+    assert (tmp_path / "calls.log").read_text().split() == pairs_1_2 * 2
+    a = rec["workloads"]["a"]
+    assert a["operations_failed"] == {"parent": "0/12", "change": "0/12"}
+    run_s = a["metrics"]["run_s"]
+    assert run_s["parent"]["runs"] == [2.0, 3.0, 1.0, 2.0]
+    assert run_s["ratios"] == [0.5] * 4
+    assert (run_s["wins"], run_s["losses"], run_s["ties"]) == (4, 0, 0)
+    assert run_s["sign_test_p"] == 2.0 / 16
+    assert run_s["median_change_rel"] == -0.5
+    assert run_s["gain_rule_met"]  # 4 of 4 wins, and the gap 1.0 exceeds the IQR 0.5
+    rate = a["metrics"]["success_rate"]
+    assert (rate["ties"], rate["sign_test_p"], rate["verdict"]) == (4, 1.0, "within bound")
+
+
+def test_compare_verdicts_and_the_gain_rule():
+    metric = {"unit": "ms", "better": "lower", "bound": 0.25}
+    tight = pair_tool.compare(metric, [10.0] * 10, [8.0] * 10)
+    assert tight["gain_rule_met"] and tight["verdict"] == "within bound"
+    assert tight["sign_test_p"] == 2.0 / 2**10
+    nine = pair_tool.compare(metric, [10.0] * 10, [8.0] * 9 + [10.0])
+    assert nine["gain_rule_met"] and nine["ties"] == 1
+    eight = pair_tool.compare(metric, [10.0] * 10, [8.0] * 8 + [11.0] * 2)
+    assert not eight["gain_rule_met"]
+    assert pair_tool.compare(metric, [10.0] * 10, [13.0] * 10)["verdict"] == "worse than the bound"
+    wide = [5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 10.0, 15.0, 15.0, 15.0]
+    assert pair_tool.compare(metric, wide, wide)["verdict"].startswith("unresolved")
+    assert "every change run reads better" in pair_tool.compare(metric, wide, [4.0] * 10)["verdict"]
+
+
+def test_aa_pairs_two_exports_of_the_parent(tmp_path, monkeypatch):
+    repo = _tree(tmp_path / "repo", 1.0)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + cmd, cwd=repo, check=True)
+    (repo / "scale.txt").write_text("0.5")  # uncommitted: --aa must not read it
+    monkeypatch.setattr(pair_tool, "REPO", repo)
+    out = tmp_path / "aa.json"
+    assert pair_tool.main(["--parent", "HEAD", "--aa", "--pairs", "3", "--workload", "a",
+                           "--claim", "a:run_s", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["a"] and doc["seeds"] == [1, 2, 3]
+    run_s = doc["workloads"]["a"]["metrics"]["run_s"]
+    assert run_s["ratios"] == [1.0] * 3 and run_s["ties"] == 3
+    assert doc["claim"] == {"metric": "run_s", "workload": "a", "wins": 0, "pairs": 3,
+                            "parent_iqr": 1.0, "median_gap": 0.0, "met": False}
+    assert not (tmp_path / "calls.log").exists()  # no run in the working tree
+
+
+def test_a_failing_run_stops_the_pairing(tmp_path):
+    parent, change = _tree(tmp_path / "parent", 1.0), _tree(tmp_path / "change", 1.0)
+    (change / "stub.py").write_text("import sys; sys.exit(3)\n")
+    with pytest.raises(RuntimeError, match="exited 3"):
+        pair_tool.pair(parent, change, [1], ["a"], log=lambda s: None)

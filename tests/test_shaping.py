@@ -135,6 +135,15 @@ def test_quantile_never_empty():
     assert w.sum() == 1.0
 
 
+def test_quantile_keeps_the_ceiling_of_the_decimal_rho_n():
+    # In float arithmetic 0.07 * 100 is 7.000000000000001, whose ceiling
+    # is 8; (0.28, 25), (0.14, 50) and (0.56, 75) round up the same way.
+    for k in range(1, 101):
+        for n in (1, 3, 25, 50, 75, 100, 333, 1000):
+            kept = shape(ShapingSpec("quantile", rho=k / 100), np.zeros(n)).sum()
+            assert kept == -(-k * n // 100), (k, n)
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
