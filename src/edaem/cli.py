@@ -26,7 +26,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import RunConfig
 from .engine import run as engine_run
@@ -220,6 +219,9 @@ def cmd_sweep(args) -> int:
         return _fail(exc, EXIT_CONFIG)
 
     if args.jobs and args.jobs > 1:
+        # Imported here: only a parallel sweep needs multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_child, payloads))
     else:

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import UpdateRule
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateModelError, DomainError
 from .models import FAMILIES, BernoulliProductModel, GaussianModel, SearchModel
 from .objectives import NEGATED_CONTINUOUS, Domain, Objective, parse_objective
 from .shaping import ShapingSpec
@@ -184,24 +184,31 @@ def _build_model(doc, objective: Objective) -> SearchModel:
         if cls is BernoulliProductModel:
             return BernoulliProductModel(np.full(dim, 0.5))
         return GaussianModel(np.zeros(dim), np.eye(dim))
-    if cls is GaussianModel and isinstance(init, dict):
-        extra = set(init) - {"mean", "cov"}
-        if extra:
-            raise ConfigError(f"unknown gaussian init keys: {sorted(extra)}")
-        mean = _init_vector(init.get("mean"), dim, "model.init.mean")
-        cov = np.asarray(init.get("cov"), dtype=np.float64)
-        if cov.shape != (dim, dim):
-            raise ConfigError(f"model.init.cov must be {dim}x{dim}")
-        return GaussianModel.from_mean_cov(mean, cov)
-    return cls._from_layout(_init_vector(init, cls._param_count(dom), "model.init"), dom)
+    # The family's own checks (a probability outside [0, 1], a covariance no
+    # jitter repairs) reject values of the config, so their errors are its.
+    try:
+        if cls is GaussianModel and isinstance(init, dict):
+            extra = set(init) - {"mean", "cov"}
+            if extra:
+                raise ConfigError(f"unknown gaussian init keys: {sorted(extra)}")
+            mean = _init_array(init.get("mean"), (dim,), "model.init.mean")
+            cov = _init_array(init.get("cov"), (dim, dim), "model.init.cov")
+            return GaussianModel.from_mean_cov(mean, cov)
+        return cls._from_layout(_init_array(init, (cls._param_count(dom),), "model.init"), dom)
+    except (DomainError, DegenerateModelError) as exc:
+        raise ConfigError(f"model.init: {exc}") from exc
 
 
-def _init_vector(val, length: int, what: str) -> np.ndarray:
+def _init_array(val, shape: tuple, what: str) -> np.ndarray:
+    size = "x".join(map(str, shape))
     if not isinstance(val, (list, tuple)):
-        raise ConfigError(f"{what} must be 'default' or a list of {length} numbers")
-    arr = np.asarray(val, dtype=np.float64)
-    if arr.shape != (length,):
-        raise ConfigError(f"{what} must have length {length}, got {arr.shape}")
+        raise ConfigError(f"{what} must be a {size} list of numbers, got {type(val).__name__}")
+    try:
+        arr = np.asarray(val, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a {size} list of numbers: {exc}") from exc
+    if arr.shape != shape:
+        raise ConfigError(f"{what} must be a {size} list of numbers, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{what} must be finite")
     return arr

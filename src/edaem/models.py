@@ -19,6 +19,11 @@ Families:
 Models are immutable after construction and safe to share across threads;
 sampling always takes an explicit seed.
 
+Only the Gaussian's kernels call scipy (``scipy.linalg``'s BLAS and LAPACK
+wrappers).  They reach it through ``_linalg()``, which imports it on the
+first call, so importing this module, or using the other families, loads
+no scipy module.
+
 A note on smoothing: the convex-combination update blends expectation
 parameters, i.e. for the Gaussian it smooths (mean, second moment) jointly;
 in covariance terms that is C' = (1 - gamma) C + gamma C~ + gamma (1 - gamma)
@@ -35,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, block_diag, cho_solve, lapack, solve_triangular
 
 from .errors import (
     BoundaryError,
@@ -112,6 +116,15 @@ class ExpectationParams:
         with np.errstate(over="ignore"):
             cov = (1.0 - gamma) * C + gamma * Ct + (gamma * (1.0 - gamma)) * np.outer(delta, delta)
         return GaussianModel._carrier((1.0 - gamma) * m + gamma * mt, cov)
+
+
+@functools.cache
+def _linalg():
+    """``scipy.linalg``, imported on the first call; cached, so that the
+    kernels' later calls go through no import machinery."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -554,10 +567,11 @@ class GaussianModel(SearchModel):
         if not np.all(np.isfinite(C)):
             raise DegenerateModelError("covariance contains non-finite entries")
         eye = np.eye(d)
+        dpotrf = _linalg().lapack.dpotrf
         floor, jitter = EIG_FLOOR, 0.0
         for attempt in range(MAX_JITTER_DOUBLINGS + 1):
-            if lapack.dpotrf(C - floor * eye, lower=1)[1] == 0:
-                L, info = lapack.dpotrf(C, lower=1, clean=1)
+            if dpotrf(C - floor * eye, lower=1)[1] == 0:
+                L, info = dpotrf(C, lower=1, clean=1)
                 if info == 0:
                     return C, L
             if attempt == MAX_JITTER_DOUBLINGS:
@@ -645,7 +659,7 @@ class GaussianModel(SearchModel):
     # iteration, in the free energy.
     @functools.cached_property
     def _precision(self) -> np.ndarray:
-        P = cho_solve((self._chol, True), np.eye(self.dim))
+        P = _linalg().cho_solve((self._chol, True), np.eye(self.dim))
         P.setflags(write=False)
         return P
 
@@ -657,14 +671,14 @@ class GaussianModel(SearchModel):
         # One (n, d) array: the normals, multiplied by L in place (trmm on
         # the transposed view, which is the Fortran layout BLAS takes).
         X = rng.standard_normal((n, self.dim))
-        X = blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
+        X = _linalg().blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
         X += self._mean
         return X
 
     def _log_density(self, Z) -> np.ndarray:
         U = Z - self._mean
         # Solve L y = u per point; the Mahalanobis term is |y|^2 with C = L L^T.
-        Yt = solve_triangular(self._chol, U.T, lower=True)
+        Yt = _linalg().solve_triangular(self._chol, U.T, lower=True)
         maha = np.sum(Yt * Yt, axis=0)
         return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + maha)
 
@@ -684,7 +698,7 @@ class GaussianModel(SearchModel):
         mean = q @ U
         U -= mean
         U *= np.sqrt(q)[:, None]
-        C = blas.dsyrk(1.0, U.T, lower=1)
+        C = _linalg().blas.dsyrk(1.0, U.T, lower=1)
         return self._carrier(mean, C + np.tril(C, -1).T)
 
     def _mean_log_density(self, theta_bar) -> float:
@@ -877,8 +891,14 @@ class CategoricalProductModel(SearchModel):
         return (T / self._probs[:, :-1] - last / self._probs[:, -1:]).reshape(n, -1)
 
     def _fisher(self) -> np.ndarray:
-        # One block per site: diag(1 / p[:-1]) + 1 / p[-1].
-        return block_diag(*(np.diag(1.0 / p[:-1]) + 1.0 / p[-1] for p in self._probs))
+        # One block per site, diag(1 / p[:-1]) + 1 / p[-1], on the diagonal
+        # of a (d, K - 1, d, K - 1) array of zeros.
+        d, k = self.dim, self.arity - 1
+        inv = 1.0 / self._probs
+        F = np.zeros((d, k, d, k))
+        sites = np.arange(d)
+        F[sites, :, sites, :] = np.eye(k) * inv[:, :-1, None] + inv[:, -1, None, None]
+        return F.reshape(d * k, d * k)
 
     def _on_boundary(self) -> bool:
         return bool(np.any(self._probs <= PROB_FLOOR))

@@ -110,12 +110,7 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
         w = np.zeros(n)
         w[order[:m]] = 1.0
     elif spec.kind == "rank":
-        # Imported here: scipy.stats more than doubles the package import
-        # time, and only rank shaping needs it.
-        from scipy.stats import rankdata
-
-        r = rankdata(f, method="average")
-        w = r / n
+        w = _average_ranks(f) / n
     else:  # cdf_threshold
         tau = np.quantile(f, spec.level)
         w = (f >= tau).astype(np.float64)
@@ -125,6 +120,15 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
             f"{spec.kind} shaping produced all-zero weights for this generation"
         )
     return w
+
+
+def _average_ranks(f: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1, each tie group given the mean of its ranks:
+    a group of c equal values above b smaller ones ranks b + (c + 1) / 2, a
+    half-integer and so exact."""
+    _, group, counts = np.unique(f, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts
+    return (below + (counts + 1) / 2.0)[group]
 
 
 def log_shift(spec: ShapingSpec, f_values) -> float:

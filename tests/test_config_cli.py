@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,13 @@ def _gauss(init):
         ({"seed": -1}, "seed"),
         ({"seed": -(2**70)}, "seed"),
         ({"update": {"kind": "gradient", "alpha": 0.1, "k": 2, "gamma": 0.5}}, "gamma"),
+        ({"model": _model(init=[0.5] * 7 + [1.5])}, "model.init"),
+        ({"model": _model(init=["a"] * 8)}, "model.init"),
+        (_gauss([0.0, 0.0, 1.0, 2.0, 1.0]), "model.init"),
+        (_gauss({"mean": [0.0, 0.0], "cov": [[float("inf"), 0.0], [0.0, 1.0]]}), "model.init.cov"),
+        (_gauss({"mean": [0.0, 0.0], "cov": [["a", 0.0], [0.0, 1.0]]}), "model.init.cov"),
+        (_gauss({"mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}), "model.init: covariance"),
+        (_gauss({"mean": [1e200, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}), "model.init"),
     ],
 )
 def test_config_error_names_its_field(over, field):
@@ -254,6 +265,21 @@ def test_cmd_run_invalid_config_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "update.gamma" in err["message"] and "(0, 1]" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"family": "bernoulli", "dim": 2, "init": [0.5, 1.5]},
+        {"family": "gaussian", "dim": 2, "init": {"mean": [0, 0], "cov": [[1, 2], [2, 1]]}},
+    ],
+)
+def test_cmd_run_invalid_init_exit_2(tmp_path, capsys, model):
+    objective = "onemax:2" if model["family"] == "bernoulli" else "sphere:2"
+    cfg = write_config(tmp_path, base_doc(objective=objective, model=model, shaping="rank"))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "model.init" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -644,3 +670,51 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
         tmp_path / "par" / "sweep.csv"
     ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# CLI: which commands load scipy
+# ---------------------------------------------------------------------------
+
+# Runs the given CLI arguments (none: only the import) in a fresh
+# interpreter and prints, last, the exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+from edaem import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_modules_after(tmp_path, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, check=True, env=env)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return modules
+
+
+# The run configs of the cases below, as changes to base_doc().
+_SCIPY_RUNS = {
+    "bernoulli-quantile": {},
+    "bernoulli-rank": {"shaping": "rank"},
+    "gaussian": {"objective": "sphere:2", "shaping": "rank",
+                 "model": {"family": "gaussian", "dim": 2, "init": "default"}},
+}
+
+
+# scipy is loaded by the Gaussian family's kernels alone, on first use.
+@pytest.mark.parametrize("case", ["import", "diagnose", *_SCIPY_RUNS])
+def test_only_the_gaussian_family_loads_scipy(tmp_path, case):
+    if case in _SCIPY_RUNS:
+        cfg = write_config(tmp_path, base_doc(**_SCIPY_RUNS[case]))
+        argv = ["run", "--config", cfg, "--out", "out"]
+    else:
+        argv = ["diagnose", "default"] if case == "diagnose" else []
+    modules = _scipy_modules_after(tmp_path, argv)
+    if case == "gaussian":
+        assert "scipy.linalg" in modules
+    else:
+        assert modules == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import block_diag, cho_solve
 
 from edaem import models, shaping
 from edaem.errors import (
@@ -766,6 +766,13 @@ def test_fisher_equals_enumerated_score_outer(model):
     s = model.grad_log_density_batch(states)
     enum = (probs[:, None, None] * (s[:, :, None] * s[:, None, :])).sum(axis=0)
     np.testing.assert_allclose(model.fisher_information(), enum, atol=1e-8)
+
+
+@pytest.mark.parametrize("d,K", [(1, 2), (5, 4), (3, 7)])
+def test_categorical_fisher_is_block_diag_of_the_site_blocks(d, K):
+    model = CategoricalProductModel(np.random.default_rng(d * K).dirichlet(np.ones(K), size=d))
+    blocks = [np.diag(1.0 / p[:-1]) + 1.0 / p[-1] for p in model.probs]
+    np.testing.assert_array_equal(model.fisher_information(), block_diag(*blocks))
 
 
 def test_fisher_gaussian_vs_monte_carlo():
