@@ -9,11 +9,12 @@ tautology.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
-from scipy.stats import bernoulli, multivariate_normal
+from scipy.stats import bernoulli, multivariate_normal, rankdata
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +300,130 @@ def gaussian_score_update(Z, w, mean, second_moment, alpha):
         grad_S += wi * gs
     theta = np.concatenate([m, S[rows, cols]])
     return theta + alpha * np.concatenate([grad_m, grad_S])
+
+
+# ---------------------------------------------------------------------------
+# A whole run, written out from the README: draw, weight, refit, repair
+# ---------------------------------------------------------------------------
+
+# The README's fixed repair constants.
+PROB_FLOOR, EIG_FLOOR, JITTER_SCALE, MAX_JITTER_DOUBLINGS = 1e-3, 1e-12, 1e-10, 10
+
+
+def reference_shape(spec, f):
+    """``quantile:R``: weight 1 on the ceil(R N) largest values (R N rounded
+    to 9 decimals), ties to the lower sample index; ``rank``: the average
+    ascending rank from 1, over N."""
+    kind, _, arg = spec.partition(":")
+    n = f.size
+    if kind == "rank":
+        return rankdata(f, method="average") / n
+    w = np.zeros(n)
+    w[np.argsort(-f, kind="stable")[: math.ceil(round(float(arg) * n, 9))]] = 1.0
+    return w
+
+
+def reference_repair_cov(C):
+    """C when its smallest eigenvalue is at least EIG_FLOOR; otherwise C plus
+    jitter max(JITTER_SCALE tr(C) / d, EIG_FLOOR), doubling, until it is at
+    least 2 EIG_FLOOR."""
+    d = C.shape[0]
+    if np.linalg.eigvalsh(C)[0] >= EIG_FLOOR:
+        return C
+    jitter = max(JITTER_SCALE * np.trace(C) / d, EIG_FLOOR)
+    for _ in range(MAX_JITTER_DOUBLINGS):
+        C = C + jitter * np.eye(d)
+        jitter *= 2.0
+        if np.linalg.eigvalsh(C)[0] >= 2.0 * EIG_FLOOR:
+            return C
+    raise ValueError("covariance not repairable")
+
+
+def _bernoulli_steps(p0, f):
+    def draw(p, n, seed):
+        return bernoulli_reference_draw(p, n, seed)
+
+    def refit(Z, w):
+        return w @ np.asarray(Z, dtype=np.float64) / w.sum()
+
+    def blend(p, pt, gamma):
+        return np.clip((1.0 - gamma) * p + gamma * pt, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+    def log_density(p, Z):
+        return bernoulli.logpmf(np.asarray(Z, dtype=np.float64), p).sum(axis=1)
+
+    def prior(p_prev, p, lam2):
+        # lambda1 . eta - lambda2 A with lambda1 = lambda2 theta_prev,
+        # eta = logit p and A = -sum log(1 - p).
+        return lam2 * (p_prev @ (np.log(p) - np.log1p(-p))) + lam2 * np.sum(np.log1p(-p))
+
+    return np.asarray(p0, dtype=np.float64), draw, refit, blend, log_density, prior, lambda p: p
+
+
+def _gaussian_steps(m0, C0, f):
+    def draw(mc, n, seed):
+        return gaussian_reference_draw(np.linalg.cholesky(mc[1]), mc[0], n, seed)
+
+    def refit(Z, w):
+        return gaussian_weighted_moments(Z, w)
+
+    def blend(mc, mct, gamma):
+        # The README's covariance form of the (m, S) blend.
+        (m, C), (mt, Ct) = mc, mct
+        delta = m - mt
+        C2 = (1.0 - gamma) * C + gamma * Ct + gamma * (1.0 - gamma) * np.outer(delta, delta)
+        return (1.0 - gamma) * m + gamma * mt, reference_repair_cov(C2)
+
+    def log_density(mc, Z):
+        return multivariate_normal.logpdf(Z, mean=mc[0], cov=mc[1])
+
+    def theta(mc):
+        m, C = mc
+        return np.concatenate([m, (C + np.outer(m, m))[np.tril_indices(m.size)]])
+
+    def prior(mc_prev, mc, lam2):
+        eta, A = _gaussian_prior_terms(mc[0], mc[1], mc[0].size)
+        return lam2 * (theta(mc_prev) @ eta) - lam2 * A
+
+    start = (np.asarray(m0, dtype=np.float64), np.asarray(C0, dtype=np.float64))
+    return start, draw, refit, blend, log_density, prior, theta
+
+
+def reference_run(family, init, f, shaping, gamma, n, iterations, seed):
+    """``run()`` as the README states it, for ``closed_form`` (``gamma``
+    None) and ``map_smoothed``: per iteration draw N points, weight them by
+    the shaping of f, refit the weighted mean of T(z) and, for MAP, blend it
+    with the previous parameters, then repair once.  Records hold the
+    trace.csv columns and the prior-augmented free energy; the second value
+    returned is the final theta.
+
+    ``init`` is the Bernoulli p or the Gaussian (m, C); f maps an (N, d)
+    batch to N values."""
+    if family == "bernoulli":
+        params, draw, refit, blend, log_density, prior, theta = _bernoulli_steps(init, f)
+    else:
+        params, draw, refit, blend, log_density, prior, theta = _gaussian_steps(*init, f)
+    seeds = np.random.SeedSequence(seed).generate_state(iterations, dtype=np.uint64)
+    records = []
+    for t in range(iterations):
+        Z = draw(params, n, int(seeds[t]))
+        raw = np.asarray(f(Z), dtype=np.float64)
+        w = reference_shape(shaping, raw)
+        q = w / w.sum()
+        tilde = refit(Z, w)
+        nxt = blend(params, tilde, 1.0 if gamma is None else gamma)
+        # F = sum_i q_i [log p(z_i | theta') + log w_i] + H[q], over q_i > 0.
+        act = q > 0.0
+        fe = float(q[act] @ (log_density(nxt, Z[act]) + np.log(w[act]) - np.log(q[act])))
+        fe_map = None if gamma is None else fe + prior(params, nxt, 1.0 / gamma - 1.0)
+        records.append({
+            "iter": t,
+            "best_raw_f": raw.max(),
+            "mean_raw_f": raw.mean(),
+            "weighted_mean_shaped_f": q @ w,
+            "free_energy_estimate": fe,
+            "ess": 1.0 / np.sum(q * q),
+            "free_energy_map": fe_map,
+        })
+        params = nxt
+    return records, theta(params)

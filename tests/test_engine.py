@@ -3,6 +3,8 @@ independent numerical check), and full runs."""
 
 from __future__ import annotations
 
+import csv
+import json
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edaem import engine, models, objectives, shaping
+from edaem import cli, engine, models, objectives, shaping
 from edaem.engine import (
     Population,
     UpdateRule,
@@ -36,6 +38,8 @@ from edaem.models import (
     GaussianModel,
     SearchModel,
 )
+
+from independent_oracles import reference_run
 
 IDENTITY = shaping.ShapingSpec("identity")
 
@@ -770,6 +774,49 @@ def test_run_unrepairable_update_aborts_typed(rule):
         run(cfg)
     assert isinstance(err.value.__cause__, DegenerateUpdateError)
     assert err.value.trace is not None
+
+
+# The two run families at criterion 9's sizes, from its start points.
+_REFERENCE_FAMILIES = {
+    "bernoulli": ("onemax:32", {"family": "bernoulli", "dim": 32, "init": "default"},
+                  np.full(32, 0.5), lambda Z: Z.sum(axis=1)),
+    "gaussian": ("sphere:10",
+                 {"family": "gaussian", "dim": 10,
+                  "init": {"mean": [0.5] * 10, "cov": np.eye(10).tolist()}},
+                 (np.full(10, 0.5), np.eye(10)), lambda Z: -np.sum(Z**2, axis=1)),
+}
+
+
+@pytest.mark.parametrize("shaping_text", ["quantile:0.25", "rank"])
+@pytest.mark.parametrize("gamma", [None, 0.8], ids=["closed_form", "map_smoothed"])
+@pytest.mark.parametrize("family", sorted(_REFERENCE_FAMILIES))
+def test_run_matches_the_reference_loop(tmp_path, family, gamma, shaping_text):
+    # Every trace.csv column, the MAP free energy and the final theta of
+    # `edaem run` against a loop written from the README's equations.
+    objective, model, init, f = _REFERENCE_FAMILIES[family]
+    update = {"kind": "closed_form"} if gamma is None else {"kind": "map_smoothed", "gamma": gamma}
+    doc = {"objective": objective, "model": model, "shaping": shaping_text, "update": update,
+           "n_samples": 200, "iterations": 12, "seed": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+
+    records, theta = reference_run(family, init, f, shaping_text, gamma, 200, 12, 3)
+    assert [int(r["iter"]) for r in rows] == [r["iter"] for r in records]
+    for column in ("best_raw_f", "mean_raw_f", "weighted_mean_shaped_f",
+                   "free_energy_estimate", "ess"):
+        np.testing.assert_allclose([float(r[column]) for r in rows],
+                                   [r[column] for r in records], rtol=1e-12, atol=0,
+                                   err_msg=column)
+    if gamma is None:
+        assert "free_energy_map" not in summary
+    else:
+        np.testing.assert_allclose(summary["free_energy_map"],
+                                   [r["free_energy_map"] for r in records], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(summary["final_params"]["params"], theta, rtol=1e-12, atol=0)
 
 
 def test_empty_trace_best_is_minus_infinity():
