@@ -18,17 +18,19 @@ distribution with one of three M-step variants:
 The M-steps return unrepaired parameters; ``run`` builds the next model
 from them once, which applies the fixed probability floor or covariance
 jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
-Each generation is checked once, when the M-step passes it to the model;
-the E-step only compares the model's domain with the objective's.
-The Gaussian's refit and blend carry the covariance beside theta
-(``ExpectationParams.cov``), so the next model is built from (m, C) and no
-iteration forms S - m m^T.
-The free-energy diagnostic needs E_q[log p(z|theta')], which in an
-exponential family depends on q only through E_q[T(z)]: the unrepaired
-weighted-mean refit theta_tilde.  It takes theta_tilde from the M-step and
-hands it to the model's unchecked ``_mean_log_density`` kernel, which
-every family answers in closed form without another pass over the
-generation (the Gaussian from the refit's mean and covariance).
+The free-energy diagnostic reads the generation only through that refit
+(see ``_free_energy``).
+
+Checks.  A run's config is checked once, when it is built (``UpdateRule``,
+``ShapingSpec``, the start model and its domain).  Per generation ``run``
+checks only what the data can get wrong: finite objective values (the
+shaping's one scan; :class:`ObjectiveError` names the sample), positive
+weights that sum to 1, the generation on the support (the M-step's one
+domain scan), and a repairable covariance and a finite theta for the next
+model; ``e_step``'s O(1) checks of n and of the domain pairing remain.  It
+skips ``m_step_map``'s check of gamma, and builds each Gaussian from the
+exactly symmetric (m, C) its refit or blend made, which the constructor
+neither copies nor symmetrizes; theta is formed for that model only.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -56,9 +58,11 @@ from .errors import (
     FamilyMismatchError,
     ObjectiveError,
     RunAbortedError,
+    ShapingInputError,
     StepSizeError,
 )
 from .models import ExpectationParams, SearchModel
+from .shaping import is_finite_real
 
 # Gradient projections allowed in a row before StepSizeError.
 MAX_CONSECUTIVE_PROJECTIONS = 20
@@ -81,7 +85,7 @@ class Population:
     log_w_shift: float = 0.0
 
     def __post_init__(self):
-        total = float(np.sum(self.norm_w))
+        total = float(self.norm_w.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise DegenerateWeightsError(f"particle posterior sums to {total}, not 1")
 
@@ -92,15 +96,11 @@ class Population:
     @property
     def ess(self) -> float:
         """Effective sample size 1 / sum(norm_w^2), in [1, N]."""
-        return float(1.0 / np.sum(self.norm_w**2))
+        return float(1.0 / (self.norm_w**2).sum())
 
 
 # The hyperparameters each update kind takes.
 _RULE_PARAMS = {"closed_form": (), "map_smoothed": ("gamma",), "gradient": ("alpha", "k")}
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,14 @@ class UpdateRule:
             allowed = f"only {', '.join(takes)}" if takes else "no parameters"
             raise ConfigError(f"{self.kind} update takes {allowed}, got {extra}")
         if self.kind == "map_smoothed":
-            if not (_is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+            if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 1.0):
                 raise ConfigError(f"update.gamma must be a number in (0, 1], got {self.gamma!r}")
         elif self.kind == "gradient":
-            if not (_is_real(self.alpha) and self.alpha > 0.0):
-                raise ConfigError(f"update.alpha must be a number > 0, got {self.alpha!r}")
-            if not (isinstance(self.k, numbers.Integral) and _is_real(self.k) and self.k >= 1):
+            if not (is_finite_real(self.alpha) and self.alpha > 0.0):
+                raise ConfigError(f"update.alpha must be a finite number > 0, got {self.alpha!r}")
+            k = self.k
+            if not (isinstance(k, numbers.Integral) and is_finite_real(k) and k >= 1):
                 raise ConfigError(f"update.k must be an integer >= 1, got {self.k!r}")
-
-    def prior_lambda(self, theta_prev: ExpectationParams):
-        """Conjugate-prior parameters implied by gamma for this iteration:
-        lambda2 = 1/gamma - 1 and lambda1 = lambda2 * theta_prev."""
-        lam2 = 1.0 / self.gamma - 1.0
-        return lam2 * theta_prev.values, lam2
 
 
 @dataclass(frozen=True)
@@ -173,16 +168,13 @@ class Trace:
         return max((r.best_raw_f for r in self.records), default=-math.inf)
 
 
-def e_step(
-    model: SearchModel,
-    objective: objectives_mod.Objective,
-    shaping_spec: shaping_mod.ShapingSpec,
-    n: int,
-    seed: int,
-) -> Population:
+def e_step(model: SearchModel, objective: objectives_mod.Objective,
+           shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int) -> Population:
     """Sample a generation, evaluate, shape, and normalize the weights.
     The model must share the objective's domain; its samples then go to
-    ``batch_eval`` unscanned."""
+    ``batch_eval`` unscanned.  The shaping's scan of the values is their
+    one finiteness check; a NaN or infinite value raises
+    :class:`ObjectiveError` naming its sample."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
     if model.domain != objective.domain:
@@ -192,22 +184,17 @@ def e_step(
         )
     Z = model.sample(n, seed)
     raw = objectives_mod.evaluate_unchecked(objective, Z)
-    bad = np.nonzero(~np.isfinite(raw))[0]
-    if bad.size:
+    try:
+        w = shaping_mod.shape(shaping_spec, raw)
+    except ShapingInputError:
+        bad = np.flatnonzero(~np.isfinite(raw))
+        if not bad.size:
+            raise
         idx = int(bad[0])
-        raise ObjectiveError(
-            f"objective {objective.name!r} returned {raw[idx]} at sample index {idx}",
-            index=idx,
-        )
-    w = shaping_mod.shape(shaping_spec, raw)
-    norm = w / w.sum()
-    return Population(
-        samples=Z,
-        raw_f=raw,
-        shaped_w=w,
-        norm_w=norm,
-        log_w_shift=shaping_mod.log_shift(shaping_spec, raw),
-    )
+        raise ObjectiveError(f"objective {objective.name!r} returned {raw[idx]} at sample "
+                             f"index {idx}", index=idx) from None
+    return Population(samples=Z, raw_f=raw, shaped_w=w, norm_w=w / w.sum(),
+                      log_w_shift=shaping_mod.log_shift(shaping_spec, raw))
 
 
 def m_step_closed_form(pop: Population, model: SearchModel) -> ExpectationParams:
@@ -281,12 +268,12 @@ def _free_energy(
     ``theta_tilde`` is the unrepaired weighted-mean refit sum_i q_i T(z_i)
     of this generation; the first term is ``next_model._mean_log_density``
     of it, a closed form that does not read the samples again."""
-    q = pop.norm_w
-    act = q > 0.0
+    act = pop.norm_w > 0.0
+    q = pop.norm_w[act]
     mean_logp = next_model._mean_log_density(theta_tilde)
     logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
-    entropy = -float(np.sum(q[act] * np.log(q[act])))
-    return mean_logp + float(np.sum(q[act] * logw)) + entropy
+    entropy = -float((q * np.log(q)).sum())
+    return mean_logp + float((q * logw).sum()) + entropy
 
 
 def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:
@@ -310,46 +297,38 @@ def run(config) -> Trace:
     rule = config.rule
     window = config.early_stop_window
     records: list = []
-    seeds = np.random.SeedSequence(config.seed).generate_state(
-        config.iterations, dtype=np.uint64
-    )
+    seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, dtype=np.uint64)
     best_so_far = -np.inf
     stale = 0
     try:
         for t in range(config.iterations):
-            pop = e_step(
-                model, config.objective, config.shaping, config.n_samples, int(seeds[t])
-            )
+            pop = e_step(model, config.objective, config.shaping, config.n_samples, int(seeds[t]))
             try:
                 if rule.kind == "gradient":
                     theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
                     # The gradient M-step has checked these samples.
-                    theta_tilde = model._refit(
-                        pop.samples, pop.shaped_w, float(pop.shaped_w.sum())
-                    )
+                    theta_tilde = model._refit(pop.samples, pop.shaped_w, float(pop.shaped_w.sum()))
                 else:
                     theta_next = theta_tilde = m_step_closed_form(pop, model)
-                    if rule.kind == "map_smoothed":
+                    if rule.kind == "map_smoothed":  # m_step_map, checked once
                         theta_prev = model.params
-                        theta_next = m_step_map(theta_prev, theta_tilde, rule.gamma)
+                        theta_next = theta_prev.blend(theta_tilde, rule.gamma)
                 next_model = model.with_params(theta_next)
             except DegenerateModelError as exc:
-                raise DegenerateUpdateError(
-                    f"{rule.kind} update not repairable: {exc}"
-                ) from exc
+                raise DegenerateUpdateError(f"{rule.kind} update not repairable: {exc}") from exc
 
             fe = _free_energy(pop, next_model, theta_tilde)
             fe_map = None
             if rule.kind == "map_smoothed":
-                lam1, lam2 = rule.prior_lambda(theta_prev)
-                fe_map = fe + _log_prior(next_model, lam1, lam2)
+                lam2 = 1.0 / rule.gamma - 1.0  # the prior gamma implies
+                fe_map = fe + _log_prior(next_model, lam2 * theta_prev.values, lam2)
 
             best = float(pop.raw_f.max())
             records.append(
                 IterationRecord(
                     iteration=t,
                     best_raw_f=best,
-                    mean_raw_f=float(pop.raw_f.mean()),
+                    mean_raw_f=float(pop.raw_f.sum() / pop.size),  # ndarray.mean, bit for bit
                     weighted_mean_shaped_f=float(pop.norm_w @ pop.shaped_w),
                     free_energy_estimate=fe,
                     ess=pop.ess,
@@ -365,12 +344,7 @@ def run(config) -> Trace:
                 stale += 1
             if window is not None and stale >= window:
                 break
-    except (
-        DegenerateWeightsError,
-        DegenerateUpdateError,
-        ObjectiveError,
-        StepSizeError,
-    ) as exc:
+    except (DegenerateWeightsError, DegenerateUpdateError, ObjectiveError, StepSizeError) as exc:
         raise RunAbortedError(
             f"run aborted at iteration {len(records)}: {exc}",
             trace=Trace(records=records, final_model=model),

@@ -17,19 +17,14 @@ Families:
   the Fisher information is nonsingular).
 
 Models are immutable after construction and safe to share across threads;
-sampling always takes an explicit seed.
+sampling always takes an explicit seed.  Only the Gaussian's kernels call
+scipy (``scipy.linalg``'s BLAS and LAPACK wrappers), through ``_linalg()``,
+which imports it on the first call, so importing this module, or using the
+other families, loads no scipy module.
 
-Only the Gaussian's kernels call scipy (``scipy.linalg``'s BLAS and LAPACK
-wrappers).  They reach it through ``_linalg()``, which imports it on the
-first call, so importing this module, or using the other families, loads
-no scipy module.
-
-A note on smoothing: the convex-combination update blends expectation
-parameters, i.e. for the Gaussian it smooths (mean, second moment) jointly;
-in covariance terms that is C' = (1 - gamma) C + gamma C~ + gamma (1 - gamma)
-(m - m~)(m - m~)^T, which is how it is computed.  CMA-ES-style
-implementations usually smooth the covariance matrix directly; the two
-conventions agree only when the mean is unchanged.
+The Gaussian blend smooths (mean, second moment) jointly, in covariance
+terms (``ExpectationParams.blend``).  CMA-ES-style implementations smooth
+the covariance matrix directly; the two agree only when the mean is fixed.
 """
 
 from __future__ import annotations
@@ -37,16 +32,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryError,
-    DegenerateModelError,
-    DomainError,
-    FamilyMismatchError,
-)
+from .errors import BoundaryError, DegenerateModelError, DomainError, FamilyMismatchError
 from .objectives import Domain
 
 # The repair constants of the feasible sets, fixed for every model: the
@@ -70,9 +59,8 @@ COUNT_MIN_DIM = 64
 COUNT_CHUNK_ROWS = 65535
 
 
-@dataclass(frozen=True)
 class ExpectationParams:
-    """Carrier for an expectation-parameter vector.
+    """Carrier for an expectation-parameter vector, read-only.
 
     ``values`` is a 1-D float64 vector of length D in the family's
     documented layout; ``family_tag`` identifies the family instance
@@ -80,25 +68,34 @@ class ExpectationParams:
     Validity enforcement (floors, positive-definiteness) lives in the
     family constructors, which repair or reject on construction.
 
-    ``cov`` is set only for the Gaussian: the covariance C of the mean
-    ``values[:d]``, carried because theta's S = C + m m^T cannot hold C
-    once |m|^2 >> C.  A model is then built from (m, C), and ``values`` is
-    theta as derived from them.
+    Gaussian parameters that a refit, a blend or a model makes carry its
+    mean and covariance (``mean``, ``cov``; else None), because theta's
+    S = C + m m^T cannot hold C once |m|^2 >> C.  A model is built from
+    (m, C), and ``values`` is theta derived from them on first read; one
+    that overflows raises :class:`DegenerateModelError` then.
     """
 
-    values: np.ndarray
-    family_tag: str
-    cov: np.ndarray | None = None
+    __slots__ = ("_values", "family_tag", "mean", "cov")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
+    def __init__(self, values, family_tag: str):
+        vals = np.asarray(values, dtype=np.float64).reshape(-1).copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.cov is not None:
-            object.__setattr__(self, "cov", _readonly(self.cov))
+        self._values, self.family_tag, self.mean, self.cov = vals, family_tag, None, None
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def _of_mean_cov(cls, mean: np.ndarray, cov: np.ndarray, family_tag: str):
+        # (m, C) are float64 arrays that the caller made and no one writes.
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        params = cls.__new__(cls)
+        params._values, params.family_tag, params.mean, params.cov = None, family_tag, mean, cov
+        return params
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = GaussianModel._theta(self.mean, self.cov)
+        return self._values
 
     def blend(self, other: "ExpectationParams", gamma: float) -> "ExpectationParams":
         """(1 - gamma) * self + gamma * other.  When either side carries a
@@ -111,11 +108,11 @@ class ExpectationParams:
             )
         (m, C), (mt, Ct) = GaussianModel._mean_cov(self), GaussianModel._mean_cov(other)
         delta = m - mt
-        # An overflow reaches the carrier as inf, which rejects it, like the
-        # refit's.
+        # An overflow reaches the covariance as inf, which the model built
+        # from it rejects, like the refit's.
         with np.errstate(over="ignore"):
-            cov = (1.0 - gamma) * C + gamma * Ct + (gamma * (1.0 - gamma)) * np.outer(delta, delta)
-        return GaussianModel._carrier((1.0 - gamma) * m + gamma * mt, cov)
+            cov = (1.0 - gamma) * C + gamma * Ct + gamma * (1.0 - gamma) * (delta[:, None] * delta)
+        return ExpectationParams._of_mean_cov((1.0 - gamma) * m + gamma * mt, cov, self.family_tag)
 
 
 @functools.cache
@@ -133,8 +130,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    # Cached and shared by every caller, hence read-only.
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DegenerateModelError(f"{what} contains non-finite entries")
 
 
@@ -226,9 +231,10 @@ class SearchModel:
                 )
         else:
             params = ExpectationParams(params, self.family_tag)
-        if len(params) != self.n_params:
+        # Parameters that carry (m, C) have the layout their tag names.
+        if params.cov is None and params.values.size != self.n_params:
             raise FamilyMismatchError(
-                f"{self.family_tag!r} expects {self.n_params} parameters, got {len(params)}"
+                f"{self.family_tag!r} expects {self.n_params} parameters, got {params.values.size}"
             )
         return self._from_params(params)
 
@@ -352,7 +358,7 @@ class BernoulliProductModel(SearchModel):
     def __init__(self, probs):
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         _require_finite(probs, "probs")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if (probs < 0.0).any() or (probs > 1.0).any():
             raise DomainError("Bernoulli probabilities must lie in [0, 1]")
         self._probs = _readonly(np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
@@ -465,7 +471,7 @@ class BernoulliProductModel(SearchModel):
         return np.log(p) - np.log1p(-p)
 
     def log_partition(self) -> float:
-        return float(-np.sum(np.log1p(-self._probs)))
+        return float(-np.log1p(-self._probs).sum())
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,9 +501,7 @@ def _vech_doubled(M: np.ndarray) -> np.ndarray:
     """vech over the last two axes with the off-diagonals doubled: the
     coefficients on vech(S) of sum_ij M_ij S_ij for symmetric S."""
     rows, cols = _tril_indices(M.shape[-1])
-    v = M[..., rows, cols]
-    v[..., rows != cols] *= 2.0
-    return v
+    return M[..., rows, cols] * np.where(rows != cols, 2.0, 1.0)
 
 
 class GaussianModel(SearchModel):
@@ -507,50 +511,53 @@ class GaussianModel(SearchModel):
     vech(z z^T)), so the weighted-mean refit reproduces weighted sample
     moments.  The model keeps m, the covariance C and its lower Cholesky
     factor L.  It is built from (m, S), where C = S - m m^T, or from (m, C)
-    by ``from_mean_cov`` (and by every refit and blend of a run, which
-    carry C in their :class:`ExpectationParams`), so that no iteration
-    forms S - m m^T, which cancels when |m|^2 >> C.
+    by ``from_mean_cov`` and from the parameters of a refit or a blend,
+    which carry C, so that no iteration forms S - m m^T, which cancels when
+    |m|^2 >> C.  An asymmetric matrix is replaced by its symmetric part.
 
-    An asymmetric matrix is replaced by its symmetric part.  Construction
-    repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by trace-scaled
-    jitter (see ``_repair_cov``), doubling at most ``MAX_JITTER_DOUBLINGS``
-    times; if that fails the model raises instead of silently clamping.  A
-    model built from theta keeps its S, and so reports theta as given;
-    otherwise theta derives from C and ``params`` carries C alongside.
+    Construction repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by
+    trace-scaled jitter (see ``_repair_cov``), doubling at most
+    ``MAX_JITTER_DOUBLINGS`` times; if that fails the model raises instead
+    of silently clamping.  A model built from theta keeps its S, and so
+    reports theta as given; otherwise theta derives from C, is formed and
+    checked at construction, and ``params`` carries C alongside.
     """
 
     family = "gaussian"
     kind = "continuous"
 
-    def __init__(self, mean, second_moment, *, _is_cov=False):
-        # ``_is_cov`` is private: ``from_mean_cov`` and ``with_params`` pass
-        # C in place of S with it.
-        name = "cov" if _is_cov else "second_moment"
-        m = np.asarray(mean, dtype=np.float64).reshape(-1)
-        M = np.array(second_moment, dtype=np.float64)
-        d = m.shape[0]
-        if M.shape != (d, d):
-            raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
-        _require_finite(m, "mean")
-        _require_finite(M, name)
-        if not np.array_equal(M, M.T):
-            # Halving each side first cannot overflow.
-            M = 0.5 * M + 0.5 * M.T
-        C0 = M if _is_cov else M - np.outer(m, m)
-        C, L = self._repair_cov(C0)
-        # C, L and M are this constructor's own arrays.
-        for a in (C, L, M):
-            a.setflags(write=False)
-        self._mean = _readonly(m)
-        self._cov = C
-        self._chol = L
+    def __init__(self, mean, second_moment, *, _is_cov=False, _own=False):
+        # Private: ``from_mean_cov`` passes C in place of S with ``_is_cov``,
+        # and ``with_params`` passes parameters' (m, C) with ``_own``: arrays
+        # a refit, a blend or a model made, read-only and C exactly
+        # symmetric, so they are neither copied nor symmetrized.
+        m, C0, M = mean, second_moment, None
+        if not _own:
+            name = "cov" if _is_cov else "second_moment"
+            m = _readonly(mean).reshape(-1)
+            M = np.array(second_moment, dtype=np.float64)
+            d = m.shape[0]
+            if M.shape != (d, d):
+                raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
+            _require_finite(m, "mean")
+            _require_finite(M, name)
+            if not np.array_equal(M, M.T):
+                # Halving each side first cannot overflow.
+                M = 0.5 * M + 0.5 * M.T
+            M.setflags(write=False)
+            C0 = M if _is_cov else M - np.outer(m, m)
+        self._mean = m
+        self._cov, self._chol = self._repair_cov(C0)
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
-        self._given_S = M if not _is_cov and C is C0 else None
+        self._given_S = M if not _is_cov and self._cov is C0 else None
+        if self._given_S is None:
+            self.params  # formed now, so that an overflowing theta raises here
 
     @staticmethod
     def _repair_cov(C: np.ndarray):
-        """Return the repaired covariance and its lower Cholesky factor.
+        """Return the repaired covariance and its lower Cholesky factor,
+        both read-only.
 
         C passes as it is when its smallest eigenvalue is at least
         ``EIG_FLOOR``, which one Cholesky of C - EIG_FLOOR I tests.  Otherwise
@@ -564,15 +571,17 @@ class GaussianModel(SearchModel):
         may be repaired again, to a C that is still above the floor.
         """
         d = C.shape[0]
-        if not np.all(np.isfinite(C)):
+        if not np.isfinite(C).all():
             raise DegenerateModelError("covariance contains non-finite entries")
-        eye = np.eye(d)
+        eye = _eye(d)
         dpotrf = _linalg().lapack.dpotrf
         floor, jitter = EIG_FLOOR, 0.0
         for attempt in range(MAX_JITTER_DOUBLINGS + 1):
             if dpotrf(C - floor * eye, lower=1)[1] == 0:
                 L, info = dpotrf(C, lower=1, clean=1)
                 if info == 0:
+                    C.setflags(write=False)
+                    L.setflags(write=False)
                     return C, L
             if attempt == MAX_JITTER_DOUBLINGS:
                 break
@@ -581,34 +590,38 @@ class GaussianModel(SearchModel):
                 jitter = max(JITTER_SCALE * float(np.trace(C)) / d, EIG_FLOOR)
             C = C + jitter * eye
             jitter *= 2.0
-        raise DegenerateModelError(
-            "covariance not positive definite after jitter repair"
-        )
+        raise DegenerateModelError("covariance not positive definite after jitter repair")
 
     @classmethod
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        model = cls(mean, cov, _is_cov=True)
-        model.params  # formed now, so that an overflowing theta raises here
-        return model
+        return cls(mean, cov, _is_cov=True)
+
+    @staticmethod
+    def _theta(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        """theta = (m, vech(C + m m^T)), read-only.  S overflows to inf
+        before (m, C) does; such a model has no theta, and raises."""
+        with np.errstate(over="ignore"):
+            theta = np.concatenate([mean, vech(cov + mean[:, None] * mean)])
+        _require_finite(theta, "theta")
+        theta.setflags(write=False)
+        return theta
 
     @staticmethod
     def _carrier(mean: np.ndarray, cov: np.ndarray) -> ExpectationParams:
-        """The parameters of (m, C): theta = (m, vech(C + m m^T)), with C
-        carried alongside.  S overflows to inf before (m, C) does; such a
-        model has no theta, and raises."""
-        with np.errstate(over="ignore"):
-            theta = np.concatenate([mean, vech(cov + np.outer(mean, mean))])
-        _require_finite(theta, "theta")
-        return ExpectationParams(theta, f"{GaussianModel.family}:{mean.shape[0]}", cov)
+        """The parameters of (m, C), with C carried alongside and theta
+        formed now."""
+        params = ExpectationParams._of_mean_cov(mean, cov, f"gaussian:{mean.shape[0]}")
+        params.values  # formed now, so that an overflowing theta raises here
+        return params
 
     @staticmethod
     def _mean_cov(params: ExpectationParams):
-        """(m, C) of Gaussian parameters: the covariance they carry, or
-        S - m m^T from theta when they carry none."""
+        """(m, C) of Gaussian parameters: the pair they carry, or S - m m^T
+        from theta when they carry none."""
+        if params.cov is not None:
+            return params.mean, params.cov
         d = int(params.family_tag.partition(":")[2])
         m = params.values[:d]
-        if params.cov is not None:
-            return m, params.cov
         return m, unvech(params.values[d:], d) - np.outer(m, m)
 
     @property
@@ -651,21 +664,22 @@ class GaussianModel(SearchModel):
     def _from_params(self, params) -> "GaussianModel":
         if params.cov is None:
             return self._from_layout(params.values, self.domain)
-        # The carrier that set cov checked theta.
-        return GaussianModel(params.values[: self.dim], params.cov, _is_cov=True)
+        return GaussianModel(params.mean, params.cov, _own=True)
 
     # Derived from the immutable Cholesky factor on first use, and shared by
     # the free energy and MAP's log-prior; closed-form runs read it once per
     # iteration, in the free energy.
     @functools.cached_property
     def _precision(self) -> np.ndarray:
-        P = _linalg().cho_solve((self._chol, True), np.eye(self.dim))
+        # potrs on the factor, the solve that cho_solve makes after its
+        # finiteness checks, which the factor of a built model passes.
+        P = _linalg().lapack.dpotrs(self._chol, _eye(self.dim), lower=1)[0]
         P.setflags(write=False)
         return P
 
     @functools.cached_property
     def _log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        return 2.0 * float(np.log(self._chol.diagonal()).sum())
 
     def _draw(self, rng, n: int) -> np.ndarray:
         # One (n, d) array: the normals, multiplied by L in place (trmm on
@@ -691,15 +705,19 @@ class GaussianModel(SearchModel):
         # Centred moments over the rows with w > 0 (a quantile shaping keeps
         # a fraction of them): m~ = sum q z and C~ = sum q (z - m~)(z - m~)^T
         # with q = w / total.  C~ is one triangle of a rank-k update (syrk),
-        # mirrored; BLAS lets an overflow through as inf, which the carrier
-        # then rejects.
+        # mirrored, so exactly symmetric; BLAS lets an overflow through as
+        # inf, which the model built from it rejects.  Its theta is formed
+        # only if read.
         keep = w > 0.0
         U, q = Z[keep], w[keep] / total
         mean = q @ U
         U -= mean
         U *= np.sqrt(q)[:, None]
         C = _linalg().blas.dsyrk(1.0, U.T, lower=1)
-        return self._carrier(mean, C + np.tril(C, -1).T)
+        # syrk leaves the strict upper triangle zero; Fortran order, like C.
+        full = np.add(C, C.T, order="F")
+        np.fill_diagonal(full, C.diagonal())
+        return ExpectationParams._of_mean_cov(mean, full, self.family_tag)
 
     def _mean_log_density(self, theta_bar) -> float:
         # sum_i q_i log p(z_i) = -(d log 2 pi + log det C + tr(C^-1 C~)
@@ -708,7 +726,7 @@ class GaussianModel(SearchModel):
         m_bar, C_bar = self._mean_cov(theta_bar)
         P = self._precision
         delta = m_bar - self._mean
-        maha = float(np.sum(P * C_bar)) + float(delta @ P @ delta)
+        maha = float((P * C_bar).sum()) + float(delta @ P @ delta)
         return -0.5 * (self.dim * math.log(2.0 * math.pi) + self._log_det + maha)
 
     def _score_batch(self, Z) -> np.ndarray:

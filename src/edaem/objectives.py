@@ -63,7 +63,7 @@ class Domain:
             if not np.all((Z >= 0.0) & (Z < self.arity) & (Z == np.floor(Z))):
                 raise DomainError(f"categorical support is {{0..{self.arity - 1}}}^d")
             return Z.astype(np.int64)
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise DomainError("continuous support requires finite coordinates")
         return Z
 
@@ -157,7 +157,7 @@ def sphere_max(dim: int) -> Objective:
         Z = np.asarray(Z, dtype=np.float64)
         out = np.empty(Z.shape[0])
         for rows, block in _row_blocks(*Z.shape):
-            np.sum(np.square(Z[rows], out=block), axis=1, out=out[rows])
+            np.square(Z[rows], out=block).sum(axis=1, out=out[rows])
         return -out
 
     return Objective(

@@ -18,18 +18,36 @@ into selection weights without moving the optima.  Kinds:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateWeightsError, ShapingInputError
 
-KINDS = ("identity", "exponential", "quantile", "rank", "cdf_threshold")
+# The one parameter each kind takes: its name in config strings, its field
+# and its range.  A kind without one maps to None.
+_PARAMS = {
+    "identity": None,
+    "exponential": ("exp", "beta", "a finite number > 0", lambda v: v > 0.0),
+    "quantile": ("quantile", "rho", "a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "rank": None,
+    "cdf_threshold": ("cdf", "level", "a quantile level in [0, 1)", lambda v: 0.0 <= v < 1.0),
+}
+KINDS = tuple(_PARAMS)
+_ALIASES = {"q": "quantile", **{p[0]: kind for kind, p in _PARAMS.items() if p}}
+
+
+def is_finite_real(x) -> bool:
+    """A finite real number, not a bool: the type of every hyperparameter."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf
 
 
 @dataclass(frozen=True)
 class ShapingSpec:
-    """Which monotone transform turns raw objective values into weights."""
+    """Which monotone transform turns raw objective values into weights.
+    The one shaping schema: the kind, the parameter it takes and that
+    parameter's type and range are checked here."""
 
     kind: str
     beta: float | None = None
@@ -37,51 +55,38 @@ class ShapingSpec:
     level: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _PARAMS):
             raise ConfigError(f"unknown shaping kind {self.kind!r}; valid: {KINDS}")
-        if self.kind == "exponential":
-            if self.beta is None or not self.beta > 0:
-                raise ConfigError(f"exponential shaping needs beta > 0, got {self.beta}")
-        if self.kind == "quantile":
-            if self.rho is None or not 0.0 < self.rho <= 1.0:
-                raise ConfigError(f"quantile shaping needs rho in (0, 1], got {self.rho}")
-        if self.kind == "cdf_threshold":
-            if self.level is None or not 0.0 <= self.level < 1.0:
-                raise ConfigError(
-                    f"cdf_threshold shaping needs a quantile level in [0, 1), got {self.level}"
-                )
+        _, name, valid, in_range = _PARAMS[self.kind] or (None,) * 4
+        extra = [f for f in ("beta", "rho", "level") if f != name and getattr(self, f) is not None]
+        if extra:
+            allowed = f"only {name}" if name else "no parameter"
+            raise ConfigError(f"{self.kind} shaping takes {allowed}, got {extra}")
+        value = getattr(self, name) if name else None
+        if name and not (is_finite_real(value) and in_range(value)):
+            raise ConfigError(f"{self.kind} shaping needs {name} {valid}, got {value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ShapingSpec":
-        """Parse config strings: "identity", "rank", "quantile:0.25",
-        "exp:2.0", "cdf:0.9"."""
+        """Parse config strings: "identity", "rank", "quantile:0.25" (or
+        "q:0.25"), "exp:2.0", "cdf:0.9"; a kind's full name also works."""
         name, _, arg = text.strip().partition(":")
-        name = name.strip().lower()
+        kind = _ALIASES.get(name.strip().lower(), name.strip().lower())
+        if kind not in _PARAMS:
+            raise ConfigError(f"unknown shaping spec {text!r}")
+        if _PARAMS[kind] is None:
+            return cls(kind)
         try:
-            if name == "identity":
-                return cls("identity")
-            if name == "rank":
-                return cls("rank")
-            if name in ("quantile", "q"):
-                return cls("quantile", rho=float(arg))
-            if name in ("exp", "exponential"):
-                return cls("exponential", beta=float(arg))
-            if name in ("cdf", "cdf_threshold"):
-                return cls("cdf_threshold", level=float(arg))
+            value = float(arg)
         except ValueError as exc:
             raise ConfigError(f"bad shaping argument in {text!r}: {exc}") from exc
-        raise ConfigError(f"unknown shaping spec {text!r}")
+        return cls(kind, **{_PARAMS[kind][1]: value})
 
     def __str__(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "rank":
-            return "rank"
-        if self.kind == "quantile":
-            return f"quantile:{self.rho}"
-        if self.kind == "exponential":
-            return f"exp:{self.beta}"
-        return f"cdf:{self.level}"
+        if _PARAMS[self.kind] is None:
+            return self.kind
+        short, name = _PARAMS[self.kind][:2]
+        return f"{short}:{getattr(self, name)}"
 
 
 def shape(spec: ShapingSpec, f_values) -> np.ndarray:
@@ -89,12 +94,12 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
     f = np.asarray(f_values, dtype=np.float64).reshape(-1)
     if f.shape[0] < 1:
         raise ShapingInputError("need at least one objective value")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ShapingInputError("objective values must be finite (NaN/inf seen)")
     n = f.shape[0]
 
     if spec.kind == "identity":
-        if np.any(f < 0.0):
+        if (f < 0.0).any():
             raise ShapingInputError(
                 "identity shaping assumes nonnegative objective values; "
                 "use rank/quantile/exponential shaping for signed objectives"
@@ -106,7 +111,7 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
         # rho * n rounded to 9 decimals first, so that a product meant as
         # an integer (0.07 * 100 = 7.000000000000001) keeps that many.
         m = max(1, math.ceil(round(spec.rho * n, 9)))
-        order = np.argsort(-f, kind="stable")
+        order = (-f).argsort(kind="stable")
         w = np.zeros(n)
         w[order[:m]] = 1.0
     elif spec.kind == "rank":
@@ -115,7 +120,7 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
         tau = np.quantile(f, spec.level)
         w = (f >= tau).astype(np.float64)
 
-    if not np.any(w > 0.0):
+    if not (w > 0.0).any():
         raise DegenerateWeightsError(
             f"{spec.kind} shaping produced all-zero weights for this generation"
         )

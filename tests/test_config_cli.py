@@ -282,6 +282,15 @@ def test_cmd_run_invalid_init_exit_2(tmp_path, capsys, model):
     assert err["error"] == "ConfigError" and "model.init" in err["message"]
 
 
+def test_cmd_run_infinite_beta_exit_2(tmp_path, capsys):
+    # exp:inf would weight every generation with NaN.
+    cfg = write_config(tmp_path, base_doc(shaping="exp:inf"))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "beta" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cmd_negative_seed_flag_exit_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path, base_doc())

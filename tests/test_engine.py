@@ -29,6 +29,7 @@ from edaem.errors import (
     FamilyMismatchError,
     ObjectiveError,
     RunAbortedError,
+    ShapingInputError,
     StepSizeError,
 )
 from edaem.models import (
@@ -104,8 +105,11 @@ def test_e_step_deterministic_population():
 
 
 def test_e_step_requires_two_samples():
-    with pytest.raises(ValueError):
-        e_step(BernoulliProductModel([0.5]), objectives.onemax(1), IDENTITY, 1, seed=0)
+    gauss = GaussianModel.from_mean_cov(np.zeros(2), np.eye(2))
+    for model, objective in [(BernoulliProductModel([0.5]), objectives.onemax(1)),
+                             (gauss, objectives.sphere_max(2))]:
+        with pytest.raises(ValueError):
+            e_step(model, objective, shaping.ShapingSpec("rank"), 1, seed=0)
 
 
 def test_e_step_nan_objective_names_index():
@@ -282,9 +286,11 @@ def test_map_family_mismatch():
 
 
 def test_map_gamma_out_of_range():
+    # run() blends without this check; the public M-step keeps it.
     prev = ExpectationParams(np.array([0.5]), "bernoulli:1")
-    with pytest.raises(ConfigError):
-        m_step_map(prev, prev, 1.5)
+    for gamma in (1.5, True):
+        with pytest.raises(ConfigError, match="update.gamma"):
+            m_step_map(prev, prev, gamma)
 
 
 # Each row breaks one hyperparameter; the error must name that field.
@@ -299,6 +305,7 @@ def test_map_gamma_out_of_range():
         ({"kind": "map_smoothed", "gamma": "0.5"}, "update.gamma"),
         ({"kind": "map_smoothed", "gamma": 0.5, "alpha": 0.1}, "alpha"),
         ({"kind": None}, "update.kind"),
+        ({"kind": "gradient", "alpha": float("inf"), "k": 2}, "update.alpha"),
     ],
 )
 def test_update_rule_is_the_one_update_schema(kwargs, field):
@@ -560,19 +567,9 @@ def test_run_identical_seeds_identical_traces():
     "rule", [UpdateRule("closed_form"), UpdateRule("map_smoothed", gamma=0.8)]
 )
 def test_run_builds_one_model_per_iteration(monkeypatch, rule):
-    calls = {"with_params": 0, "e_step": 0}
-    with_params, e_step_fn = SearchModel.with_params, engine.e_step
-
-    def counting_with_params(self, params):
-        calls["with_params"] += 1
-        return with_params(self, params)
-
-    def counting_e_step(*args, **kwargs):
-        calls["e_step"] += 1
-        return e_step_fn(*args, **kwargs)
-
-    monkeypatch.setattr(SearchModel, "with_params", counting_with_params)
-    monkeypatch.setattr(engine, "e_step", counting_e_step)
+    # One constructor call per iteration, and one theta: the next model's,
+    # formed to check that it is finite.  The refit's and the blend's are
+    # never formed.
     cfg = runcfg(
         model=GaussianModel.from_mean_cov(np.zeros(3), np.eye(3)),
         objective=objectives.sphere_max(3),
@@ -582,8 +579,32 @@ def test_run_builds_one_model_per_iteration(monkeypatch, rule):
         iterations=10,
         seed=9,
     )
+    calls = {"with_params": 0, "e_step": 0, "__init__": 0, "theta": 0}
+    with_params, e_step_fn = SearchModel.with_params, engine.e_step
+    init, theta = GaussianModel.__init__, GaussianModel._theta
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SearchModel, "with_params", counting("with_params", with_params))
+    monkeypatch.setattr(engine, "e_step", counting("e_step", e_step_fn))
+    monkeypatch.setattr(GaussianModel, "__init__", counting("__init__", init))
+    monkeypatch.setattr(GaussianModel, "_theta", staticmethod(counting("theta", theta)))
     assert len(run(cfg).records) == 10
-    assert calls == {"with_params": 10, "e_step": 10}
+    assert calls == {"with_params": 10, "e_step": 10, "__init__": 10, "theta": 10}
+
+
+def test_e_step_passes_on_a_shaping_error_of_finite_values():
+    # Only a NaN or infinite value is the objective's fault.
+    negative = objectives.Objective(
+        name="neg:2", domain=objectives.Domain("binary", 2), batch_eval=lambda Z: -Z.sum(axis=1)
+    )
+    with pytest.raises(ShapingInputError, match="nonnegative"):
+        e_step(BernoulliProductModel([0.5, 0.5]), negative, IDENTITY, 8, seed=0)
 
 
 @pytest.mark.parametrize(

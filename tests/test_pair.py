@@ -110,3 +110,49 @@ def test_a_failing_run_stops_the_pairing(tmp_path):
     (change / "stub.py").write_text("import sys; sys.exit(3)\n")
     with pytest.raises(RuntimeError, match="exited 3"):
         pair_tool.pair(parent, change, [1], ["a"], log=lambda s: None)
+
+
+NODE_STUB = """\
+def test_ok():
+    pass
+"""
+
+
+def test_pytest_node_pairs_alternate(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, node):  # parent runs take 2 s, change runs 1 s
+        calls.append((tree.name, node))
+        return 2.0 if tree.name == "parent" else 1.0
+
+    monkeypatch.setattr(pair_tool, "pytest_once", fake_run)
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    rec = pair_tool.pair_pytest(*trees, "t.py::test_ok", 3, log=lambda s: None)
+    assert rec["pairs"] == 3 and rec["first_in_pair"] == ["parent", "change", "parent"]
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [(name, "t.py::test_ok") for name in order]
+    wall = rec["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["parent"]["runs"] == [2.0] * 3
+    assert (wall["wins"], wall["losses"], wall["ratios"]) == (3, 0, [0.5] * 3)
+
+
+def test_pytest_mode_runs_the_node_in_each_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "test_node.py").write_text(NODE_STUB)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + cmd, cwd=repo, check=True)
+    monkeypatch.setattr(pair_tool, "REPO", repo)
+    out = tmp_path / "node.json"
+    argv = ["--parent", "HEAD", "--pairs", "1", "--pytest", "test_node.py::test_ok"]
+    assert pair_tool.main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"].endswith(" test_node.py::test_ok") and doc["seeds"] == []
+    wall = doc["pytest"]["test_node.py::test_ok"]["metrics"]["wall_s"]
+    assert wall["parent"]["runs"][0] > 0 and wall["change"]["runs"][0] > 0
+    with pytest.raises(SystemExit):
+        pair_tool.main(argv + ["--claim", "a:wall_s", "--out", str(out)])
+    (repo / "test_node.py").write_text("def test_ok():\n    assert False\n")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        pair_tool.pytest_once(repo, "test_node.py::test_ok")

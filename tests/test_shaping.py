@@ -156,10 +156,37 @@ def test_parse(text, expected):
     assert ShapingSpec.parse(text) == expected
 
 
-@pytest.mark.parametrize("text", ["nope", "quantile:0", "quantile:1.5", "exp:-1", "exp:x"])
+@pytest.mark.parametrize(
+    "text",
+    ["nope", "quantile:0", "quantile:1.5", "exp:-1", "exp:x", "exp:inf", "exp:nan",
+     "quantile:nan", "cdf:nan", "cdf:-inf"],
+)
 def test_parse_rejects(text):
     with pytest.raises(ConfigError):
         ShapingSpec.parse(text)
+
+
+# Each row breaks one parameter; the error must name it.  A parameter is a
+# finite real number, and a bool is not one.
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"kind": "exponential", "beta": float("inf")}, "beta"),
+        ({"kind": "exponential", "beta": True}, "beta"),
+        ({"kind": "exponential", "beta": "2.0"}, "beta"),
+        ({"kind": "exponential"}, "beta"),
+        ({"kind": "quantile", "rho": True}, "rho"),
+        ({"kind": "quantile", "rho": "0.5"}, "rho"),
+        ({"kind": "cdf_threshold", "level": False}, "level"),
+        ({"kind": "cdf_threshold", "level": float("nan")}, "level"),
+        ({"kind": "rank", "beta": 1.0}, "beta"),
+        ({"kind": "quantile", "rho": 0.5, "level": 0.5}, "level"),
+        ({"kind": ["rank"]}, "kind"),
+    ],
+)
+def test_spec_is_the_one_shaping_schema(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        ShapingSpec(**kwargs)
 
 
 def test_spec_str_roundtrip():

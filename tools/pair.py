@@ -18,6 +18,14 @@ the medians differ by more than the parent's interquartile range.
 
     python3 tools/pair.py --parent HEAD --pairs 10 --first-seed 2101 \\
         --claim bern-wide:iter_ms_p50 --out BENCH_21.json
+
+``--pytest [NODEID]`` pairs one pytest node instead, by default criterion
+9 of the acceptance suite: each run is ``python -m pytest`` of that node in
+a fresh process with one BLAS thread, with its cwd at the root of its tree,
+timed from spawn to exit (``wall_s``).  The alternation, quartiles and sign
+test are the same.
+
+    python3 tools/pair.py --parent HEAD --pairs 10 --pytest --out BENCH_26_crit9.json
 """
 
 from __future__ import annotations
@@ -25,15 +33,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+DEFAULT_NODE = "tests/test_acceptance.py::test_criterion_9_end_to_end_optimization"
+PYTEST_METRIC = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+# The benchmark's BLAS pinning, so that a node's time does not depend on
+# how many threads BLAS starts.
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -60,6 +76,39 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds) 
     result = json.loads(lines[-1])
     result["machine"] = next((ln for ln in lines if ln.startswith("#")), "")
     return result
+
+
+def pytest_once(tree: Path, node: str) -> float:
+    """Seconds from spawn to exit of one ``python -m pytest`` of ``node`` in
+    ``tree``; a failing node stops the pairing."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, **BLAS_ENV))
+    secs = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stdout}{proc.stderr}")
+    return secs
+
+
+def pair_pytest(parent_tree: Path, change_tree: Path, node: str, pairs: int,
+                log=print) -> dict:
+    """Pair the wall time of one pytest node, alternating which side runs
+    first from pair to pair; the record of that node."""
+    trees = {"parent": parent_tree, "change": change_tree}
+    runs = {"parent": [], "change": [], "first_in_pair": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs["first_in_pair"].append(order[0])
+        for side in order:
+            runs[side].append(pytest_once(trees[side], node))
+            log(f"pair {i + 1}/{pairs} {side}: wall_s={runs[side][-1]:.4g}")
+    return {
+        "pairs": pairs,
+        "first_in_pair": runs["first_in_pair"],
+        "metrics": {"wall_s": compare(PYTEST_METRIC, runs["parent"], runs["change"])},
+    }
 
 
 def quartiles(values: list[float]) -> dict:
@@ -161,28 +210,45 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="one workload (repeatable); default all")
     parser.add_argument("--aa", action="store_true", help="pair the parent with itself")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--pytest", nargs="?", const=DEFAULT_NODE, metavar="NODEID",
+                        help=f"pair one pytest node's wall time (default {DEFAULT_NODE})")
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     if args.claim and args.claim.count(":") != 1:
         parser.error("--claim takes WORKLOAD:METRIC")
+    if args.pytest and (args.claim or args.workload):
+        parser.error("--pytest pairs one node; it takes no --claim or --workload")
     commit = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=REPO,
                             capture_output=True, text=True, check=True).stdout.strip()
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    log = lambda s: print(s, file=sys.stderr, flush=True)  # noqa: E731
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
         parent = export(args.parent, Path(tmp) / "parent")
         change = export(args.parent, Path(tmp) / "again") if args.aa else REPO
-        record = pair(parent, change, seeds, args.workload,
-                      log=lambda s: print(s, file=sys.stderr, flush=True))
+        if args.pytest:
+            record = pair_pytest(parent, change, args.pytest, args.pairs, log=log)
+        else:
+            record = pair(parent, change, seeds, args.workload, log=log)
+    if args.pytest:
+        command = f"python -m pytest -q -p no:cacheprovider {args.pytest}"
+        method = ("interleaved pairs: one parent run and one change run of the node, back to "
+                  "back; which side runs first alternates from pair to pair; each run in a "
+                  "fresh process, timed from spawn to exit")
+        machine = [f"python={platform.python_version()} nproc={os.cpu_count()} "
+                   + " ".join(f"{k}={v}" for k, v in BLAS_ENV.items())]
+    else:
+        command, machine = record["command"], record["machine"]
+        method = ("interleaved pairs: for each seed and workload one parent run and one change "
+                  "run, back to back; which side runs first alternates from pair to pair and "
+                  "from workload to workload; each run in a fresh process")
     doc = {
         "parent_commit": commit,
-        "command": record["command"],
-        "method": ("interleaved pairs: for each seed and workload one parent run and one change "
-                   "run, back to back; which side runs first alternates from pair to pair and "
-                   "from workload to workload; each run in a fresh process"),
-        "machine": record["machine"],
-        "seeds": seeds,
+        "command": command,
+        "method": method,
+        "machine": machine,
+        "seeds": [] if args.pytest else seeds,
         "quartiles": "numpy.percentile 25 and 75 (linear interpolation) over the runs of one side",
         "ratio": "change / parent, per pair",
         "win": ("the change reads better than the parent in the same pair (lower, or higher for "
@@ -191,6 +257,10 @@ def main(argv=None) -> int:
         "parent_tree": "a plain export of the parent commit (git archive), not a worktree",
         "change_tree": "a second export of the parent commit" if args.aa else "the working tree",
     }
+    if args.pytest:
+        doc["pytest"] = {args.pytest: record}
+        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        return 0
     if args.claim:
         w, _, m = args.claim.partition(":")
         c = record["workloads"][w]["metrics"][m]
