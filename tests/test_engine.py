@@ -127,6 +127,15 @@ def test_e_step_nan_objective_names_index():
     assert "index 2" in str(err.value)
 
 
+def test_e_step_passes_on_a_shaping_error_of_finite_values():
+    # Only a NaN or infinite value is the objective's fault.
+    negative = objectives.Objective(
+        name="neg:2", domain=objectives.Domain("binary", 2), batch_eval=lambda Z: -Z.sum(axis=1)
+    )
+    with pytest.raises(ShapingInputError, match="nonnegative"):
+        e_step(BernoulliProductModel([0.5, 0.5]), negative, IDENTITY, 8, seed=0)
+
+
 @pytest.mark.parametrize(
     "model,objective",
     [
@@ -596,15 +605,6 @@ def test_run_builds_one_model_per_iteration(monkeypatch, rule):
     monkeypatch.setattr(GaussianModel, "_theta", staticmethod(counting("theta", theta)))
     assert len(run(cfg).records) == 10
     assert calls == {"with_params": 10, "e_step": 10, "__init__": 10, "theta": 10}
-
-
-def test_e_step_passes_on_a_shaping_error_of_finite_values():
-    # Only a NaN or infinite value is the objective's fault.
-    negative = objectives.Objective(
-        name="neg:2", domain=objectives.Domain("binary", 2), batch_eval=lambda Z: -Z.sum(axis=1)
-    )
-    with pytest.raises(ShapingInputError, match="nonnegative"):
-        e_step(BernoulliProductModel([0.5, 0.5]), negative, IDENTITY, 8, seed=0)
 
 
 @pytest.mark.parametrize(
