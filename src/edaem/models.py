@@ -94,7 +94,7 @@ class ExpectationParams:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = GaussianModel._theta(self.mean, self.cov)
+            self._values = _theta_of_mean_cov(self.mean, self.cov)
         return self._values
 
     def blend(self, other: "ExpectationParams", gamma: float) -> "ExpectationParams":
@@ -106,7 +106,7 @@ class ExpectationParams:
             return ExpectationParams(
                 (1.0 - gamma) * self.values + gamma * other.values, self.family_tag
             )
-        (m, C), (mt, Ct) = GaussianModel._mean_cov(self), GaussianModel._mean_cov(other)
+        (m, C), (mt, Ct) = _mean_cov_of(self), _mean_cov_of(other)
         delta = m - mt
         # An overflow reaches the covariance as inf, which the model built
         # from it rejects, like the refit's.
@@ -157,39 +157,38 @@ def _row_blocks(n: int, d: int):
 class SearchModel:
     """Common surface of the search distributions.
 
-    A family declares its ``family`` name, its support ``kind``, its
-    ``_shape`` ((dim,) or (dim, arity)) and its θ length rule
-    (``_param_count``); ``domain``, ``dim``, ``n_params``, ``family_tag``
-    and the JSON document derive from these here.
-
     The public methods live here and are the only input boundary.  A
     method on points takes a batch (``*_batch``; a point of length ``dim``
     is a batch of one).  Each checks once (``_as_batch``, which is
-    ``domain.check``, or ``n >= 1``), then calls an unchecked family kernel
-    (``_draw``, ``_log_density``, ``_suff_stats``, ``_score_batch``) on a
-    checked batch or on the model's own samples.  Families implement the
-    kernels.  The engine's M-steps, its free energy and the exact-EM oracle
-    call two more on samples they have already checked: ``_refit``, the one
-    weighted-moment kernel, and ``_mean_log_density``.
+    ``domain.check``, or ``n >= 1``), then calls an unchecked family hook
+    on a checked batch or on the model's own samples.
+
+    The hooks, which each family defines once:
+
+    * ``family`` (its name), ``kind`` (its ``Domain`` kind), ``_shape()``
+      ((dim,) or (dim, arity)) and the static ``_param_count(domain)``
+      (theta's length); ``domain``, ``dim``, ``n_params`` and
+      ``family_tag`` derive from these here.
+    * ``params``, the one producer of theta; the JSON document reads it.
+    * ``_from_layout(values, domain)`` (a classmethod): the model whose
+      theta is ``values``; the constructor's checks and repair apply.
+      ``_from_params(params)``: the same for ``with_params``, which repairs
+      an update.
+    * ``_draw(rng, n)``, ``_log_density(Z)``, ``_suff_stats(Z)``,
+      ``_score_batch(Z)``, ``_fisher()``: the public methods' kernels.
+    * ``_mean_log_density(theta_bar)``: sum_i q_i log p(z_i | theta), in
+      closed form from the refit theta_bar = sum_i q_i T(z_i) of weights q
+      that sum to 1.  The engine's M-steps, its free energy and the
+      exact-EM oracle call it and ``_refit``, the one weighted-moment
+      kernel (defined here, overridden by two families), on samples they
+      have already checked.
+    * ``_on_boundary()``: whether a probability or the smallest covariance
+      eigenvalue is at (or past) its floor.
+    * ``natural_params()`` and ``log_partition()``: eta, laid out to pair
+      with T(z), and A, so that log p(z) = log h(z) + eta . T(z) - A, with
+      base measure log h(z) = -d log(2 pi) / 2 for the Gaussian and 0 for
+      the discrete families.
     """
-
-    family = ""
-    kind = ""  # the Domain kind: "binary" | "continuous" | "categorical"
-
-    # -- support and parameter layout ---------------------------------------
-
-    def _shape(self) -> tuple:
-        raise NotImplementedError
-
-    @staticmethod
-    def _param_count(domain: Domain) -> int:
-        raise NotImplementedError
-
-    @classmethod
-    def _from_layout(cls, values: np.ndarray, domain: Domain) -> "SearchModel":
-        """The model whose parameter vector is ``values``, laid out for
-        ``domain``; the constructor's own checks and repair apply."""
-        raise NotImplementedError
 
     # Models are immutable, so the domain and the tag are built once, on
     # first use.
@@ -208,13 +207,6 @@ class SearchModel:
     @functools.cached_property
     def family_tag(self) -> str:
         return f"{self.family}:" + "x".join(map(str, self._shape()))
-
-    @property
-    def params(self) -> ExpectationParams:
-        return ExpectationParams(self._param_values(), self.family_tag)
-
-    def _param_values(self) -> np.ndarray:
-        raise NotImplementedError
 
     def with_params(self, params) -> "SearchModel":
         """Return a new model of the same family with the given parameters.
@@ -237,9 +229,6 @@ class SearchModel:
                 f"{self.family_tag!r} expects {self.n_params} parameters, got {params.values.size}"
             )
         return self._from_params(params)
-
-    def _from_params(self, params: ExpectationParams) -> "SearchModel":
-        raise NotImplementedError
 
     # -- core operations ----------------------------------------------------
 
@@ -275,48 +264,16 @@ class SearchModel:
         self._check_interior()
         return self._fisher()
 
-    # -- canonical-form pieces (used by diagnostics and tests) --------------
-
-    def natural_params(self) -> np.ndarray:
-        """Natural parameter vector eta, laid out to pair with T(z) so that
-        log p(z) = log h(z) + eta . T(z) - log_partition(), where the base
-        measure log h(z) is -d log(2 pi) / 2 for the Gaussian and 0 for the
-        discrete families."""
-        raise NotImplementedError
-
-    def log_partition(self) -> float:
-        raise NotImplementedError
-
     # -- internals ----------------------------------------------------------
 
     def _as_batch(self, Z) -> np.ndarray:
         return self.domain.check(Z)
-
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _log_density(self, Z) -> np.ndarray:
-        raise NotImplementedError
-
-    def _suff_stats(self, Z) -> np.ndarray:
-        raise NotImplementedError
 
     def _refit(self, Z, w, total: float) -> ExpectationParams:
         """The weighted mean sum_i w_i T(z_i) / total, unrepaired, for
         weights w >= 0 that sum to ``total`` > 0; the Bernoulli and the
         Gaussian form it without the (n, n_params) statistics matrix."""
         return ExpectationParams(w @ self._suff_stats(Z) / total, self.family_tag)
-
-    def _mean_log_density(self, theta_bar: ExpectationParams) -> float:
-        """sum_i q_i log p(z_i | theta), in closed form from the refit
-        theta_bar = sum_i q_i T(z_i) of weights q that sum to 1."""
-        raise NotImplementedError
-
-    def _score_batch(self, Z) -> np.ndarray:
-        raise NotImplementedError
-
-    def _fisher(self) -> np.ndarray:
-        raise NotImplementedError
 
     def _check_interior(self) -> None:
         if self._on_boundary():
@@ -325,18 +282,13 @@ class SearchModel:
                 "Fisher information require strictly interior parameters"
             )
 
-    def _on_boundary(self) -> bool:
-        """Whether a probability or the smallest covariance eigenvalue is
-        at (or past) its floor."""
-        raise NotImplementedError
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         doc = {"family": self.family, "dim": self.dim}
         if self.domain.arity is not None:
             doc["arity"] = self.domain.arity
-        doc["params"] = [float(v) for v in self._param_values()]
+        doc["params"] = [float(v) for v in self.params.values]
         return doc
 
     def to_json(self) -> str:
@@ -377,8 +329,9 @@ class BernoulliProductModel(SearchModel):
     def _from_layout(cls, values, domain) -> "BernoulliProductModel":
         return cls(values)
 
-    def _param_values(self) -> np.ndarray:
-        return self._probs.copy()
+    @property
+    def params(self) -> ExpectationParams:
+        return ExpectationParams(self._probs, self.family_tag)
 
     def _from_params(self, params) -> "BernoulliProductModel":
         # Repair policy for updates: clip into the floored box.
@@ -490,11 +443,41 @@ def vech(M: np.ndarray) -> np.ndarray:
 
 
 def unvech(v: np.ndarray, d: int) -> np.ndarray:
-    M = np.zeros((d, d))
-    idx = _tril_indices(d)
-    M[idx] = v
-    M = M + M.T - np.diag(np.diag(M))
+    """The symmetric d x d matrix whose ``vech`` is ``v``."""
+    rows, cols = _tril_indices(d)
+    M = np.empty((d, d))
+    M[rows, cols] = v
+    M[cols, rows] = v
     return M
+
+
+def _theta_join(mean: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The Gaussian theta = (m, vech(S)), with S = E[z z^T] = C + m m^T."""
+    return np.concatenate([mean, vech(S)])
+
+
+def _theta_split(theta: np.ndarray, d: int):
+    """(m, S) of a Gaussian theta."""
+    return theta[:d], unvech(theta[d:], d)
+
+
+def _theta_of_mean_cov(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """theta of (m, C), read-only.  S overflows to inf before (m, C) does;
+    such a model has no theta, and raises."""
+    with np.errstate(over="ignore"):
+        theta = _theta_join(mean, cov + mean[:, None] * mean)
+    _require_finite(theta, "theta")
+    theta.setflags(write=False)
+    return theta
+
+
+def _mean_cov_of(params: ExpectationParams):
+    """(m, C) of Gaussian parameters: the pair they carry, or S - m m^T
+    from theta when they carry none."""
+    if params.cov is not None:
+        return params.mean, params.cov
+    m, S = _theta_split(params.values, int(params.family_tag.partition(":")[2]))
+    return m, S - np.outer(m, m)
 
 
 def _vech_doubled(M: np.ndarray) -> np.ndarray:
@@ -596,41 +579,13 @@ class GaussianModel(SearchModel):
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
         return cls(mean, cov, _is_cov=True)
 
-    @staticmethod
-    def _theta(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """theta = (m, vech(C + m m^T)), read-only.  S overflows to inf
-        before (m, C) does; such a model has no theta, and raises."""
-        with np.errstate(over="ignore"):
-            theta = np.concatenate([mean, vech(cov + mean[:, None] * mean)])
-        _require_finite(theta, "theta")
-        theta.setflags(write=False)
-        return theta
-
-    @staticmethod
-    def _carrier(mean: np.ndarray, cov: np.ndarray) -> ExpectationParams:
-        """The parameters of (m, C), with C carried alongside and theta
-        formed now."""
-        params = ExpectationParams._of_mean_cov(mean, cov, f"gaussian:{mean.shape[0]}")
-        params.values  # formed now, so that an overflowing theta raises here
-        return params
-
-    @staticmethod
-    def _mean_cov(params: ExpectationParams):
-        """(m, C) of Gaussian parameters: the pair they carry, or S - m m^T
-        from theta when they carry none."""
-        if params.cov is not None:
-            return params.mean, params.cov
-        d = int(params.family_tag.partition(":")[2])
-        m = params.values[:d]
-        return m, unvech(params.values[d:], d) - np.outer(m, m)
-
     @property
     def mean(self) -> np.ndarray:
         return self._mean
 
     @property
     def second_moment(self) -> np.ndarray:
-        return unvech(self.params.values[self.dim :], self.dim)
+        return _theta_split(self.params.values, self.dim)[1]
 
     @property
     def cov(self) -> np.ndarray:
@@ -641,9 +596,10 @@ class GaussianModel(SearchModel):
     @functools.cached_property
     def params(self) -> ExpectationParams:
         if self._given_S is None:
-            return self._carrier(self._mean, self._cov)
-        theta = np.concatenate([self._mean, vech(self._given_S)])
-        return ExpectationParams(theta, self.family_tag)
+            params = ExpectationParams._of_mean_cov(self._mean, self._cov, self.family_tag)
+            params.values  # formed now, so that an overflowing theta raises here
+            return params
+        return ExpectationParams(_theta_join(self._mean, self._given_S), self.family_tag)
 
     def _shape(self) -> tuple:
         return self._mean.shape
@@ -655,11 +611,7 @@ class GaussianModel(SearchModel):
 
     @classmethod
     def _from_layout(cls, values, domain) -> "GaussianModel":
-        d = domain.dim
-        return cls(values[:d], unvech(values[d:], d))
-
-    def _param_values(self) -> np.ndarray:
-        return self.params.values
+        return cls(*_theta_split(values, domain.dim))
 
     def _from_params(self, params) -> "GaussianModel":
         if params.cov is None:
@@ -723,7 +675,7 @@ class GaussianModel(SearchModel):
         # sum_i q_i log p(z_i) = -(d log 2 pi + log det C + tr(C^-1 C~)
         # + delta^T C^-1 delta) / 2 with delta = m~ - m: the cross term
         # vanishes about the refit's own mean.
-        m_bar, C_bar = self._mean_cov(theta_bar)
+        m_bar, C_bar = _mean_cov_of(theta_bar)
         P = self._precision
         delta = m_bar - self._mean
         maha = float((P * C_bar).sum()) + float(delta @ P @ delta)
@@ -850,8 +802,9 @@ class CategoricalProductModel(SearchModel):
     def _param_count(domain: Domain) -> int:
         return domain.dim * (domain.arity - 1)
 
-    def _param_values(self) -> np.ndarray:
-        return self._probs[:, :-1].reshape(-1).copy()
+    @property
+    def params(self) -> ExpectationParams:
+        return ExpectationParams(self._probs[:, :-1], self.family_tag)
 
     @staticmethod
     def _table(values: np.ndarray, domain: Domain) -> np.ndarray:

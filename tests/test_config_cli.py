@@ -4,6 +4,7 @@ files, determinism, and the library/CLI seam."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -142,6 +143,36 @@ def test_gaussian_mean_cov_init():
     cfg = RunConfig.from_dict(doc)
     np.testing.assert_allclose(cfg.model.mean, [1.0, 2.0])
     np.testing.assert_allclose(cfg.model.cov, [[2.0, 0.0], [0.0, 1.0]])
+
+
+def test_gaussian_theta_init_runs_like_its_mean_cov(tmp_path):
+    # theta = (m, vech(S)) with S = I + m m^T = I + 0.25 reads C = I back
+    # exactly.  A model built from theta carries no covariance, so the first
+    # MAP blend splits theta_prev.
+    S = np.eye(4) + 0.25
+    inits = {
+        "theta": [0.5] * 4 + [float(v) for v in S[np.tril_indices(4)]],
+        "mean_cov": {"mean": [0.5] * 4, "cov": np.eye(4).tolist()},
+    }
+    out = {}
+    for name, init in inits.items():
+        doc = base_doc(
+            objective="sphere:4",
+            model={"family": "gaussian", "dim": 4, "init": init},
+            shaping="quantile:0.25",
+            update={"kind": "map_smoothed", "gamma": 0.8},
+            n_samples=50,
+            iterations=10,
+        )
+        path = tmp_path / name
+        assert cli.main(["run", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                         "--out", str(path)]) == 0
+        out[name] = ((path / "trace.csv").read_bytes(),
+                     json.loads((path / "summary.json").read_text()))
+    (trace_a, summary_a), (trace_b, summary_b) = out.values()
+    assert trace_a == trace_b
+    for key in ("final_params", "free_energy_map"):
+        assert summary_a[key] == summary_b[key]
 
 
 def test_categorical_config():
@@ -508,6 +539,31 @@ def test_cmd_diagnose_calls_each_check_through_the_oracle_module(monkeypatch, ca
     assert rows == DEFAULT_DIAGNOSE_ROWS
 
 
+def test_cmd_diagnose_failing_check_exit_1(monkeypatch, tmp_path, capsys):
+    # One failing check: its row reads FAIL, stderr names it, the command
+    # exits 1, and diagnostics.json still holds every report.
+    verify = oracle.verify_mc_convergence
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(verify(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(oracle, "verify_mc_convergence", failing)
+    assert cli.main(["diagnose", "default", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split()[:3] for line in lines if "FAIL" in line] == [
+        ["mc_convergence", "bern2_onemax1", "FAIL"]
+    ]
+    assert lines[-1] == "22/23 checks passed"
+    failing_checks = json.loads(captured.err.splitlines()[-1])["failing_checks"]
+    assert [(r["check_name"], r["fixture"], r["pass"]) for r in failing_checks] == [
+        ("mc_convergence", "bern2_onemax1", False)
+    ]
+    reports = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert [(r["check_name"], r["fixture"]) for r in reports] == DEFAULT_DIAGNOSE_ROWS
+    assert [r for r in reports if not r["pass"]] == failing_checks
+
+
 def test_cmd_diagnose_default_peak_memory_below_16_mb(capsys):
     # The PPM grid search works in blocks of about 62.5k grid points and
     # contracts per-coordinate probability tables, so the MC check's
@@ -611,6 +667,26 @@ def test_cmd_sweep_reads_the_parsed_shaping_kind(tmp_path, shaping, param):
     with open(tmp_path / "sw" / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("param,values", [("alpha", "0.05,0.2"), ("k", "1,3")])
+def test_cmd_sweep_gradient_param_reaches_each_run(tmp_path, param, values):
+    # Each row's best is that of the run at its value and seed.
+    doc = dict(sweep_doc(), update={"kind": "gradient", "alpha": 0.1, "k": 2})
+    code = cli.main(
+        ["sweep", "--config", write_config(tmp_path, doc), "--param", param,
+         "--values", values, "--out", str(tmp_path / "sw")]
+    )
+    assert code == 0
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    cast = float if param == "alpha" else int
+    assert [cast(r["value"]) for r in rows] == [cast(v) for v in values.split(",")]
+    for i, row in enumerate(rows):
+        update = {**doc["update"], param: cast(row["value"])}
+        run_doc = dict(doc, update=update, seed=doc["seed"] + i)
+        assert row["status"] == "ok"
+        assert row["best_raw_f"] == repr(engine_run(RunConfig.from_dict(run_doc)).best_raw_f)
 
 
 # Each row is a sweep that must stop before running anything, with exit 2.

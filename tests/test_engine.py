@@ -25,6 +25,7 @@ from edaem.engine import (
 from edaem.errors import (
     ConfigError,
     DegenerateUpdateError,
+    DegenerateWeightsError,
     DomainError,
     FamilyMismatchError,
     ObjectiveError,
@@ -186,6 +187,24 @@ def test_closed_form_weighted_average():
     pop = make_pop([[1, 0], [1, 1], [0, 0]], [2.0, 1.0, 1.0])
     out = m_step_closed_form(pop, BernoulliProductModel([0.5, 0.5]))
     np.testing.assert_allclose(out.values, [0.75, 0.25])
+
+
+# Weights that no e_step makes, each rejected where it is read.
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda Z: Population(samples=Z, raw_f=np.ones(3), shaped_w=np.ones(3),
+                              norm_w=np.full(3, 0.5)), "sums to 1.5, not 1"),
+        (lambda Z: m_step_closed_form(
+            Population(samples=Z, raw_f=np.ones(3), shaped_w=np.zeros(3),
+                       norm_w=np.full(3, 1.0 / 3.0)),
+            BernoulliProductModel([0.5, 0.5])), "must be positive"),
+    ],
+    ids=["posterior-sum", "all-zero-shaped"],
+)
+def test_degenerate_weights_are_rejected(build, match):
+    with pytest.raises(DegenerateWeightsError, match=match):
+        build(np.array([[1, 0], [1, 1], [0, 0]]))
 
 
 def test_closed_form_uniform_weights_is_mle():
@@ -590,7 +609,7 @@ def test_run_builds_one_model_per_iteration(monkeypatch, rule):
     )
     calls = {"with_params": 0, "e_step": 0, "__init__": 0, "theta": 0}
     with_params, e_step_fn = SearchModel.with_params, engine.e_step
-    init, theta = GaussianModel.__init__, GaussianModel._theta
+    init, theta = GaussianModel.__init__, models._theta_of_mean_cov
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -602,7 +621,7 @@ def test_run_builds_one_model_per_iteration(monkeypatch, rule):
     monkeypatch.setattr(SearchModel, "with_params", counting("with_params", with_params))
     monkeypatch.setattr(engine, "e_step", counting("e_step", e_step_fn))
     monkeypatch.setattr(GaussianModel, "__init__", counting("__init__", init))
-    monkeypatch.setattr(GaussianModel, "_theta", staticmethod(counting("theta", theta)))
+    monkeypatch.setattr(models, "_theta_of_mean_cov", counting("theta", theta))
     assert len(run(cfg).records) == 10
     assert calls == {"with_params": 10, "e_step": 10, "__init__": 10, "theta": 10}
 

@@ -866,6 +866,22 @@ def test_bernoulli_constructor_rejects_outside_unit_interval():
         BernoulliProductModel([1.2])
 
 
+# Each row is a constructor call the family rejects, with the message.
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: GaussianModel([0.0, 0.0], np.eye(3)), "second_moment must be 2x2"),
+        (lambda: GaussianModel.from_mean_cov([0.0], [1.0]), r"cov must be 1x1, got \(1,\)"),
+        (lambda: CategoricalProductModel([[0.5, 0.6, -0.1]]), "nonnegative"),
+        (lambda: CategoricalProductModel([[0.5, 0.5], [0.0, 0.0]]), "positive mass"),
+    ],
+    ids=["gaussian-S-shape", "gaussian-cov-shape", "categorical-negative", "categorical-zero-row"],
+)
+def test_constructor_rejects_invalid_parameters(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
 def test_gaussian_repair_lifts_small_eigenvalues():
     # rank-deficient second moment: all mass at one point
     m = np.array([1.0, 1.0])
@@ -896,7 +912,7 @@ def test_gaussian_overflowing_theta_is_rejected():
     with pytest.raises(DegenerateModelError):
         GaussianModel.from_mean_cov([1e200, 0.0], np.eye(2))
     with pytest.raises(DegenerateModelError):
-        GaussianModel._carrier(np.zeros(2), np.full((2, 2), np.inf))
+        models._theta_of_mean_cov(np.zeros(2), np.full((2, 2), np.inf))
 
 
 def test_gaussian_far_mean_keeps_a_small_covariance():
@@ -957,8 +973,9 @@ def test_categorical_rebuilt_from_its_params_after_repair_is_the_same_model():
         [[0.2, 0.5, 0.3]],
         np.full((2, 3), 1.0 / 3.0),
         np.random.default_rng(7).dirichlet(np.ones(12), size=40),
+        [[1.0, 3.0, 4.0], [0.2, 0.5, 0.3]],
     ],
-    ids=["given", "thirds", "dirichlet12"],
+    ids=["given", "thirds", "dirichlet12", "off-simplex"],
 )
 def test_categorical_valid_rows_round_trip_exactly(probs):
     # theta drops the last category, so a rebuilt row re-derives it as
@@ -967,6 +984,12 @@ def test_categorical_valid_rows_round_trip_exactly(probs):
     for again in (c.with_params(c.params), model_from_json(c.to_json())):
         assert np.array_equal(again.probs, c.probs)
     assert np.array_equal(c.probs[:, -1], 1.0 - c.probs[:, :-1].sum(axis=1))
+
+
+def test_categorical_off_simplex_rows_are_normalized():
+    # Only the row off the simplex is divided by its sum.
+    c = CategoricalProductModel([[1.0, 3.0, 4.0], [0.2, 0.5, 0.3]])
+    assert np.array_equal(c.probs, [[0.125, 0.375, 0.5], [0.2, 0.5, 1.0 - (0.2 + 0.5)]])
 
 
 def test_categorical_repair_floors_and_renormalizes():
@@ -1094,6 +1117,20 @@ BAD_LAYOUT_DOCS = {
 @pytest.mark.parametrize("text,field", BAD_LAYOUT_DOCS.values(), ids=BAD_LAYOUT_DOCS)
 def test_json_params_must_fit_dim_and_arity(text, field):
     with pytest.raises(DomainError, match=field):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "poisson", "dim": 2, "params": [1.0, 2.0]}',
+        '{"family": 3, "dim": 1, "params": [0.5]}',
+        '{"dim": 1, "params": [0.5]}',
+    ],
+    ids=["poisson", "not-a-name", "missing"],
+)
+def test_json_unknown_family_rejected(text):
+    with pytest.raises(FamilyMismatchError, match="unknown family"):
         model_from_json(text)
 
 

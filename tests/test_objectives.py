@@ -143,7 +143,7 @@ def test_parse_objective(text, name, dim):
     assert obj.domain.dim == dim
 
 
-@pytest.mark.parametrize("text", ["mystery:3", "onemax", "trap:5", "onemax:x"])
+@pytest.mark.parametrize("text", ["mystery:3", "onemax", "trap:5", "onemax:x", "rosenbrock:1"])
 def test_parse_objective_rejects(text):
     with pytest.raises(ConfigError):
         parse_objective(text)

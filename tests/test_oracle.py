@@ -206,6 +206,26 @@ def test_free_energy_rejects_non_distribution():
         exact.free_energy(np.array([0.9, 0.6]))
 
 
+# Views no model reaches on a valid space: p places no mass anywhere
+# (log p = -inf), and a q over another number of states.
+@pytest.mark.parametrize(
+    "log_p,read,error,match",
+    [
+        (np.full(2, -np.inf), lambda ex: ex.tilted, DegenerateObjectiveError, r"E_p\[f\] is zero"),
+        (np.full(2, -np.inf), lambda ex: ex.gradient, DegenerateObjectiveError, r"E_p\[f\] is zero"),
+        (None, lambda ex: ex.free_energy(np.full(3, 1.0 / 3.0)), DomainError,
+         "distribution over the space's states"),
+    ],
+    ids=["tilted-no-mass", "gradient-no-mass", "q-length"],
+)
+def test_exact_view_rejects_degenerate_quantities(log_p, read, error, match):
+    exact = space_1bit_f13().at(BernoulliProductModel([0.34]))
+    if log_p is not None:
+        exact = replace(exact, log_p=log_p)
+    with pytest.raises(error, match=match):
+        read(exact)
+
+
 def test_tilted_is_a_read_only_probability_vector():
     t = space_1bit_f13().at(BernoulliProductModel([0.5])).tilted
     assert isinstance(t, np.ndarray) and not t.flags.writeable

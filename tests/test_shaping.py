@@ -116,6 +116,12 @@ def test_identity_rejects_negative():
         shape(ShapingSpec("identity"), [1.0, -0.5])
 
 
+@pytest.mark.parametrize("text", ["rank", "identity", "quantile:0.5", "exp:1.0", "cdf:0.5"])
+def test_empty_input_rejected(text):
+    with pytest.raises(ShapingInputError, match="at least one"):
+        shape(ShapingSpec.parse(text), [])
+
+
 def test_nan_input_rejected():
     with pytest.raises(ShapingInputError):
         shape(ShapingSpec("rank"), [1.0, float("nan")])
