@@ -218,11 +218,13 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
 
-    if args.jobs and args.jobs > 1:
+    # A pool starts all its workers at once: no more than there are points.
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
         # Imported here: only a parallel sweep needs multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_child, payloads))
     else:
         rows = [_sweep_child(p) for p in payloads]

@@ -201,24 +201,31 @@ def rastrigin_max(dim: int) -> Objective:
 NEGATED_CONTINUOUS = ("sphere_max", "rosenbrock_max", "rastrigin_max")
 
 
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"size {n} is below 1")
+    return n
+
+
 def parse_objective(text: str) -> Objective:
     """Build an objective from a name:params config string."""
     name, _, arg = text.strip().partition(":")
     name = name.strip().lower()
     try:
         if name == "onemax":
-            return onemax(int(arg))
+            return onemax(_size(arg))
         if name == "leadingones":
-            return leadingones(int(arg))
+            return leadingones(_size(arg))
         if name == "trap":
-            k, b = (int(x) for x in arg.lower().split("x"))
+            k, b = (_size(x) for x in arg.lower().split("x"))
             return trap(k, b)
         if name in ("sphere", "sphere_max"):
-            return sphere_max(int(arg))
+            return sphere_max(_size(arg))
         if name in ("rosenbrock", "rosenbrock_max"):
-            return rosenbrock_max(int(arg))
+            return rosenbrock_max(_size(arg))
         if name in ("rastrigin", "rastrigin_max"):
-            return rastrigin_max(int(arg))
+            return rastrigin_max(_size(arg))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad objective parameters in {text!r}: {exc}") from exc
     raise ConfigError(

@@ -70,11 +70,13 @@ class ShapingSpec:
     def parse(cls, text: str) -> "ShapingSpec":
         """Parse config strings: "identity", "rank", "quantile:0.25" (or
         "q:0.25"), "exp:2.0", "cdf:0.9"; a kind's full name also works."""
-        name, _, arg = text.strip().partition(":")
+        name, colon, arg = text.strip().partition(":")
         kind = _ALIASES.get(name.strip().lower(), name.strip().lower())
         if kind not in _PARAMS:
             raise ConfigError(f"unknown shaping spec {text!r}")
         if _PARAMS[kind] is None:
+            if colon:
+                raise ConfigError(f"{kind} shaping takes no parameter, got {text!r}")
             return cls(kind)
         try:
             value = float(arg)

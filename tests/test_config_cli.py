@@ -3,6 +3,7 @@ files, determinism, and the library/CLI seam."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -755,6 +757,28 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
         tmp_path / "par" / "sweep.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("jobs, values, workers", [("5000", "0.3,0.9", [2]), ("4", "0.3", [])])
+def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, jobs, values,
+                                                      workers):
+    # A stand-in pool records its worker count and maps in this process,
+    # so that no worker is started.
+    import concurrent.futures
+
+    seen = []
+
+    @contextlib.contextmanager
+    def serial_pool(max_workers):
+        seen.append(max_workers)
+        yield SimpleNamespace(map=map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
+    cfg = write_config(tmp_path, sweep_doc())
+    code = cli.main(["sweep", "--config", cfg, "--param", "gamma", "--values", values,
+                     "--out", str(tmp_path / "sw"), "--jobs", jobs])
+    assert code == 0
+    assert seen == workers
 
 
 # ---------------------------------------------------------------------------

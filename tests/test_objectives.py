@@ -149,6 +149,17 @@ def test_parse_objective_rejects(text):
         parse_objective(text)
 
 
+@pytest.mark.parametrize(
+    "text, size",
+    [("onemax:0", 0), ("leadingones:-2", -2), ("trap:0x3", 0), ("trap:3x0", 0),
+     ("trap:3x-1", -1), ("sphere:0", 0), ("sphere:-1", -1), ("rosenbrock:0", 0),
+     ("rastrigin:-4", -4)],
+)
+def test_parse_objective_rejects_a_size_below_one(text, size):
+    with pytest.raises(ConfigError, match=rf"size {size} is below 1"):
+        parse_objective(text)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         evaluate_batch(onemax(3), [1, 2, 0])

@@ -119,8 +119,11 @@ def test_the_space_checks_its_states_and_at_reads_them_unchecked(monkeypatch):
     check = Domain.check
     monkeypatch.setattr(Domain, "check", lambda self, Z: checks.append(1) or check(self, Z))
     exact = space.at(model)
+    scores, gradient = exact.scores, exact.gradient
     assert checks == []
     assert np.array_equal(exact.log_p, model.log_density_batch(space.states))
+    assert np.array_equal(scores, model.grad_log_density_batch(space.states))
+    assert np.array_equal(gradient, exact.tilted @ scores)
 
 
 def test_exact_tilted_single_bit():
@@ -224,6 +227,18 @@ def test_exact_view_rejects_degenerate_quantities(log_p, read, error, match):
         exact = replace(exact, log_p=log_p)
     with pytest.raises(error, match=match):
         read(exact)
+
+
+def test_exact_view_holds_where_e_p_f_overflows():
+    # E_p[f] = 1.8e308 is not a float64; L, the tilted distribution, the
+    # refit and the gradient are.
+    f_max = np.finfo(np.float64).max
+    space = EnumerableSpace.build(Domain("binary", 1), lambda Z: np.full(2, f_max))
+    exact = space.at(BernoulliProductModel([0.34]))
+    assert exact.objective == pytest.approx(math.log(f_max), rel=1e-15)
+    np.testing.assert_allclose(exact.tilted, [0.66, 0.34], rtol=1e-15)
+    np.testing.assert_allclose(exact.em_model.params.values, [0.34], rtol=1e-15)
+    assert np.all(np.isfinite(exact.gradient))
 
 
 def test_tilted_is_a_read_only_probability_vector():
@@ -592,6 +607,54 @@ def test_ngd_constant_objective_fixed_point():
     assert rep.values["discrepancy"] <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-3, 0.1, 0.5, 1.0, 2.0, 7.0, 1e3])
+@pytest.mark.parametrize(
+    "probs", [[0.5, 0.5], [0.3, 0.7], [0.1, 0.9], [0.2, 0.2], [0.05, 0.6], [0.9, 0.45]]
+)
+def test_ngd_constant_objective_is_decided_by_the_discrepancy_alone(c, probs):
+    # Under a constant f the gradient is zero and NGD and EM both stay at
+    # theta: every scale's discrepancy is rounding, and the ratio to
+    # |grad L|^2 divides one rounding error by another.
+    rep = verify_ngd_correspondence(BernoulliProductModel(probs), const_space(2, c))
+    assert rep.passed, rep.values
+    assert max(rep.values["discrepancies"]) <= oracle.NGD_EQUALITY_TOL
+
+
+NGD_BERNOULLI_FIXTURES = ["bern1_f13", "bern2_const", "bern2_onemax1", "bern3_onemax1"]
+_BERNOULLI_REFIT = BernoulliProductModel._refit
+
+
+def _scaled_refit(factor):
+    def refit(self, Z, w, total):
+        p = _BERNOULLI_REFIT(self, Z, w, total)
+        return ExpectationParams(p.values * factor, p.family_tag)
+
+    return refit
+
+
+def _inert_refit(self, Z, w, total):
+    return self.params
+
+
+@pytest.mark.parametrize(
+    "refit, failing",
+    [
+        (_scaled_refit(1.0 + 1e-6), NGD_BERNOULLI_FIXTURES),
+        (_scaled_refit(1.0 + 1e-9), NGD_BERNOULLI_FIXTURES),
+        # Under bern2_const's constant f, theta is the right refit.
+        (_inert_refit, ["bern1_f13", "bern2_onemax1", "bern3_onemax1"]),
+    ],
+    ids=["refit-1e-6", "refit-1e-9", "inert"],
+)
+def test_ngd_bernoulli_rows_fail_under_a_wrong_refit(monkeypatch, refit, failing):
+    monkeypatch.setattr(BernoulliProductModel, "_refit", refit)
+    got = [
+        name for name in NGD_BERNOULLI_FIXTURES
+        if not verify_ngd_correspondence(FIXTURES[name].model, FIXTURES[name].space).passed
+    ]
+    assert got == failing
+
+
 def test_ngd_random_two_bit_ratio_bounded():
     rng = np.random.default_rng(43)
     for _ in range(20):
@@ -837,7 +900,7 @@ def test_each_check_reads_log_p_once_per_model(monkeypatch, fixture, k):
     # for all of its objective scales.
     fx = FIXTURES[fixture]
     log_p = _count_calls(monkeypatch, "_log_density", type(fx.model))
-    scores = _count_calls(monkeypatch, "grad_log_density_batch")
+    scores = _count_calls(monkeypatch, "_score_batch", type(fx.model))
     rep = fx.checks[k](fx)
     assert rep.passed
     n_models = EM_N_STEPS + 1 if rep.check_name == "em_monotonicity" else 1

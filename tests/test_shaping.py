@@ -165,7 +165,7 @@ def test_parse(text, expected):
 @pytest.mark.parametrize(
     "text",
     ["nope", "quantile:0", "quantile:1.5", "exp:-1", "exp:x", "exp:inf", "exp:nan",
-     "quantile:nan", "cdf:nan", "cdf:-inf"],
+     "quantile:nan", "cdf:nan", "cdf:-inf", "rank:0.5", "identity:3", "rank:"],
 )
 def test_parse_rejects(text):
     with pytest.raises(ConfigError):
