@@ -15,11 +15,11 @@ distribution with one of three M-step variants:
   log-likelihood; with k = 1 this is exactly the score-function
   (REINFORCE-style) update, and as k grows it approaches the closed form.
 
-The M-steps return unrepaired parameters; ``run`` builds the next model
-from them once, which applies the fixed probability floor or covariance
-jitter of the family (``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``).
-The free-energy diagnostic reads the generation only through that refit
-(see ``_free_energy``).
+Every rule starts from the closed-form refit; the M-steps return unrepaired
+parameters, and ``run`` builds the next model from them once, with the
+family's fixed floor or jitter (``models.PROB_FLOOR``, ``EIG_FLOOR``,
+``JITTER_SCALE``).  The free energy reads the generation only through that
+refit and the total of its weights (see ``_free_energy``).
 
 Checks.  A run's config is checked once, when it is built (``UpdateRule``,
 ``ShapingSpec``, the start model and its domain).  Per generation ``run``
@@ -28,9 +28,9 @@ shaping's one scan; :class:`ObjectiveError` names the sample), positive
 weights that sum to 1, the generation on the support (the M-step's one
 domain scan), and a repairable covariance and a finite theta for the next
 model; ``e_step``'s O(1) checks of n and of the domain pairing remain.  It
-skips ``m_step_map``'s check of gamma, and builds each Gaussian from the
-exactly symmetric (m, C) its refit or blend made, which the constructor
-neither copies nor symmetrizes; theta is formed for that model only.
+skips the public M-steps' checks of gamma, alpha and k, and builds each
+Gaussian from the exactly symmetric (m, C) its refit or blend made, which
+the constructor neither copies nor symmetrizes; only its theta is formed.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -142,9 +142,9 @@ class IterationRecord:
 
     ``best_raw_f`` is the generation max; ``weighted_mean_shaped_f`` the
     particle-posterior mean of the shaped values; ``free_energy_estimate``
-    the sampled free-energy surrogate (entropy of the normalized weights
-    stands in for H[q]); ``free_energy_map`` additionally includes the
-    unnormalized log-prior and is set only in MAP mode.  Only the final
+    the particle free energy E_q[log p(z|theta')] + log sum w + s, which
+    grows as log sum w (see ``_free_energy``); ``free_energy_map`` adds
+    the unnormalized log-prior and is set only in MAP mode.  Only the final
     parameters are kept, in :attr:`Trace.final_model`.
     """
 
@@ -239,7 +239,11 @@ def m_step_gradient(
     :class:`StepSizeError`, a hint that alpha is too large.
     """
     UpdateRule("gradient", alpha=alpha, k=k)
-    Z = model._as_batch(pop.samples)
+    return _ascend(pop.shaped_w, model._as_batch(pop.samples), model, alpha, k)
+
+
+def _ascend(w, Z, model: SearchModel, alpha: float, k: int) -> ExpectationParams:
+    """``m_step_gradient``'s steps on a checked batch, with checked alpha and k."""
     current = model
     consecutive = 0
     for step in range(k):
@@ -252,7 +256,7 @@ def m_step_gradient(
                     f"projection fired {consecutive} times in a row; "
                     f"step size alpha={alpha} is likely too large"
                 )
-        grad = pop.shaped_w @ current._score_batch(Z)
+        grad = w @ current._score_batch(Z)
         theta = current.params.values + alpha * grad
     return ExpectationParams(theta, model.family_tag)
 
@@ -260,20 +264,16 @@ def m_step_gradient(
 def _free_energy(
     pop: Population, next_model: SearchModel, theta_tilde: ExpectationParams
 ) -> float:
-    """F-hat = sum_i q_i [log p(z_i|theta') + log(w_i * shift)] + H[q],
-    with H[q] the discrete entropy of the normalized particle weights and
-    0 log 0 = 0.  A diagnostic surrogate: q is an atom mixture, so its
-    differential entropy is undefined.
-
-    ``theta_tilde`` is the unrepaired weighted-mean refit sum_i q_i T(z_i)
-    of this generation; the first term is ``next_model._mean_log_density``
-    of it, a closed form that does not read the samples again."""
-    act = pop.norm_w > 0.0
-    q = pop.norm_w[act]
+    """F-hat = sum_i q_i log p(z_i|theta') + log sum_i w_i + s, the free
+    energy sum_i q_i [log p(z_i|theta') + log w_i + s] + H[q] of the
+    particle posterior q = w / sum w (H its discrete entropy), as log w_i -
+    log q_i = log sum w for every kept sample; s is the shaping's
+    ``log_w_shift``.  It grows as log sum w (log ceil(rho N) under
+    ``quantile:rho``).  The first term is ``next_model._mean_log_density``
+    of ``theta_tilde``, the unrepaired refit sum_i q_i T(z_i), a closed form
+    that does not read the samples again."""
     mean_logp = next_model._mean_log_density(theta_tilde)
-    logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
-    entropy = -float((q * np.log(q)).sum())
-    return mean_logp + float((q * logw).sum()) + entropy
+    return mean_logp + math.log(float(pop.shaped_w.sum())) + pop.log_w_shift
 
 
 def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:
@@ -304,15 +304,13 @@ def run(config) -> Trace:
         for t in range(config.iterations):
             pop = e_step(model, config.objective, config.shaping, config.n_samples, int(seeds[t]))
             try:
-                if rule.kind == "gradient":
-                    theta_next = m_step_gradient(pop, model, rule.alpha, rule.k)
-                    # The gradient M-step has checked these samples.
-                    theta_tilde = model._refit(pop.samples, pop.shaped_w, float(pop.shaped_w.sum()))
-                else:
-                    theta_next = theta_tilde = m_step_closed_form(pop, model)
-                    if rule.kind == "map_smoothed":  # m_step_map, checked once
-                        theta_prev = model.params
-                        theta_next = theta_prev.blend(theta_tilde, rule.gamma)
+                # The refit: every rule's start, and the generation's one check.
+                theta_next = theta_tilde = m_step_closed_form(pop, model)
+                if rule.kind == "map_smoothed":
+                    theta_prev = model.params
+                    theta_next = theta_prev.blend(theta_tilde, rule.gamma)
+                elif rule.kind == "gradient":
+                    theta_next = _ascend(pop.shaped_w, pop.samples, model, rule.alpha, rule.k)
                 next_model = model.with_params(theta_next)
             except DegenerateModelError as exc:
                 raise DegenerateUpdateError(f"{rule.kind} update not repairable: {exc}") from exc

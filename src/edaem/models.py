@@ -190,8 +190,8 @@ class SearchModel:
       the discrete families.
     """
 
-    # Models are immutable, so the domain and the tag are built once, on
-    # first use.
+    # Models are immutable, so the domain and the tag are built once: the
+    # domain, which checks dim >= 1, by the constructor; the tag on first use.
     @functools.cached_property
     def domain(self) -> Domain:
         return Domain(self.kind, *self._shape())
@@ -313,6 +313,7 @@ class BernoulliProductModel(SearchModel):
         if (probs < 0.0).any() or (probs > 1.0).any():
             raise DomainError("Bernoulli probabilities must lie in [0, 1]")
         self._probs = _readonly(np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR))
+        self.domain  # built now, so that a model of no dimension raises here
 
     @property
     def probs(self) -> np.ndarray:
@@ -530,6 +531,7 @@ class GaussianModel(SearchModel):
             M.setflags(write=False)
             C0 = M if _is_cov else M - np.outer(m, m)
         self._mean = m
+        self.domain  # built now, so that a model of no dimension raises here
         self._cov, self._chol = self._repair_cov(C0)
         # Keep S exactly as given when no jitter was needed, so that
         # params -> model -> params round-trips bit-identically.
@@ -786,6 +788,7 @@ class CategoricalProductModel(SearchModel):
             Q[:, -1] = 1.0 - Q[:, :-1].sum(axis=1)
             P[low] = Q
         self._probs = _readonly(P)
+        self.domain  # built now, so that a model of no dimension raises here
 
     @property
     def probs(self) -> np.ndarray:

@@ -23,12 +23,17 @@ from .errors import ConfigError, DomainError, ObjectiveError
 @dataclass(frozen=True)
 class Domain:
     """The space an objective and the models paired with it live on:
-    {0,1}^dim, R^dim or {0..arity-1}^dim.  :meth:`check` is the library's
-    one support check."""
+    {0,1}^dim, R^dim or {0..arity-1}^dim, with dim >= 1, checked here
+    for every objective and model.  :meth:`check` is the library's one
+    support check."""
 
     kind: str  # "binary" | "categorical" | "continuous"
     dim: int
     arity: int | None = None
+
+    def __post_init__(self):
+        if not self.dim >= 1:
+            raise DomainError(f"a {self.kind} domain needs dim >= 1, got {self.dim}")
 
     def check(self, Z) -> np.ndarray:
         """Coerce a point or batch of points to shape (n, dim) and check

@@ -926,3 +926,68 @@ def test_free_energy_estimate_with_identity_shaping():
         - np.sum(q[act] * np.log(q[act]))
     )
     assert fe == pytest.approx(direct, abs=1e-12)
+
+
+def _bump(d):
+    # A positive objective on R^d, so that identity shaping takes it too.
+    return objectives.Objective(
+        name=f"bump:{d}", domain=objectives.Domain("continuous", d),
+        batch_eval=lambda Z: 1.0 / (1.0 + np.sum(np.square(Z), axis=1)),
+    )
+
+
+@pytest.mark.parametrize("shaping_text", ["identity", "exp:2", "quantile:0.3", "rank", "cdf:0.5"])
+@pytest.mark.parametrize(
+    "model, objective",
+    [
+        (BernoulliProductModel([0.3, 0.5, 0.8]), objectives.onemax(3)),
+        (GaussianModel.from_mean_cov([0.5, -0.2, 0.1], np.diag([1.0, 0.5, 2.0])), _bump(3)),
+    ],
+    ids=["bernoulli", "gaussian"],
+)
+def test_free_energy_is_the_per_sample_sum_over_the_particle_posterior(
+    model, objective, shaping_text
+):
+    # sum_i q_i [log p(z_i|theta') + log w_i + s] + H(q), sample by sample,
+    # with the shaping's shift s added back (nonzero under exp only).
+    spec = shaping.ShapingSpec.parse(shaping_text)
+    pop = e_step(model, objective, spec, 40, seed=5)
+    theta = m_step_closed_form(pop, model)
+    nxt = model.with_params(theta)
+    q = pop.norm_w
+    act = q > 0
+    logw = np.log(pop.shaped_w[act]) + pop.log_w_shift
+    direct = float(
+        np.sum(q[act] * (nxt.log_density_batch(pop.samples[act]) + logw))
+        - np.sum(q[act] * np.log(q[act]))
+    )
+    assert engine._free_energy(pop, nxt, theta) == pytest.approx(direct, rel=0, abs=1e-12)
+
+
+def test_a_gradient_run_checks_its_rule_once(monkeypatch):
+    # The config's rule is checked when it is built; run() neither builds
+    # nor re-checks one, while the public M-step still checks its arguments.
+    cfg = runcfg(
+        model=BernoulliProductModel(np.full(8, 0.5)),
+        objective=objectives.onemax(8),
+        shaping=shaping.ShapingSpec.parse("quantile:0.5"),
+        rule=UpdateRule("gradient", alpha=1e-3, k=2),
+        n_samples=30,
+        iterations=6,
+        seed=4,
+    )
+    checks = []
+    post_init = UpdateRule.__post_init__
+
+    def counting(self):
+        checks.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(UpdateRule, "__post_init__", counting)
+    trace = run(cfg)
+    assert len(trace.records) == 6 and checks == []
+    pop = e_step(cfg.model, cfg.objective, cfg.shaping, 30, seed=1)
+    m_step_gradient(pop, cfg.model, 1e-3, 2)
+    assert checks == ["gradient"]
+    with pytest.raises(ConfigError, match="update.alpha"):
+        m_step_gradient(pop, cfg.model, 0.0, 2)

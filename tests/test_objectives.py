@@ -160,6 +160,31 @@ def test_parse_objective_rejects_a_size_below_one(text, size):
         parse_objective(text)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: onemax(0),
+        lambda: leadingones(0),
+        lambda: sphere_max(0),
+        lambda: rastrigin_max(0),
+        lambda: trap(0, 3),
+        lambda: trap(3, 0),
+        lambda: Domain("binary", 0),
+        lambda: Domain("continuous", -1),
+        lambda: BernoulliProductModel([]),
+        lambda: CategoricalProductModel(np.zeros((0, 3))),
+        lambda: GaussianModel(np.zeros(0), np.zeros((0, 0))),
+        lambda: GaussianModel.from_mean_cov(np.zeros(0), np.zeros((0, 0))),
+    ],
+    ids=["onemax", "leadingones", "sphere", "rastrigin", "trap0x3", "trap3x0", "binary",
+         "continuous", "bernoulli", "categorical", "gaussian", "gaussian_from_mean_cov"],
+)
+def test_a_domain_of_no_dimension_is_rejected_when_built(build):
+    # Objectives and models alike: Domain is their one dimension check.
+    with pytest.raises(DomainError, match="dim >= 1"):
+        build()
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         evaluate_batch(onemax(3), [1, 2, 0])

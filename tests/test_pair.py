@@ -1,5 +1,6 @@
-"""Self-test of tools/pair.py on a stub benchmark: each run prints one
-result line, so no real benchmark runs here."""
+"""Self-test of tools/pair.py on stubs: each benchmark run prints one
+result line, and each --identity case runs a stub ``edaem.cli`` that writes
+a small trace, so no real benchmark or run happens here."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _spec = importlib.util.spec_from_file_location(
@@ -156,3 +158,79 @@ def test_pytest_mode_runs_the_node_in_each_tree(tmp_path, monkeypatch):
     (repo / "test_node.py").write_text("def test_ok():\n    assert False\n")
     with pytest.raises(RuntimeError, match="exited 1"):
         pair_tool.pytest_once(repo, "test_node.py::test_ok")
+
+
+CLI_STUB = '''\
+import json, sys
+from pathlib import Path
+fe = (Path(__file__).parent / "fe.txt").read_text().strip()
+if sys.argv[1] == "diagnose":
+    Path("diagnostics.json").write_text(json.dumps([{"check_name": "c", "values": [0.0]}]))
+    print("1/1 checks passed")
+else:
+    seed = json.loads(Path("config.json").read_text())["seed"]
+    Path("trace.csv").write_text(f"iter,best_raw_f,free_energy_estimate\\n0,1.0,{fe}\\n1,2.0,0.5\\n")
+    Path("summary.json").write_text(json.dumps({"seed": seed, "free_energy_map": [1.0, 2.0]}))
+    print("wrote trace.csv")
+'''
+
+
+def _package_tree(path: Path, fe: float) -> Path:
+    """A tree whose ``edaem.cli`` writes ``fe`` into one trace.csv cell."""
+    pkg = path / "src" / "edaem"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(CLI_STUB)
+    (pkg / "fe.txt").write_text(repr(fe))
+    return path
+
+
+def test_identity_names_the_column_of_a_one_ulp_change(tmp_path):
+    ulp_up = float(np.nextafter(0.1, 1.0))
+    parent = _package_tree(tmp_path / "parent", 0.1)
+    change = _package_tree(tmp_path / "change", ulp_up)
+    runs = {"r": {"seed": 0}, "diagnose": None}
+    rec = pair_tool.identity(parent, change, runs, set(), tmp_path / "work", log=lambda s: None)
+    assert rec["unexpected"] == ["r/trace.csv:free_energy_estimate"]
+    fe = rec["runs"]["r"]["trace.csv"]["free_energy_estimate"]
+    assert fe == {"entries": 1, "max_abs": ulp_up - 0.1, "max_rel": (ulp_up - 0.1) / ulp_up,
+                  "non_numeric": 0, "expected": False}
+    others = {(run, out) for run, outs in rec["runs"].items() for out, f in outs.items() if f}
+    assert others == {("r", "trace.csv")}
+    assert set(rec["runs"]["r"]) == {"exit", "stdout", "stderr", "trace.csv", "summary.json"}
+    expected = {"trace.csv:free_energy_estimate"}
+    rec = pair_tool.identity(parent, change, runs, expected, tmp_path / "again", log=lambda s: None)
+    assert rec["unexpected"] == [] and rec["runs"]["r"]["trace.csv"]["free_energy_estimate"]["expected"]
+
+
+def test_identity_fields_group_scalar_lists_and_flag_what_is_not_a_number():
+    a = json.dumps({"final": {"params": [0.5, 0.25]}, "free_energy_map": [1.0, 2.0], "k": "x"})
+    b = json.dumps({"final": {"params": [0.5, 0.25]}, "free_energy_map": [1.5, 2.0, 3.0], "k": "y"})
+    diff = pair_tool.diff_output("summary.json", a, b)
+    assert diff == {
+        "free_energy_map": {"entries": 2, "max_abs": 0.5, "max_rel": 0.5 / 1.5, "non_numeric": 1},
+        "k": {"entries": 1, "max_abs": None, "max_rel": None, "non_numeric": 1},
+    }
+    assert pair_tool.diff_output("stdout", "same\n", "same\n") == {}
+    assert list(pair_tool.diff_output("exit", "0", "3")) == ["exit"]
+
+
+def test_identity_mode_exits_one_on_an_unexpected_difference(tmp_path, monkeypatch):
+    repo = _package_tree(tmp_path / "repo", 0.1)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + cmd, cwd=repo, check=True)
+    monkeypatch.setattr(pair_tool, "REPO", repo)
+    monkeypatch.setattr(pair_tool, "IDENTITY_RUNS", {"r": {"seed": 0}})
+    argv = ["--parent", "HEAD", "--identity"]
+    assert pair_tool.main(argv) == 0
+    (repo / "src" / "edaem" / "fe.txt").write_text(repr(0.2))  # uncommitted
+    out = tmp_path / "identity.json"
+    assert pair_tool.main(argv + ["--out", str(out)]) == 1
+    assert json.loads(out.read_text())["unexpected"] == ["r/trace.csv:free_energy_estimate"]
+    assert pair_tool.main(argv + ["--expect", "trace.csv:free_energy_estimate"]) == 0
+    assert pair_tool.main(argv + ["--aa"]) == 0  # two exports of the parent
+    with pytest.raises(SystemExit):
+        pair_tool.main(argv + ["--pytest"])
+    with pytest.raises(SystemExit):
+        pair_tool.main(["--parent", "HEAD", "--expect", "x:y", "--out", str(out)])

@@ -26,15 +26,31 @@ timed from spawn to exit (``wall_s``).  The alternation, quartiles and sign
 test are the same.
 
     python3 tools/pair.py --parent HEAD --pairs 10 --pytest --out BENCH_26_crit9.json
+
+``--identity`` compares outputs instead of times: each case of
+``IDENTITY_RUNS`` (``edaem run`` of a committed config, or ``edaem
+diagnose default``) runs once in each tree, in a fresh process with one BLAS
+thread.  Each output -- every file the case writes, its stdout, stderr and
+exit code -- is reported as identical, or by the fields that differ: a
+``trace.csv`` column, a JSON path (list indexes of scalars dropped, so
+``free_energy_map`` is one field), with how many entries differ and their
+largest absolute and relative difference.  The exit code is 1 when a field
+differs that no ``--expect OUTPUT:FIELD`` names.
+
+    python3 tools/pair.py --parent HEAD --identity \\
+        --expect trace.csv:free_energy_estimate --expect summary.json:free_energy_map
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tarfile
@@ -50,6 +66,46 @@ PYTEST_METRIC = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25
 # The benchmark's BLAS pinning, so that a node's time does not depend on
 # how many threads BLAS starts.
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _run_doc(objective, family, dim, n, shaping, update, iterations, init="default"):
+    return {"objective": objective, "model": {"family": family, "dim": dim, "init": init},
+            "shaping": shaping, "update": update, "n_samples": n, "iterations": iterations,
+            "seed": 0}
+
+
+# The cases of --identity, all at seed 0: the benchmark's three run workloads,
+# each update rule and shaping kind, and a gradient run that exits 3 at
+# iteration 20 with a 20-row trace.csv; None is ``edaem diagnose default``.
+IDENTITY_RUNS = {
+    "bern-wide": _run_doc("onemax:2000", "bernoulli", 2000, 1000, "quantile:0.5",
+                          {"kind": "closed_form"}, 120),
+    "gauss-small-map": _run_doc("sphere:10", "gaussian", 10, 200, "quantile:0.25",
+                                {"kind": "map_smoothed", "gamma": 0.8}, 500,
+                                init={"mean": [0.5] * 10,
+                                      "cov": [[float(i == j) for j in range(10)]
+                                              for i in range(10)]}),
+    "gauss-wide": _run_doc("sphere:100", "gaussian", 100, 1000, "quantile:0.25",
+                           {"kind": "closed_form"}, 60),
+    "onemax-rank-map": _run_doc("onemax:32", "bernoulli", 32, 200, "rank",
+                                {"kind": "map_smoothed", "gamma": 0.5}, 60),
+    "onemax-exp": _run_doc("onemax:32", "bernoulli", 32, 200, "exp:2",
+                           {"kind": "closed_form"}, 60),
+    "leadingones-cdf-map": _run_doc("leadingones:16", "bernoulli", 16, 200, "cdf:0.5",
+                                    {"kind": "map_smoothed", "gamma": 0.8}, 60),
+    "onemax-gradient": _run_doc("onemax:32", "bernoulli", 32, 200, "quantile:0.5",
+                                {"kind": "gradient", "alpha": 1e-3, "k": 2}, 60),
+    "sphere-gradient-rank": _run_doc("sphere:5", "gaussian", 5, 100, "rank",
+                                     {"kind": "gradient", "alpha": 1e-4, "k": 3}, 40),
+    "gradient-abort": _run_doc("sphere:5", "gaussian", 5, 100, "quantile:0.25",
+                               {"kind": "gradient", "alpha": 1e-3, "k": 3}, 40),
+    "diagnose": None,
+}
+
+
+def short_commit(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", "--short", rev], cwd=REPO,
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -202,6 +258,122 @@ def pair(parent_tree: Path, change_tree: Path, seeds: list[int], workloads: list
             f"--seconds {seconds} --trace 0", "machine": machine, "workloads": out}
 
 
+def identity_outputs(tree: Path, doc: dict | None, out: Path) -> dict[str, str]:
+    """Run one case with ``tree``'s package in a fresh process, its cwd at
+    the new directory ``out``; its exit code, streams and files, as text."""
+    out.mkdir(parents=True)
+    args = ["diagnose", "default", "--out", "."]
+    if doc is not None:
+        (out / "config.json").write_text(json.dumps(doc))
+        args = ["run", "--config", "config.json", "--out", "."]
+    env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "edaem.cli", *args], cwd=out,
+                          capture_output=True, text=True, env=env)
+    files = {p.name: p.read_text() for p in sorted(out.iterdir()) if p.name != "config.json"}
+    return {"exit": str(proc.returncode), "stdout": proc.stdout, "stderr": proc.stderr, **files}
+
+
+def _flatten(value, path: str, out: dict) -> None:
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _flatten(v, f"{path}.{k}" if path else k, out)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _flatten(v, f"{path}[{i}]", out)
+    else:
+        out[path] = (re.sub(r"(\[\d+\])+$", "", path) or path, value)
+
+
+def _leaves(name: str, text: str) -> dict:
+    """One output's entries by position, each as (field, value): a CSV cell
+    under its column, a JSON leaf under its path without trailing list
+    indexes, and any other output as one entry."""
+    if name.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text)))
+        header = rows[0] if rows else []
+        return {(col, i): (col, cell) for i, row in enumerate(rows[1:])
+                for col, cell in zip(header, row)}
+    if name.endswith(".json") and text:
+        out = {}
+        _flatten(json.loads(text), "", out)
+        return out
+    return {name: (name, text)}
+
+
+def _number(x) -> float | None:
+    if isinstance(x, bool):
+        return None
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def diff_output(name: str, parent: str, change: str) -> dict:
+    """The fields of one output that differ between the sides: how many of
+    their entries differ, and the largest absolute and relative difference
+    of those that are finite numbers on both sides (``non_numeric`` counts
+    the others, an entry missing on one side among them)."""
+    if parent == change:
+        return {}
+    a, b = _leaves(name, parent), _leaves(name, change)
+    fields: dict = {}
+    for key in [*a, *(k for k in b if k not in a)]:
+        x, y = a.get(key), b.get(key)
+        if repr(x) == repr(y):
+            continue
+        stats = fields.setdefault((x or y)[0], {"entries": 0, "max_abs": None, "max_rel": None,
+                                                "non_numeric": 0})
+        stats["entries"] += 1
+        u, v = (_number(e[1]) if e else None for e in (x, y))
+        if u is None or v is None:
+            stats["non_numeric"] += 1
+            continue
+        d = abs(u - v)
+        stats["max_abs"] = max(stats["max_abs"] or 0.0, d)
+        stats["max_rel"] = max(stats["max_rel"] or 0.0, d / max(abs(u), abs(v)))
+    return fields
+
+
+def _describe(st: dict) -> str:
+    text = f"differs in {st['entries']} entries"
+    if st["max_abs"] is not None:
+        text += f", max abs {st['max_abs']:.3g}, max rel {st['max_rel']:.3g}"
+    if st["non_numeric"]:
+        text += f", {st['non_numeric']} not numbers on both sides"
+    return text + (" (expected)" if st["expected"] else " (UNEXPECTED)")
+
+
+def identity(parent_tree: Path, change_tree: Path, runs: dict, expected: set, work: Path,
+             log=print) -> dict:
+    """Run every case in both trees and compare its outputs; the report,
+    with ``unexpected`` listing each differing RUN/OUTPUT:FIELD that
+    ``expected`` (a set of OUTPUT:FIELD) does not name."""
+    report, unexpected = {}, []
+    for name, doc in runs.items():
+        p, c = (identity_outputs(tree, doc, work / side / name)
+                for side, tree in (("parent", parent_tree), ("change", change_tree)))
+        log(f"{name}: exit {p['exit']} | {c['exit']}")
+        report[name] = {}
+        for out in [*p, *(k for k in c if k not in p)]:
+            a, b = p.get(out, ""), c.get(out, "")
+            fields = report[name][out] = diff_output(out, a, b)
+            label = out
+            if out.endswith(".csv"):
+                label += f" ({max(len(a.splitlines()) - 1, 0)} | "
+                label += f"{max(len(b.splitlines()) - 1, 0)} rows)"
+            if not fields:
+                log(f"  {label}: identical")
+            for field, st in fields.items():
+                st["expected"] = f"{out}:{field}" in expected
+                if not st["expected"]:
+                    unexpected.append(f"{name}/{out}:{field}")
+                log(f"  {label}: {field} {_describe(st)}")
+    log(f"{len(unexpected)} unexpected difference(s)" + "".join(f"\n  {u}" for u in unexpected))
+    return {"runs": report, "unexpected": unexpected}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -212,16 +384,27 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--pytest", nargs="?", const=DEFAULT_NODE, metavar="NODEID",
                         help=f"pair one pytest node's wall time (default {DEFAULT_NODE})")
-    parser.add_argument("--out", required=True, help="path of the JSON record")
+    parser.add_argument("--identity", action="store_true",
+                        help="compare the outputs of IDENTITY_RUNS instead of timing")
+    parser.add_argument("--expect", action="append", default=[], metavar="OUTPUT:FIELD",
+                        help="a difference --identity accepts (repeatable)")
+    parser.add_argument("--out", help="path of the JSON record (optional with --identity)")
     args = parser.parse_args(argv)
+    if args.identity:
+        if args.pytest or args.claim or args.workload:
+            parser.error("--identity takes no --pytest, --claim or --workload")
+        return run_identity(args)
+    if args.expect:
+        parser.error("--expect goes with --identity")
+    if not args.out:
+        parser.error("--out is required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     if args.claim and args.claim.count(":") != 1:
         parser.error("--claim takes WORKLOAD:METRIC")
     if args.pytest and (args.claim or args.workload):
         parser.error("--pytest pairs one node; it takes no --claim or --workload")
-    commit = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=REPO,
-                            capture_output=True, text=True, check=True).stdout.strip()
+    commit = short_commit(args.parent)
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     log = lambda s: print(s, file=sys.stderr, flush=True)  # noqa: E731
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
@@ -274,6 +457,22 @@ def main(argv=None) -> int:
     doc["workloads"] = record["workloads"]
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
+
+
+def run_identity(args) -> int:
+    """``--identity``: print the comparison, write it to ``--out`` if given,
+    and return 1 on an unexpected difference."""
+    with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
+        parent = export(args.parent, Path(tmp) / "parent")
+        change = export(args.parent, Path(tmp) / "again") if args.aa else REPO
+        record = identity(parent, change, IDENTITY_RUNS, set(args.expect), Path(tmp) / "out")
+    if args.out:
+        doc = {"parent_commit": short_commit(args.parent),
+               "change_tree": "a second export of the parent commit" if args.aa
+               else "the working tree", "blas": BLAS_ENV, "expected": args.expect,
+               "cases": IDENTITY_RUNS, **record}
+        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 1 if record["unexpected"] else 0
 
 
 if __name__ == "__main__":
