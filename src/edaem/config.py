@@ -29,14 +29,15 @@ offending field and its valid range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .engine import UpdateRule
 from .errors import ConfigError, DegenerateModelError, DomainError
-from .models import FAMILIES, BernoulliProductModel, GaussianModel, SearchModel
+from .models import FAMILIES, BernoulliProductModel, GaussianModel, SearchModel, all_real
 from .objectives import NEGATED_CONTINUOUS, Domain, Objective, parse_objective
 from .shaping import ShapingSpec
 
@@ -90,9 +91,7 @@ class RunConfig:
         iterations = _expect(doc, "iterations", int)
         if iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {iterations}")
-        seed = _expect(doc, "seed", int)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        seed = _seed(doc["seed"])
 
         out_dir = doc.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
@@ -133,9 +132,18 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        doc = dict(self.raw or {})
-        doc["seed"] = int(seed)
-        return RunConfig.from_dict(doc)
+        """This config with another seed, which the echo, if there is one,
+        records too; nothing else is parsed or built again."""
+        seed = _seed(seed)
+        raw = None if self.raw is None else {**self.raw, "seed": seed}
+        return replace(self, seed=seed, raw=raw)
+
+
+def _seed(value) -> int:
+    """The one seed check: an integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def _expect(doc: dict, key: str, typ) -> object:
@@ -203,9 +211,12 @@ def _init_array(val, shape: tuple, what: str) -> np.ndarray:
     size = "x".join(map(str, shape))
     if not isinstance(val, (list, tuple)):
         raise ConfigError(f"{what} must be a {size} list of numbers, got {type(val).__name__}")
+    if not all_real(val):
+        raise ConfigError(f"{what} entries must be real numbers, not bools, strings, nulls "
+                          "or objects")
     try:
         arr = np.asarray(val, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # a ragged list, an int past float64
         raise ConfigError(f"{what} must be a {size} list of numbers: {exc}") from exc
     if arr.shape != shape:
         raise ConfigError(f"{what} must be a {size} list of numbers, got shape {arr.shape}")

@@ -24,13 +24,14 @@ refit and the total of its weights (see ``_free_energy``).
 Checks.  A run's config is checked once, when it is built (``UpdateRule``,
 ``ShapingSpec``, the start model and its domain).  Per generation ``run``
 checks only what the data can get wrong: finite objective values (the
-shaping's one scan; :class:`ObjectiveError` names the sample), positive
-weights that sum to 1, the generation on the support (the M-step's one
-domain scan), and a repairable covariance and a finite theta for the next
-model; ``e_step``'s O(1) checks of n and of the domain pairing remain.  It
-skips the public M-steps' checks of gamma, alpha and k, and builds each
-Gaussian from the exactly symmetric (m, C) its refit or blend made, which
-the constructor neither copies nor symmetrizes; only its theta is formed.
+shaping's one scan; :class:`ObjectiveError` names the sample), a weight
+total that is positive and finite (summed once, by :class:`Population`),
+the generation on the support (the M-step's one domain scan), and a
+repairable covariance and a finite theta for the next model; ``e_step``'s
+O(1) checks of n and of the domain pairing remain.  It skips the public
+M-steps' checks of gamma, alpha and k, and builds each Gaussian from the
+exactly symmetric (m, C) its refit or blend made, which the constructor
+neither copies nor symmetrizes; only its theta is formed.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
@@ -40,6 +41,7 @@ the library or the number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -70,9 +72,11 @@ MAX_CONSECUTIVE_PROJECTIONS = 20
 
 @dataclass(frozen=True)
 class Population:
-    """One generation: samples, raw values, shaped weights, and the
-    normalized particle posterior over the samples.
+    """One generation: samples, raw values and shaped weights w.
 
+    The weights are summed once, here: ``total`` = sum w must be positive
+    and finite, else :class:`DegenerateWeightsError` names it.  The particle
+    posterior over the samples is ``norm_w`` = w / ``total``.
     ``log_w_shift`` is the log of the constant the shaping divided out
     (nonzero only for exponential shaping); free-energy diagnostics add it
     back so they do not depend on the overflow guard.
@@ -81,13 +85,21 @@ class Population:
     samples: np.ndarray
     raw_f: np.ndarray
     shaped_w: np.ndarray
-    norm_w: np.ndarray
     log_w_shift: float = 0.0
 
     def __post_init__(self):
-        total = float(self.norm_w.sum())
-        if not abs(total - 1.0) <= 1e-12:
-            raise DegenerateWeightsError(f"particle posterior sums to {total}, not 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.shaped_w.sum())
+        if not 0.0 < total < math.inf:
+            raise DegenerateWeightsError(
+                f"shaped weights total {total}; the total must be positive and finite"
+            )
+        object.__setattr__(self, "total", total)
+
+    @functools.cached_property
+    def norm_w(self) -> np.ndarray:
+        """The particle posterior w / sum w."""
+        return self.shaped_w / self.total
 
     @property
     def size(self) -> int:
@@ -170,11 +182,11 @@ class Trace:
 
 def e_step(model: SearchModel, objective: objectives_mod.Objective,
            shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int) -> Population:
-    """Sample a generation, evaluate, shape, and normalize the weights.
-    The model must share the objective's domain; its samples then go to
-    ``batch_eval`` unscanned.  The shaping's scan of the values is their
-    one finiteness check; a NaN or infinite value raises
-    :class:`ObjectiveError` naming its sample."""
+    """Sample a generation, evaluate and shape it; the :class:`Population`
+    sums and checks the weights.  The model must share the objective's
+    domain; its samples then go to ``batch_eval`` unscanned.  The shaping's
+    scan of the values is their one finiteness check; a NaN or infinite
+    value raises :class:`ObjectiveError` naming its sample."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
     if model.domain != objective.domain:
@@ -193,17 +205,14 @@ def e_step(model: SearchModel, objective: objectives_mod.Objective,
         idx = int(bad[0])
         raise ObjectiveError(f"objective {objective.name!r} returned {raw[idx]} at sample "
                              f"index {idx}", index=idx) from None
-    return Population(samples=Z, raw_f=raw, shaped_w=w, norm_w=w / w.sum(),
+    return Population(samples=Z, raw_f=raw, shaped_w=w,
                       log_w_shift=shaping_mod.log_shift(shaping_spec, raw))
 
 
 def m_step_closed_form(pop: Population, model: SearchModel) -> ExpectationParams:
     """Weighted maximum-likelihood refit: the weighted mean of sufficient
     statistics, unrepaired (it may sit past a family floor)."""
-    total = float(pop.shaped_w.sum())
-    if not total > 0.0:
-        raise DegenerateWeightsError("sum of shaped weights must be positive")
-    return model._refit(model._as_batch(pop.samples), pop.shaped_w, total)
+    return model._refit(model._as_batch(pop.samples), pop.shaped_w, pop.total)
 
 
 def m_step_map(
@@ -273,7 +282,7 @@ def _free_energy(
     of ``theta_tilde``, the unrepaired refit sum_i q_i T(z_i), a closed form
     that does not read the samples again."""
     mean_logp = next_model._mean_log_density(theta_tilde)
-    return mean_logp + math.log(float(pop.shaped_w.sum())) + pop.log_w_shift
+    return mean_logp + math.log(pop.total) + pop.log_w_shift
 
 
 def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:

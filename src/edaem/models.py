@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -901,6 +902,19 @@ _LEGACY_FLOOR_FIELDS = {
 }
 
 
+def all_real(values) -> bool:
+    """Whether ``values`` is a list whose entries, nested lists included,
+    are all real numbers, none a bool, string, null or object: the one type
+    check of model parameters from outside (finiteness is checked later)."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    return all(
+        all_real(v) if isinstance(v, (list, tuple))
+        else isinstance(v, numbers.Real) and not isinstance(v, bool)
+        for v in values
+    )
+
+
 def _json_count(doc: dict, key: str, low: int) -> int:
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -923,7 +937,14 @@ def model_from_json_dict(doc: dict) -> SearchModel:
     K = _json_count(doc, "arity", 2) if cls.kind == "categorical" else None
     domain = Domain(cls.kind, d, K)
     n = cls._param_count(domain)
-    params = np.asarray(doc.get("params", []), dtype=np.float64)
+    params = doc.get("params", [])
+    if not all_real(params):
+        raise DomainError("params in model JSON must be a list of real numbers, not bools, "
+                          "strings, nulls or objects")
+    try:
+        params = np.asarray(params, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # a ragged list, an int past float64
+        raise DomainError(f"params in model JSON: {exc}") from exc
     if params.shape != (n,):
         layout = f"dim = {d}" + (f", arity = {K}" if K is not None else "")
         raise DomainError(

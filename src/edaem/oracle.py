@@ -31,7 +31,7 @@ design.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -125,25 +125,32 @@ class EnumerableSpace:
             raise DomainError(
                 f"{model.family_tag!r} samples {model.domain}; the space enumerates {self.domain}"
             )
-        return Exact(model, self, model._log_density(self.states))
+        return Exact(model, self, model._log_density(self.states), self.f_values)
 
 
 @dataclass(frozen=True, eq=False)
 class Exact:
     """One model on one enumerable space, with ``log_p`` = log p(z|theta)
-    at every state; build it with :meth:`EnumerableSpace.at`.  Each
-    quantity is computed from ``log_p`` on first use and kept, p f once, in
-    ``_tilt``.  A q is a probability vector over the states, in the space's order."""
+    at every state and ``f_values`` the objective table it tilts by (the
+    space's by default) over the space's checked states; build it with
+    :meth:`EnumerableSpace.at` or :meth:`rescaled`.  Each quantity is
+    computed from ``log_p`` on first use and kept, p f once, in ``_tilt``.
+    A q is a probability vector over the states, in the space's order."""
 
     model: SearchModel
     space: EnumerableSpace
     log_p: np.ndarray
+    f_values: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.f_values is None:
+            object.__setattr__(self, "f_values", self.space.f_values)
 
     @functools.cached_property
     def _tilt(self) -> tuple[np.ndarray, float, np.ndarray]:
         """(w, top, at_top): w = f exp(a - top) <= f for a = log p where f > 0
         (-inf elsewhere), top = max a, at_top = (a == top).  Checks E_p[f] > 0."""
-        f = self.space.f_values
+        f = self.f_values
         a = np.where(f > 0.0, self.log_p, -np.inf)
         top = a.max()
         if not np.isfinite(top):
@@ -192,7 +199,7 @@ class Exact:
         where p*f vanishes."""
         q = self._distribution(q)
         act = q > 0.0
-        f_act = self.space.f_values[act]
+        f_act = self.f_values[act]
         if np.any(f_act <= 0.0):
             return float("-inf")
         qa = q[act]
@@ -224,19 +231,23 @@ class Exact:
         """A random distribution over the states: a flat Dirichlet draw on
         the states where f > 0, zero elsewhere, so that F(q, theta) and the
         KL stay finite."""
-        support = self.space.f_values > 0.0
+        support = self.f_values > 0.0
         q = np.zeros(self.space.n_states)
         q[support] = rng.dirichlet(np.ones(int(support.sum())))
         return q
 
     def rescaled(self, s: float) -> "Exact":
-        """The view under f_s = 1 + s (f - 1), for f > 0 everywhere.  It
-        shares log p and the scores, which do not depend on f (the scores
-        are read here if not yet read)."""
-        f = self.space.f_values
+        """The view under f_s = 1 + s (f - 1), for f > 0 everywhere and a
+        scale s in (0, 1], so that f_s = (1 - s) + s f is positive and
+        finite.  It tilts by f_s over the same space, whose states were
+        checked when it was built, and shares log p and the scores, which do
+        not depend on f (the scores are read here if not yet read)."""
+        if not 0.0 < s <= 1.0:
+            raise DomainError(f"rescaled needs a scale s in (0, 1], got {s!r}")
+        f = self.f_values
         if np.any(f <= 0.0):
             raise DomainError("verify_ngd_correspondence requires f > 0 everywhere")
-        view = Exact(self.model, replace(self.space, f_values=1.0 + s * (f - 1.0)), self.log_p)
+        view = Exact(self.model, self.space, self.log_p, 1.0 + s * (f - 1.0))
         view.__dict__["scores"] = self.scores
         return view
 
@@ -286,7 +297,7 @@ def _ppm_blocks(exact: Exact, grid_1d: np.ndarray):
     # Column z of row i is p(z_j = z | theta_j = grid_1d[i]), and its log.
     prob_table = np.stack([1.0 - grid_1d, grid_1d], axis=1)
     log_table = np.stack([np.log1p(-grid_1d), np.log(grid_1d)], axis=1)
-    f = space.f_values
+    f = exact.f_values
     f_max = float(f.max())
     f_tensor = np.zeros((2,) * d)
     f_tensor[tuple(space.states.T)] = f / f_max
@@ -406,7 +417,7 @@ def verify_ngd_correspondence(model: SearchModel, space: EnumerableSpace) -> Che
         discs.append(disc)
         ratios.append(disc / gnorm2 if gnorm2 > 0.0 else 0.0)
 
-    if np.ptp(exact.space.f_values) == 0.0:
+    if np.ptp(exact.f_values) == 0.0:
         passed = max(discs) <= NGD_EQUALITY_TOL
     else:
         passed = discs[0] <= NGD_EQUALITY_TOL and all(

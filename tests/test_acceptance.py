@@ -60,7 +60,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def make_pop(Z, w):
     w = np.asarray(w, dtype=np.float64)
-    return Population(samples=np.asarray(Z), raw_f=w.copy(), shaped_w=w, norm_w=w / w.sum())
+    return Population(samples=np.asarray(Z), raw_f=w.copy(), shaped_w=w)
 
 
 def random_fixture(rng, family):

@@ -18,10 +18,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from edaem import cli, oracle
+from edaem import cli, objectives, oracle
 from edaem.config import RunConfig
+from edaem.engine import UpdateRule
 from edaem.engine import run as engine_run
 from edaem.errors import ConfigError, RunAbortedError
+from edaem.models import BernoulliProductModel
+from edaem.shaping import ShapingSpec
 from edaem.traceio import TRACE_COLUMNS, write_trace_csv
 
 
@@ -266,6 +269,63 @@ def test_seed_override_reparses():
     cfg2 = cfg.with_seed(99)
     assert cfg2.seed == 99
     assert cfg2.raw["seed"] == 99
+
+
+def _library_config(seed):
+    return RunConfig(
+        objective=objectives.onemax(8),
+        model=BernoulliProductModel(np.full(8, 0.5)),
+        shaping=ShapingSpec.parse("quantile:0.5"),
+        rule=UpdateRule("closed_form"),
+        n_samples=40,
+        iterations=15,
+        seed=seed,
+    )
+
+
+def test_with_seed_on_a_library_built_config():
+    cfg = _library_config(0).with_seed(3)
+    assert cfg.seed == 3 and cfg.raw is None
+    got, want = engine_run(cfg), engine_run(_library_config(3))
+    assert got.records == want.records
+    assert np.array_equal(got.final_model.params.values, want.final_model.params.values)
+    assert got.records == engine_run(RunConfig.from_dict(base_doc(seed=3))).records
+
+
+@pytest.mark.parametrize("seed", [-3, True, "3", 2.0, None])
+def test_with_seed_rejects_what_the_config_rejects(seed):
+    for cfg in (_library_config(0), RunConfig.from_dict(base_doc())):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            cfg.with_seed(seed)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        RunConfig.from_dict(base_doc(seed=seed))
+
+
+# Parameter lists that numpy would cast to numbers, each with the field the
+# error must name.
+NON_REAL_INITS = {
+    "strings": ({"model": _model(init=["0.5"] * 8)}, "model.init"),
+    "bools": ({"model": _model(init=[True, False] * 4)}, "model.init"),
+    "null": ({"model": _model(init=[0.5] * 7 + [None])}, "model.init"),
+    "object": ({"model": _model(init=[0.5] * 7 + [{}])}, "model.init"),
+    "nested-bool": ({"model": _model(init=[[0.5]] * 7 + [[True]])}, "model.init"),
+    "gauss-theta-string": (_gauss([0.0, "0", 1.0, 0.0, 1.0]), "model.init"),
+    "gauss-mean-strings": (_gauss({"mean": ["0", "0"], "cov": [[1.0, 0.0], [0.0, 1.0]]}),
+                           "model.init.mean"),
+    "gauss-cov-bool": (_gauss({"mean": [0.0, 0.0], "cov": [[True, 0], [0, 1]]}),
+                       "model.init.cov"),
+}
+
+
+@pytest.mark.parametrize("over,field", NON_REAL_INITS.values(), ids=NON_REAL_INITS)
+def test_model_init_entries_must_be_real_numbers(over, field):
+    with pytest.raises(ConfigError, match=re.escape(field) + " entries must be real numbers"):
+        RunConfig.from_dict(base_doc(**over))
+
+
+def test_model_init_int_past_float64_is_a_config_error():
+    with pytest.raises(ConfigError, match="model.init must be a 8 list of numbers"):
+        RunConfig.from_dict(base_doc(model=_model(init=[10**400] + [0.5] * 7)))
 
 
 # ---------------------------------------------------------------------------

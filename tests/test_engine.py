@@ -4,9 +4,11 @@ independent numerical check), and full runs."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,9 +51,7 @@ IDENTITY = shaping.ShapingSpec("identity")
 def make_pop(samples, weights):
     samples = np.asarray(samples)
     w = np.asarray(weights, dtype=np.float64)
-    return Population(
-        samples=samples, raw_f=w.copy(), shaped_w=w, norm_w=w / w.sum()
-    )
+    return Population(samples=samples, raw_f=w.copy(), shaped_w=w)
 
 
 def random_bernoulli_pop(rng, dim, n=16, weight_scale=1.0):
@@ -189,22 +189,55 @@ def test_closed_form_weighted_average():
     np.testing.assert_allclose(out.values, [0.75, 0.25])
 
 
-# Weights that no e_step makes, each rejected where it is read.
+# Weights that no e_step makes, rejected when the Population is built.
 @pytest.mark.parametrize(
     "build,match",
     [
-        (lambda Z: Population(samples=Z, raw_f=np.ones(3), shaped_w=np.ones(3),
-                              norm_w=np.full(3, 0.5)), "sums to 1.5, not 1"),
-        (lambda Z: m_step_closed_form(
-            Population(samples=Z, raw_f=np.ones(3), shaped_w=np.zeros(3),
-                       norm_w=np.full(3, 1.0 / 3.0)),
-            BernoulliProductModel([0.5, 0.5])), "must be positive"),
+        (lambda Z: Population(samples=Z, raw_f=np.ones(3), shaped_w=np.zeros(3)),
+         "must be positive"),
     ],
-    ids=["posterior-sum", "all-zero-shaped"],
+    ids=["all-zero-shaped"],
 )
 def test_degenerate_weights_are_rejected(build, match):
     with pytest.raises(DegenerateWeightsError, match=match):
         build(np.array([[1, 0], [1, 1], [0, 0]]))
+
+
+def test_a_population_holds_the_weights_once_and_sums_them_once():
+    pop = make_pop([[1, 0], [1, 1], [0, 0]], [2.0, 1.0, 1.0])
+    fields = [f.name for f in dataclasses.fields(Population)]
+    assert fields == ["samples", "raw_f", "shaped_w", "log_w_shift"]
+    assert pop.total == 4.0 and pop.size == 3
+    assert np.array_equal(pop.norm_w, [0.5, 0.25, 0.25])
+    assert pop.ess == 1.0 / 0.375
+
+
+def _huge(dim):
+    # Identity weights are the raw values: 20 of them at 1e308 sum past
+    # the largest float64.
+    return objectives.Objective(name=f"huge:{dim}", domain=objectives.Domain("binary", dim),
+                                batch_eval=lambda Z: np.full(Z.shape[0], 1e308))
+
+
+def test_an_overflowing_weight_total_is_rejected_by_name():
+    model = BernoulliProductModel(np.full(3, 0.5))
+    cfg = runcfg(model=model, objective=_huge(3), shaping=IDENTITY,
+                 rule=UpdateRule("closed_form"), n_samples=20, iterations=3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateWeightsError, match="total inf"):
+            e_step(model, _huge(3), IDENTITY, 20, seed=0)
+        with pytest.raises(RunAbortedError) as err:
+            run(cfg)
+    assert isinstance(err.value.__cause__, DegenerateWeightsError)
+    assert "total inf" in str(err.value.__cause__)
+    assert err.value.trace.records == []
+
+
+@pytest.mark.parametrize("w", [[np.nan, 1.0], [-1.0, 0.5]], ids=["nan", "negative"])
+def test_a_weight_total_that_is_not_positive_and_finite_is_rejected(w):
+    with pytest.raises(DegenerateWeightsError, match="must be positive and finite"):
+        make_pop([[0], [1]], w)
 
 
 def test_closed_form_uniform_weights_is_mle():

@@ -1120,6 +1120,31 @@ def test_json_params_must_fit_dim_and_arity(text, field):
         model_from_json(text)
 
 
+# params that numpy would cast, or fail to cast, to numbers.
+NON_REAL_PARAMS = {
+    "strings": '{"family": "bernoulli", "dim": 2, "params": ["a", "b"]}',
+    "object": '{"family": "bernoulli", "dim": 2, "params": [0.5, {}]}',
+    "numeric-string": '{"family": "gaussian", "dim": 1, "params": [0.0, "1"]}',
+    "bools": '{"family": "bernoulli", "dim": 2, "params": [true, false]}',
+    "null": '{"family": "bernoulli", "dim": 2, "params": [0.5, null]}',
+    "nested-string": '{"family": "bernoulli", "dim": 2, "params": [[0.5], ["0.5"]]}',
+    "not-a-list": '{"family": "bernoulli", "dim": 2, "params": "0.5"}',
+}
+
+
+@pytest.mark.parametrize("text", NON_REAL_PARAMS.values(), ids=NON_REAL_PARAMS)
+def test_json_params_must_be_real_numbers(text):
+    with pytest.raises(DomainError, match="params .*must be a list of real numbers"):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("params", ["[[0.5], [0.5, 0.5]]", "[0.5, 1" + "0" * 400 + "]"],
+                         ids=["ragged", "int-past-float64"])
+def test_json_params_that_make_no_array_are_a_domain_error(params):
+    with pytest.raises(DomainError, match="params in model JSON"):
+        model_from_json('{"family": "bernoulli", "dim": 2, "params": %s}' % params)
+
+
 @pytest.mark.parametrize(
     "text",
     [

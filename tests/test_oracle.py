@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 from edaem import oracle
 from edaem.errors import DegenerateObjectiveError, DomainError
 from edaem.fixtures import MC_ERROR_BOUND_BERN2_ONEMAX1, default_fixtures, load_fixture_set
-from edaem import models
+from edaem import fixtures, models
 from edaem.models import PROB_FLOOR, BernoulliProductModel, ExpectationParams, SearchModel
 from edaem.objectives import Domain
 from edaem.oracle import (
@@ -288,6 +288,37 @@ def test_rescaled_requires_a_positive_objective():
     fx = FIXTURES["bern3_trap"]
     with pytest.raises(DomainError, match="requires f > 0 everywhere"):
         fx.space.at(fx.model).rescaled(0.5)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5, 1.5, np.nan])
+def test_rescaled_takes_a_scale_in_the_unit_interval(s):
+    fx = FIXTURES["cat2x3_affine"]
+    with pytest.raises(DomainError, match="scale"):
+        fx.space.at(fx.model).rescaled(s)
+
+
+NGD_FIXTURES = [name for name, fx in FIXTURES.items() if fixtures._ngd in fx.checks]
+
+
+@pytest.mark.parametrize("name", NGD_FIXTURES)
+def test_ngd_checks_no_states_on_a_built_space(monkeypatch, name):
+    # The states were checked once, when the space was built; a rescaled
+    # view tilts by its own table over them.
+    fx = FIXTURES[name]
+    space = fx.space
+    checks = []
+    check = Domain.check
+    monkeypatch.setattr(Domain, "check", lambda self, Z: checks.append(1) or check(self, Z))
+    assert verify_ngd_correspondence(fx.model, space).passed
+    assert checks == []
+
+
+def test_ngd_fixtures_and_a_zero_objective():
+    assert NGD_FIXTURES == ["bern1_f13", "bern2_onemax1", "bern3_onemax1", "bern2_const",
+                            "cat2x3_affine"]
+    trap = FIXTURES["bern3_trap"]
+    with pytest.raises(DomainError, match="requires f > 0 everywhere"):
+        verify_ngd_correspondence(trap.model, trap.space)
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +765,7 @@ def test_exact_e_step_weights_reproduce_exact_update():
     fx = FIXTURES["bern2_onemax1"]
     p = np.exp(fx.model.log_density_batch(fx.space.states))
     w = p * fx.space.f_values
-    pop = Population(
-        samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=w, norm_w=w / w.sum()
-    )
+    pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=w)
     ours = m_step_closed_form(pop, fx.model).values
     exact = fx.space.at(fx.model).em_model.params.values
     np.testing.assert_allclose(ours, exact, atol=1e-12)
@@ -752,7 +781,7 @@ def test_exact_em_is_the_closed_form_m_step_over_every_state(name):
     fx = FIXTURES[name]
     exact = fx.space.at(fx.model)
     q = exact.tilted
-    pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=q, norm_w=q)
+    pop = Population(samples=fx.space.states, raw_f=fx.space.f_values, shaped_w=q)
     got = fx.model.with_params(m_step_closed_form(pop, fx.model)).params.values
     assert np.array_equal(got, exact.em_model.params.values)
 

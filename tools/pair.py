@@ -91,6 +91,8 @@ IDENTITY_RUNS = {
                                 {"kind": "map_smoothed", "gamma": 0.5}, 60),
     "onemax-exp": _run_doc("onemax:32", "bernoulli", 32, 200, "exp:2",
                            {"kind": "closed_form"}, 60),
+    "onemax-identity": _run_doc("onemax:32", "bernoulli", 32, 200, "identity",
+                                {"kind": "closed_form"}, 60),
     "leadingones-cdf-map": _run_doc("leadingones:16", "bernoulli", 16, 200, "cdf:0.5",
                                     {"kind": "map_smoothed", "gamma": 0.8}, 60),
     "onemax-gradient": _run_doc("onemax:32", "bernoulli", 32, 200, "quantile:0.5",
