@@ -37,6 +37,17 @@ Runs are deterministic given the seed for a fixed BLAS library and thread
 count: per-iteration sampling seeds derive from a fixed SeedSequence, and
 the weighted sums go through BLAS, whose summation order may change with
 the library or the number of threads.
+
+Draw-ahead.  A family whose draw is a theta-free array placed by theta (the
+Gaussian's standard normals x from ``_noise``, placed as m + L x by
+``_place``) can have generation t+1's array drawn from its seed while
+iteration t evaluates, refits and computes its free energy.  ``run`` does
+this on one helper thread when the generation has at least
+``models.BLOCK_CELLS`` cells (``_draws_ahead``); the helper calls the
+model's own ``_noise`` with the same seed, so the outputs do not change.
+The thread is started and joined inside ``run``, and ``run`` releases each
+generation before the next is placed, so at most two generations are alive
+at once.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import models
 from . import objectives as objectives_mod
 from . import shaping as shaping_mod
 from .errors import (
@@ -181,12 +193,17 @@ class Trace:
 
 
 def e_step(model: SearchModel, objective: objectives_mod.Objective,
-           shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int) -> Population:
+           shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int,
+           *, _drawn: Optional[np.ndarray] = None) -> Population:
     """Sample a generation, evaluate and shape it; the :class:`Population`
-    sums and checks the weights.  The model must share the objective's
+    sums and checks the weights, once.  The model must share the objective's
     domain; its samples then go to ``batch_eval`` unscanned.  The shaping's
     scan of the values is their one finiteness check; a NaN or infinite
-    value raises :class:`ObjectiveError` naming its sample."""
+    value raises :class:`ObjectiveError` naming its sample.
+
+    ``_drawn`` is private to ``run``: ``model._noise(seed, n, dim)``, drawn
+    ahead, which ``model._place`` turns into the generation in place, the
+    samples ``model.sample(n, seed)`` draws."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
     if model.domain != objective.domain:
@@ -194,10 +211,10 @@ def e_step(model: SearchModel, objective: objectives_mod.Objective,
             f"{model.family_tag!r} samples {model.domain}; objective "
             f"{objective.name!r} takes {objective.domain}"
         )
-    Z = model.sample(n, seed)
+    Z = model.sample(n, seed) if _drawn is None else model._place(_drawn)
     raw = objectives_mod.evaluate_unchecked(objective, Z)
     try:
-        w = shaping_mod.shape(shaping_spec, raw)
+        w = shaping_mod.shape(shaping_spec, raw, _checked_later=True)
     except ShapingInputError:
         bad = np.flatnonzero(~np.isfinite(raw))
         if not bad.size:
@@ -292,6 +309,14 @@ def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:
     return float(lam1 @ model.natural_params() - lam2 * model.log_partition())
 
 
+def _draws_ahead(model: SearchModel, n: int) -> bool:
+    """Whether ``run`` draws each generation's array on a helper thread:
+    the family draws a theta-free array (``_noise``) and the generation has
+    at least ``models.BLOCK_CELLS`` cells.  A smaller draw costs less than
+    the handoff."""
+    return hasattr(model, "_noise") and n * model.dim >= models.BLOCK_CELLS
+
+
 def run(config) -> Trace:
     """Execute ``config.iterations`` rounds of e_step + the configured
     M-step, recording one :class:`IterationRecord` per iteration.
@@ -301,17 +326,33 @@ def run(config) -> Trace:
     error aborts with :class:`RunAbortedError` carrying the trace
     accumulated so far.  Supports optional early stopping when the best raw
     value has not improved for ``config.early_stop_window`` iterations.
+    When ``_draws_ahead`` holds, one helper thread draws generation t+1's
+    theta-free array during iteration t; it is joined before ``run``
+    returns or raises.
     """
     model = config.model
     rule = config.rule
+    n = config.n_samples
     window = config.early_stop_window
     records: list = []
     seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, dtype=np.uint64)
     best_so_far = -np.inf
     stale = 0
+    pool = ahead = None
     try:
+        if _draws_ahead(model, n):
+            # Imported here, so that importing edaem loads no thread pool.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=1)
         for t in range(config.iterations):
-            pop = e_step(model, config.objective, config.shaping, config.n_samples, int(seeds[t]))
+            # Generation t's array, drawn during iteration t - 1 (none at
+            # t = 0: e_step draws it); generation t + 1's starts now.
+            drawn = None if ahead is None else ahead.result()
+            if pool is not None and t + 1 < config.iterations:
+                ahead = pool.submit(model._noise, int(seeds[t + 1]), n, model.dim)
+            pop = e_step(model, config.objective, config.shaping, n, int(seeds[t]),
+                         _drawn=drawn)
             try:
                 # The refit: every rule's start, and the generation's one check.
                 theta_next = theta_tilde = m_step_closed_form(pop, model)
@@ -320,15 +361,17 @@ def run(config) -> Trace:
                     theta_next = theta_prev.blend(theta_tilde, rule.gamma)
                 elif rule.kind == "gradient":
                     theta_next = _ascend(pop.shaped_w, pop.samples, model, rule.alpha, rule.k)
-                next_model = model.with_params(theta_next)
+                # Rebound now, so that the old model's factors go before the
+                # free energy forms the new one's.
+                model = model.with_params(theta_next)
             except DegenerateModelError as exc:
                 raise DegenerateUpdateError(f"{rule.kind} update not repairable: {exc}") from exc
 
-            fe = _free_energy(pop, next_model, theta_tilde)
+            fe = _free_energy(pop, model, theta_tilde)
             fe_map = None
             if rule.kind == "map_smoothed":
                 lam2 = 1.0 / rule.gamma - 1.0  # the prior gamma implies
-                fe_map = fe + _log_prior(next_model, lam2 * theta_prev.values, lam2)
+                fe_map = fe + _log_prior(model, lam2 * theta_prev.values, lam2)
 
             best = float(pop.raw_f.max())
             records.append(
@@ -342,7 +385,7 @@ def run(config) -> Trace:
                     free_energy_map=fe_map,
                 )
             )
-            model = next_model
+            del pop  # released before the next generation is placed
 
             if best > best_so_far:
                 best_so_far = best
@@ -356,4 +399,7 @@ def run(config) -> Trace:
             f"run aborted at iteration {len(records)}: {exc}",
             trace=Trace(records=records, final_model=model),
         ) from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return Trace(records=records, final_model=model)

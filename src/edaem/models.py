@@ -177,6 +177,13 @@ class SearchModel:
       an update.
     * ``_draw(rng, n)``, ``_log_density(Z)``, ``_suff_stats(Z)``,
       ``_score_batch(Z)``, ``_fisher()``: the public methods' kernels.
+    * ``_noise(rng, n, dim)`` and ``_place(X)``, only in a family whose
+      draw is a theta-free array X that theta places (the Gaussian's
+      normals): X drawn from a Generator or its seed, and the generation
+      made from X in place.  Its ``_draw`` is ``_place(_noise(rng, n,
+      dim))``, so the engine may draw X ahead from the seed, on another
+      thread.  ``_noise`` is a staticmethod, so a pending draw holds no
+      model alive.
     * ``_mean_log_density(theta_bar)``: sum_i q_i log p(z_i | theta), in
       closed form from the refit theta_bar = sum_i q_i T(z_i) of weights q
       that sum to 1.  The engine's M-steps, its free energy and the
@@ -453,9 +460,9 @@ def unvech(v: np.ndarray, d: int) -> np.ndarray:
     return M
 
 
-def _theta_join(mean: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The Gaussian theta = (m, vech(S)), with S = E[z z^T] = C + m m^T."""
-    return np.concatenate([mean, vech(S)])
+def _theta_join(mean: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The Gaussian theta = (m, s), with s = vech(S) and S = E[z z^T] = C + m m^T."""
+    return np.concatenate([mean, s])
 
 
 def _theta_split(theta: np.ndarray, d: int):
@@ -464,10 +471,12 @@ def _theta_split(theta: np.ndarray, d: int):
 
 
 def _theta_of_mean_cov(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """theta of (m, C), read-only.  S overflows to inf before (m, C) does;
-    such a model has no theta, and raises."""
+    """theta of (m, C), read-only, with vech(S) formed on the triangle
+    alone.  S overflows to inf before (m, C) does; such a model has no
+    theta, and raises."""
+    rows, cols = _tril_indices(mean.shape[0])
     with np.errstate(over="ignore"):
-        theta = _theta_join(mean, cov + mean[:, None] * mean)
+        theta = _theta_join(mean, cov[rows, cols] + mean[rows] * mean[cols])
     _require_finite(theta, "theta")
     theta.setflags(write=False)
     return theta
@@ -563,7 +572,10 @@ class GaussianModel(SearchModel):
         dpotrf = _linalg().lapack.dpotrf
         floor, jitter = EIG_FLOOR, 0.0
         for attempt in range(MAX_JITTER_DOUBLINGS + 1):
-            if dpotrf(C - floor * eye, lower=1)[1] == 0:
+            # C - floor I, which the test factorization overwrites.
+            shifted = np.array(C, order="F")
+            shifted.flat[:: d + 1] -= floor
+            if dpotrf(shifted, lower=1, overwrite_a=1)[1] == 0:
                 L, info = dpotrf(C, lower=1, clean=1)
                 if info == 0:
                     C.setflags(write=False)
@@ -602,7 +614,7 @@ class GaussianModel(SearchModel):
             params = ExpectationParams._of_mean_cov(self._mean, self._cov, self.family_tag)
             params.values  # formed now, so that an overflowing theta raises here
             return params
-        return ExpectationParams(_theta_join(self._mean, self._given_S), self.family_tag)
+        return ExpectationParams(_theta_join(self._mean, vech(self._given_S)), self.family_tag)
 
     def _shape(self) -> tuple:
         return self._mean.shape
@@ -637,9 +649,17 @@ class GaussianModel(SearchModel):
         return 2.0 * float(np.log(self._chol.diagonal()).sum())
 
     def _draw(self, rng, n: int) -> np.ndarray:
-        # One (n, d) array: the normals, multiplied by L in place (trmm on
-        # the transposed view, which is the Fortran layout BLAS takes).
-        X = rng.standard_normal((n, self.dim))
+        return self._place(self._noise(rng, n, self.dim))
+
+    @staticmethod
+    def _noise(rng, n: int, dim: int) -> np.ndarray:
+        # The (n, d) standard normals of a draw.  default_rng returns a
+        # Generator unaltered, and makes one from a seed.
+        return np.random.default_rng(rng).standard_normal((n, dim))
+
+    def _place(self, X: np.ndarray) -> np.ndarray:
+        # The (n, d) standard normals X become m + L x row by row, in place:
+        # trmm on the transposed view, which is the Fortran layout BLAS takes.
         X = _linalg().blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
         X += self._mean
         return X
@@ -669,10 +689,11 @@ class GaussianModel(SearchModel):
         U -= mean
         U *= np.sqrt(q)[:, None]
         C = _linalg().blas.dsyrk(1.0, U.T, lower=1)
-        # syrk leaves the strict upper triangle zero; Fortran order, like C.
-        full = np.add(C, C.T, order="F")
-        np.fill_diagonal(full, C.diagonal())
-        return ExpectationParams._of_mean_cov(mean, full, self.family_tag)
+        # syrk leaves the strict upper triangle zero; the lower one is
+        # copied onto it in place.
+        rows, cols = _tril_indices(self.dim)
+        C[cols, rows] = C[rows, cols]
+        return ExpectationParams._of_mean_cov(mean, C, self.family_tag)
 
     def _mean_log_density(self, theta_bar) -> float:
         # sum_i q_i log p(z_i) = -(d log 2 pi + log det C + tr(C^-1 C~)

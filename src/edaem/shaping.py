@@ -91,8 +91,9 @@ class ShapingSpec:
         return f"{short}:{getattr(self, name)}"
 
 
-def shape(spec: ShapingSpec, f_values) -> np.ndarray:
-    """Map raw objective values to nonnegative weights, monotone in rank."""
+def shape(spec: ShapingSpec, f_values, *, _checked_later: bool = False) -> np.ndarray:
+    """Map raw objective values to nonnegative weights, monotone in rank.
+    All-zero weights raise :class:`DegenerateWeightsError`."""
     f = np.asarray(f_values, dtype=np.float64).reshape(-1)
     if f.shape[0] < 1:
         raise ShapingInputError("need at least one objective value")
@@ -122,7 +123,9 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
         tau = np.quantile(f, spec.level)
         w = (f >= tau).astype(np.float64)
 
-    if not (w > 0.0).any():
+    # Private: ``engine.e_step`` passes ``_checked_later``, because its
+    # Population sums the weights and checks the total.
+    if not _checked_later and not (w > 0.0).any():
         raise DegenerateWeightsError(
             f"{spec.kind} shaping produced all-zero weights for this generation"
         )

@@ -846,12 +846,14 @@ def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, job
 # ---------------------------------------------------------------------------
 
 # Runs the given CLI arguments (none: only the import) in a fresh
-# interpreter and prints, last, the exit code and the scipy modules loaded.
+# interpreter and prints, last, the exit code and the scipy and concurrent
+# modules loaded.
 _SCIPY_PROBE = """
 import json, sys
 from edaem import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] in ("scipy", "concurrent"))]))
 """
 
 
@@ -874,7 +876,9 @@ _SCIPY_RUNS = {
 }
 
 
-# scipy is loaded by the Gaussian family's kernels alone, on first use.
+# scipy is loaded by the Gaussian family's kernels alone, on first use.  The
+# import, diagnose and the Bernoulli runs also load no concurrent.futures:
+# only a run that draws ahead imports it (and scipy.linalg does).
 @pytest.mark.parametrize("case", ["import", "diagnose", *_SCIPY_RUNS])
 def test_only_the_gaussian_family_loads_scipy(tmp_path, case):
     if case in _SCIPY_RUNS:

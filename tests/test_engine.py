@@ -1024,3 +1024,191 @@ def test_a_gradient_run_checks_its_rule_once(monkeypatch):
     assert checks == ["gradient"]
     with pytest.raises(ConfigError, match="update.alpha"):
         m_step_gradient(pop, cfg.model, 0.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Draw-ahead: a wide Gaussian run draws generation t+1's normals on a helper
+# thread during iteration t.  Forced both ways here on small runs.
+# ---------------------------------------------------------------------------
+
+
+def _force_draw_ahead(monkeypatch, ahead):
+    monkeypatch.setattr(engine, "_draws_ahead", lambda model, n: ahead)
+
+
+def _gaussian_cfg(rule, shaping_text="quantile:0.25", objective=None, **kw):
+    base = dict(
+        model=GaussianModel.from_mean_cov(np.full(6, 0.5), np.eye(6)),
+        objective=objective or objectives.sphere_max(6),
+        shaping=shaping.ShapingSpec.parse(shaping_text),
+        rule=rule,
+        n_samples=40,
+        iterations=12,
+        seed=5,
+    )
+    base.update(kw)
+    return runcfg(**base)
+
+
+def _stale_after(t):
+    # The sphere lifted further at each of the first t calls, so that every
+    # best improves; then a constant below them all, so that a window of w
+    # stops the run after t + w iterations.
+    calls = []
+
+    def _eval(Z):
+        calls.append(None)
+        if len(calls) > t:
+            return np.full(np.asarray(Z).shape[0], -1e9)
+        return 1e6 * len(calls) - np.sum(np.asarray(Z) ** 2, axis=1)
+
+    return objectives.Objective(name="stale:6", domain=objectives.Domain("continuous", 6),
+                                batch_eval=_eval)
+
+
+@pytest.mark.parametrize(
+    "gate_model,n,expected",
+    [
+        ("gauss:100", 1000, True),  # gauss-wide
+        ("gauss:10", 200, False),  # gauss-small-map
+        ("gauss:32", 1024, True),  # exactly BLOCK_CELLS
+        ("gauss:31", 1024, False),
+        ("bern:2000", 1000, False),  # no _noise
+    ],
+)
+def test_the_draw_ahead_gate(gate_model, n, expected):
+    family, _, d = gate_model.partition(":")
+    d = int(d)
+    model = (GaussianModel.from_mean_cov(np.zeros(d), np.eye(d)) if family == "gauss"
+             else BernoulliProductModel(np.full(d, 0.5)))
+    assert models.BLOCK_CELLS == 32 * 1024
+    assert engine._draws_ahead(model, n) is expected
+
+
+@pytest.mark.parametrize("shaping_text", ["quantile:0.25", "rank"])
+@pytest.mark.parametrize(
+    "rule",
+    [UpdateRule("closed_form"), UpdateRule("map_smoothed", gamma=0.8),
+     UpdateRule("gradient", alpha=1e-3, k=2)],
+    ids=["closed_form", "map_smoothed", "gradient"],
+)
+@pytest.mark.parametrize("early_stop", [False, True], ids=["full", "early_stop"])
+def test_draw_ahead_gives_the_sequential_run(monkeypatch, rule, shaping_text, early_stop):
+    def cfg():
+        if early_stop:
+            return _gaussian_cfg(rule, shaping_text, objective=_stale_after(4),
+                                 early_stop_window=3)
+        return _gaussian_cfg(rule, shaping_text)
+
+    drawn = []
+    e_step_fn = engine.e_step
+
+    def recording(*args, **kwargs):
+        drawn.append(kwargs.get("_drawn") is not None)
+        return e_step_fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "e_step", recording)
+    _force_draw_ahead(monkeypatch, False)
+    ref = run(cfg())
+    iterations = 7 if early_stop else 12
+    assert drawn == [False] * iterations
+    drawn.clear()
+    _force_draw_ahead(monkeypatch, True)
+    got = run(cfg())
+    # Every generation but the first was drawn ahead.
+    assert drawn == [False] + [True] * (iterations - 1)
+    assert len(ref.records) == iterations
+    assert got.records == ref.records
+    assert np.array_equal(got.final_model.params.values, ref.final_model.params.values)
+
+
+def test_draw_ahead_aborts_with_the_sequential_partial_trace(monkeypatch):
+    def nan_at_3():
+        calls = []
+
+        def _eval(Z):
+            calls.append(None)
+            vals = -np.sum(np.asarray(Z) ** 2, axis=1)
+            if len(calls) == 4:  # iteration 3
+                vals[2] = np.nan
+            return vals
+
+        return objectives.Objective(name="nan:6", domain=objectives.Domain("continuous", 6),
+                                    batch_eval=_eval)
+
+    errors = []
+    for ahead in (False, True):
+        _force_draw_ahead(monkeypatch, ahead)
+        with pytest.raises(RunAbortedError) as err:
+            run(_gaussian_cfg(UpdateRule("closed_form"), objective=nan_at_3()))
+        errors.append(err.value)
+    ref, got = errors
+    assert isinstance(got.__cause__, ObjectiveError) and got.__cause__.index == 2
+    assert [r.iteration for r in got.trace.records] == [0, 1, 2]
+    assert got.trace.records == ref.trace.records
+    assert np.array_equal(got.trace.final_model.params.values,
+                          ref.trace.final_model.params.values)
+
+
+@pytest.mark.parametrize("ending", ["returns", "stops_early", "raises"])
+def test_no_helper_thread_outlives_the_run(monkeypatch, ending):
+    import threading
+
+    _force_draw_ahead(monkeypatch, True)
+    cfg = _gaussian_cfg(UpdateRule("closed_form"))
+    if ending == "stops_early":
+        cfg = _gaussian_cfg(UpdateRule("closed_form"), objective=_stale_after(2),
+                            early_stop_window=2)
+    elif ending == "raises":
+        cfg = _gaussian_cfg(UpdateRule("closed_form"), shaping_text="identity")
+    before = threading.active_count()
+    if ending == "raises":  # sphere values are negative: identity shaping rejects them
+        with pytest.raises(ShapingInputError):
+            run(cfg)
+    else:
+        trace = run(cfg)
+        assert len(trace.records) == (12 if ending == "returns" else 4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "family,ahead", [("gaussian", False), ("gaussian", True), ("bernoulli", False)],
+    ids=["gaussian-sequential", "gaussian-draw_ahead", "bernoulli"],
+)
+def test_run_releases_each_generation_before_the_next(monkeypatch, family, ahead):
+    import weakref
+
+    if family == "bernoulli":
+        cfg = runcfg(model=BernoulliProductModel(np.full(16, 0.5)),
+                     objective=objectives.onemax(16),
+                     shaping=shaping.ShapingSpec.parse("quantile:0.5"),
+                     rule=UpdateRule("closed_form"), n_samples=30, iterations=8, seed=2)
+    else:
+        cfg = _gaussian_cfg(UpdateRule("map_smoothed", gamma=0.8))
+    _force_draw_ahead(monkeypatch, ahead)
+    refs, alive = [], []
+    e_step_fn = engine.e_step
+
+    def tracking(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        pop = e_step_fn(*args, **kwargs)
+        a = pop.samples
+        while isinstance(a, np.ndarray):  # the samples and every array under them
+            refs.append(weakref.ref(a))
+            a = a.base
+        return pop
+
+    monkeypatch.setattr(engine, "e_step", tracking)
+    run(cfg)
+    assert len(alive) == cfg.iterations and refs
+    assert alive == [0] * cfg.iterations
+
+
+def test_e_step_leaves_the_weight_check_to_the_population():
+    # An all-zero identity generation: shape() would reject it by its own
+    # scan, but e_step's one check is the Population's total.
+    model = BernoulliProductModel([0.0] * 8)
+    with pytest.raises(DegenerateWeightsError, match="shaped weights total 0.0"):
+        e_step(model, objectives.leadingones(8), IDENTITY, 40, seed=0)
+    with pytest.raises(DegenerateWeightsError, match="all-zero weights"):
+        shaping.shape(IDENTITY, np.zeros(40))

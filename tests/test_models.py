@@ -544,6 +544,17 @@ def test_gaussian_draw_is_the_matrix_product():
     np.testing.assert_allclose(X, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
+def test_gaussian_draw_is_its_noise_placed():
+    # The engine draws ahead with _noise(seed, n, dim) and places the
+    # result: the same bits as sample(n, seed).
+    g, _ = _gaussian_5d(3)
+    X = g._noise(4, 400, 5)
+    assert X.tobytes() == g._noise(np.random.default_rng(4), 400, 5).tobytes()
+    assert g._place(X).tobytes() == g.sample(400, 4).tobytes()
+    # A draw pending on the engine's helper holds no model (and its factors).
+    assert not hasattr(g._noise, "__self__")
+
+
 def test_gaussian_draw_makes_one_generation_array():
     # The normals are multiplied and shifted in place: the draw's peak is
     # the (n, d) generation itself, not two or three copies of it.
@@ -570,6 +581,28 @@ def test_gaussian_refit_is_the_centred_weighted_moments():
     np.testing.assert_allclose(tilde.values[:5], m_ref, rtol=1e-13, atol=1e-14)
     np.testing.assert_allclose(tilde.cov, C_ref, rtol=0, atol=1e-13 * np.abs(C_ref).max())
     assert np.array_equal(tilde.cov, tilde.cov.T)
+
+
+def test_gaussian_refit_and_theta_match_their_full_matrix_forms():
+    # The refit mirrors syrk's triangle in place, and theta's vech(S) is
+    # formed on the triangle alone: the same bits as the sum with the
+    # transpose and as vech(C + m m^T) over full d x d matrices.
+    g, rng = _gaussian_5d(7, scale=3.0)
+    Z = g.sample(80, 4) + 2.0
+    w = rng.uniform(0.0, 1.0, size=80)
+    w[w < 0.5] = 0.0
+    tilde = g._refit(Z, w, float(w.sum()))
+    keep = w > 0.0
+    q = w[keep] / float(w.sum())
+    m = q @ Z[keep]
+    U = (Z[keep] - m) * np.sqrt(q)[:, None]
+    C = models._linalg().blas.dsyrk(1.0, U.T, lower=1)
+    full = np.add(C, C.T, order="F")
+    np.fill_diagonal(full, C.diagonal())
+    theta = np.concatenate([m, models.vech(full + m[:, None] * m)])
+    assert tilde.mean.tobytes() == m.tobytes()
+    assert tilde.cov.tobytes(order="F") == full.tobytes(order="F")
+    assert tilde.values.tobytes() == theta.tobytes()
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.8, 1.0])

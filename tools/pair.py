@@ -77,6 +77,9 @@ def _run_doc(objective, family, dim, n, shaping, update, iterations, init="defau
 # The cases of --identity, all at seed 0: the benchmark's three run workloads,
 # each update rule and shaping kind, and a gradient run that exits 3 at
 # iteration 20 with a 20-row trace.csv; None is ``edaem diagnose default``.
+# The "-wide" Gaussian cases have at least models.BLOCK_CELLS cells per
+# generation, so they draw ahead (engine._draws_ahead), as gauss-wide does;
+# gauss-abort-wide exits 3 at iteration 10.
 IDENTITY_RUNS = {
     "bern-wide": _run_doc("onemax:2000", "bernoulli", 2000, 1000, "quantile:0.5",
                           {"kind": "closed_form"}, 120),
@@ -101,6 +104,12 @@ IDENTITY_RUNS = {
                                      {"kind": "gradient", "alpha": 1e-4, "k": 3}, 40),
     "gradient-abort": _run_doc("sphere:5", "gaussian", 5, 100, "quantile:0.25",
                                {"kind": "gradient", "alpha": 1e-3, "k": 3}, 40),
+    "gauss-rank-map-wide": _run_doc("sphere:40", "gaussian", 40, 2000, "rank",
+                                    {"kind": "map_smoothed", "gamma": 0.8}, 40),
+    "gauss-gradient-wide": _run_doc("sphere:40", "gaussian", 40, 1000, "rank",
+                                    {"kind": "gradient", "alpha": 1e-4, "k": 2}, 12),
+    "gauss-abort-wide": _run_doc("sphere:40", "gaussian", 40, 1000, "quantile:0.25",
+                                 {"kind": "gradient", "alpha": 3e-4, "k": 3}, 40),
     "diagnose": None,
 }
 
