@@ -28,6 +28,7 @@ import os
 import sys
 
 from .config import RunConfig
+from .engine import _RULE_PARAMS
 from .engine import run as engine_run
 from .errors import ConfigError, RunAbortedError
 from .fixtures import load_fixture_set
@@ -41,7 +42,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-SWEEP_PARAMS = ("gamma", "alpha", "k", "N", "rho", "beta")
+# The update parameters, then the generation size and the shaping parameters.
+SWEEP_PARAMS = sum(_RULE_PARAMS.values(), ()) + ("N", "rho", "beta")
 
 
 def _setup_logging() -> None:
@@ -142,13 +144,10 @@ def cmd_diagnose(args) -> int:
 def _apply_sweep_value(config: RunConfig, param: str, value) -> dict:
     """A copy of the config document with ``param`` set to ``value``."""
     doc = json.loads(json.dumps(config.raw))  # deep copy
-    if param == "gamma":
-        if config.rule.kind != "map_smoothed":
-            raise ConfigError("sweeping gamma requires update.kind == map_smoothed")
-        doc["update"]["gamma"] = value
-    elif param in ("alpha", "k"):
-        if config.rule.kind != "gradient":
-            raise ConfigError(f"sweeping {param} requires update.kind == gradient")
+    kind = next((k for k, takes in _RULE_PARAMS.items() if param in takes), None)
+    if kind is not None:
+        if config.rule.kind != kind:
+            raise ConfigError(f"sweeping {param} requires update.kind == {kind}")
         doc["update"][param] = value
     elif param == "N":
         doc["n_samples"] = value

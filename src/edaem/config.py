@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import UpdateRule
+from .engine import _RULE_PARAMS, UpdateRule
 from .errors import ConfigError, DegenerateModelError, DomainError
 from .models import FAMILIES, BernoulliProductModel, GaussianModel, SearchModel, all_real
 from .objectives import NEGATED_CONTINUOUS, Domain, Objective, parse_objective
@@ -53,7 +53,7 @@ _TOP_KEYS = {
     "early_stop_window",
 }
 _MODEL_KEYS = {"family", "dim", "init"}
-_UPDATE_KEYS = {"kind", "gamma", "alpha", "k"}
+_UPDATE_KEYS = {"kind"}.union(*_RULE_PARAMS.values())
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,23 @@ distribution with one of three M-step variants:
   log-likelihood; with k = 1 this is exactly the score-function
   (REINFORCE-style) update, and as k grows it approaches the closed form.
 
-Every rule starts from the closed-form refit; the M-steps return unrepaired
-parameters, and ``run`` builds the next model from them once, with the
-family's fixed floor or jitter (``models.PROB_FLOOR``, ``EIG_FLOOR``,
-``JITTER_SCALE``).  The free energy reads the generation only through that
-refit and the total of its weights (see ``_free_energy``).
+One iteration of ``run`` is ``e_step``, then ``_step``: the closed-form
+refit, which every rule starts from; the rule's step; the next model, built
+from the unrepaired result once, with the family's fixed floor or jitter
+(``models.PROB_FLOOR``, ``EIG_FLOOR``, ``JITTER_SCALE``); and the free
+energy, which reads the generation only through that refit and the total of
+its weights (see ``_free_energy``).  ``_step`` alone reads the update kind.
 
 Checks.  A run's config is checked once, when it is built (``UpdateRule``,
 ``ShapingSpec``, the start model and its domain).  Per generation ``run``
 checks only what the data can get wrong: finite objective values (the
 shaping's one scan; :class:`ObjectiveError` names the sample), a weight
 total that is positive and finite (summed once, by :class:`Population`),
-the generation on the support (the M-step's one domain scan), and a
+the generation on the support (the refit's one domain scan), and a
 repairable covariance and a finite theta for the next model; ``e_step``'s
-O(1) checks of n and of the domain pairing remain.  It skips the public
-M-steps' checks of gamma, alpha and k, and builds each Gaussian from the
-exactly symmetric (m, C) its refit or blend made, which the constructor
+O(1) checks of n and of the domain pairing remain.  ``_step`` skips the
+public M-steps' checks of gamma, alpha and k, and builds each Gaussian from
+the exactly symmetric (m, C) its refit or blend made, which the constructor
 neither copies nor symmetrizes; only its theta is formed.
 
 Runs are deterministic given the seed for a fixed BLAS library and thread
@@ -123,8 +124,14 @@ class Population:
         return float(1.0 / (self.norm_w**2).sum())
 
 
-# The hyperparameters each update kind takes.
+# The hyperparameters each update kind takes, and each one's range and check.
 _RULE_PARAMS = {"closed_form": (), "map_smoothed": ("gamma",), "gradient": ("alpha", "k")}
+_PARAM_CHECKS = {
+    "gamma": ("a number in (0, 1]", lambda v: is_finite_real(v) and 0.0 < v <= 1.0),
+    "alpha": ("a finite number > 0", lambda v: is_finite_real(v) and v > 0.0),
+    "k": ("an integer >= 1",
+          lambda v: isinstance(v, numbers.Integral) and is_finite_real(v) and v >= 1),
+}
 
 
 @dataclass(frozen=True)
@@ -143,21 +150,14 @@ class UpdateRule:
             raise ConfigError(
                 f"update.kind must be one of {', '.join(_RULE_PARAMS)}; got {self.kind!r}"
             )
-        extra = [
-            f for f in ("gamma", "alpha", "k") if f not in takes and getattr(self, f) is not None
-        ]
+        extra = [f for f in _PARAM_CHECKS if f not in takes and getattr(self, f) is not None]
         if extra:
             allowed = f"only {', '.join(takes)}" if takes else "no parameters"
             raise ConfigError(f"{self.kind} update takes {allowed}, got {extra}")
-        if self.kind == "map_smoothed":
-            if not (is_finite_real(self.gamma) and 0.0 < self.gamma <= 1.0):
-                raise ConfigError(f"update.gamma must be a number in (0, 1], got {self.gamma!r}")
-        elif self.kind == "gradient":
-            if not (is_finite_real(self.alpha) and self.alpha > 0.0):
-                raise ConfigError(f"update.alpha must be a finite number > 0, got {self.alpha!r}")
-            k = self.k
-            if not (isinstance(k, numbers.Integral) and is_finite_real(k) and k >= 1):
-                raise ConfigError(f"update.k must be an integer >= 1, got {self.k!r}")
+        for name in takes:
+            what, ok = _PARAM_CHECKS[name]
+            if not ok(getattr(self, name)):
+                raise ConfigError(f"update.{name} must be {what}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -317,27 +317,47 @@ def _draws_ahead(model: SearchModel, n: int) -> bool:
     return hasattr(model, "_noise") and n * model.dim >= models.BLOCK_CELLS
 
 
-def run(config) -> Trace:
-    """Execute ``config.iterations`` rounds of e_step + the configured
-    M-step, recording one :class:`IterationRecord` per iteration.
+def _step(model: SearchModel, pop: Population, rule: UpdateRule):
+    """One M-step of ``run`` on ``pop``, a generation of ``model``; returns
+    (next_model, theta_tilde, fe, fe_map).  In order: the closed-form refit
+    theta_tilde; the rule's step from it (MAP's blend, or ``_ascend``); the
+    one build and repair of the next model, where :class:`DegenerateModelError`
+    becomes :class:`DegenerateUpdateError` naming the kind; the free energy
+    fe under the next model; and, for ``map_smoothed`` only, fe_map = fe plus
+    the log-prior gamma implies, else None."""
+    kind = rule.kind
+    prior = None
+    try:
+        theta_next = theta_tilde = m_step_closed_form(pop, model)
+        if kind == "map_smoothed":
+            theta_prev = model.params
+            theta_next = theta_prev.blend(theta_tilde, rule.gamma)
+            lam2 = 1.0 / rule.gamma - 1.0  # the prior gamma implies
+            prior = (lam2 * theta_prev.values, lam2)
+        elif kind == "gradient":
+            theta_next = _ascend(pop.shaped_w, pop.samples, model, rule.alpha, rule.k)
+        next_model = model.with_params(theta_next)
+    except DegenerateModelError as exc:
+        raise DegenerateUpdateError(f"{kind} update not repairable: {exc}") from exc
+    fe = _free_energy(pop, next_model, theta_tilde)
+    fe_map = None if prior is None else fe + _log_prior(next_model, *prior)
+    return next_model, theta_tilde, fe, fe_map
 
-    The next model is built (and repaired) once per iteration; an
-    unrepairable update raises :class:`DegenerateUpdateError`.  Any step
-    error aborts with :class:`RunAbortedError` carrying the trace
-    accumulated so far.  Supports optional early stopping when the best raw
-    value has not improved for ``config.early_stop_window`` iterations.
-    When ``_draws_ahead`` holds, one helper thread draws generation t+1's
-    theta-free array during iteration t; it is joined before ``run``
-    returns or raises.
+
+def run(config) -> Trace:
+    """Execute ``config.iterations`` rounds of ``e_step`` and ``_step``, and
+    record one :class:`IterationRecord` per iteration; stop early when the
+    best raw value has not improved for ``config.early_stop_window``
+    iterations.  A failure of an iteration aborts with
+    :class:`RunAbortedError`, which carries the trace so far and has the
+    failure as its cause.  When ``_draws_ahead`` holds, one helper thread
+    draws generation t+1's theta-free array during iteration t; it is joined
+    before ``run`` returns or raises.
     """
-    model = config.model
-    rule = config.rule
-    n = config.n_samples
-    window = config.early_stop_window
+    model, n, window = config.model, config.n_samples, config.early_stop_window
     records: list = []
     seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, dtype=np.uint64)
-    best_so_far = -np.inf
-    stale = 0
+    best_so_far, stale = -np.inf, 0
     pool = ahead = None
     try:
         if _draws_ahead(model, n):
@@ -353,48 +373,24 @@ def run(config) -> Trace:
                 ahead = pool.submit(model._noise, int(seeds[t + 1]), n, model.dim)
             pop = e_step(model, config.objective, config.shaping, n, int(seeds[t]),
                          _drawn=drawn)
-            try:
-                # The refit: every rule's start, and the generation's one check.
-                theta_next = theta_tilde = m_step_closed_form(pop, model)
-                if rule.kind == "map_smoothed":
-                    theta_prev = model.params
-                    theta_next = theta_prev.blend(theta_tilde, rule.gamma)
-                elif rule.kind == "gradient":
-                    theta_next = _ascend(pop.shaped_w, pop.samples, model, rule.alpha, rule.k)
-                # Rebound now, so that the old model's factors go before the
-                # free energy forms the new one's.
-                model = model.with_params(theta_next)
-            except DegenerateModelError as exc:
-                raise DegenerateUpdateError(f"{rule.kind} update not repairable: {exc}") from exc
-
-            fe = _free_energy(pop, model, theta_tilde)
-            fe_map = None
-            if rule.kind == "map_smoothed":
-                lam2 = 1.0 / rule.gamma - 1.0  # the prior gamma implies
-                fe_map = fe + _log_prior(model, lam2 * theta_prev.values, lam2)
+            model, _, fe, fe_map = _step(model, pop, config.rule)
 
             best = float(pop.raw_f.max())
-            records.append(
-                IterationRecord(
-                    iteration=t,
-                    best_raw_f=best,
-                    mean_raw_f=float(pop.raw_f.sum() / pop.size),  # ndarray.mean, bit for bit
-                    weighted_mean_shaped_f=float(pop.norm_w @ pop.shaped_w),
-                    free_energy_estimate=fe,
-                    ess=pop.ess,
-                    free_energy_map=fe_map,
-                )
-            )
+            records.append(IterationRecord(
+                iteration=t, best_raw_f=best,
+                mean_raw_f=float(pop.raw_f.sum() / pop.size),  # ndarray.mean, bit for bit
+                weighted_mean_shaped_f=float(pop.norm_w @ pop.shaped_w),
+                free_energy_estimate=fe, ess=pop.ess, free_energy_map=fe_map))
             del pop  # released before the next generation is placed
 
             if best > best_so_far:
-                best_so_far = best
-                stale = 0
+                best_so_far, stale = best, 0
             else:
                 stale += 1
             if window is not None and stale >= window:
                 break
-    except (DegenerateWeightsError, DegenerateUpdateError, ObjectiveError, StepSizeError) as exc:
+    except (DegenerateWeightsError, DegenerateUpdateError, ObjectiveError, ShapingInputError,
+            StepSizeError) as exc:
         raise RunAbortedError(
             f"run aborted at iteration {len(records)}: {exc}",
             trace=Trace(records=records, final_model=model),

@@ -793,24 +793,29 @@ class CategoricalProductModel(SearchModel):
         P[:, -1] = 1.0 - P[:, :-1].sum(axis=1)
         # Entries below the floor are set to it and the others rescaled onto
         # the remaining mass, until no rescaled entry falls to it: at most K
-        # passes, as each floors one more entry.  Entries within 1e-15 count
-        # as floored, so that a floored last category rebuilt as
-        # 1 - sum(rest) is not repaired again.
+        # passes, as each floors one more entry.
         low = (P < PROB_FLOOR - 1e-15).any(axis=1)
         if low.any():
             Q = P[low]
-            floored = Q <= PROB_FLOOR + 1e-15
+            floored = self._floored(Q)
             for _ in range(P.shape[1]):
                 rest = np.where(floored, 0.0, Q)
                 scale = (1.0 - PROB_FLOOR * floored.sum(axis=1)) / rest.sum(axis=1)
                 Q = np.where(floored, PROB_FLOOR, rest * scale[:, None])
-                floored, before = Q <= PROB_FLOOR + 1e-15, floored
+                floored, before = self._floored(Q), floored
                 if np.array_equal(floored, before):
                     break
             Q[:, -1] = 1.0 - Q[:, :-1].sum(axis=1)
             P[low] = Q
         self._probs = _readonly(P)
         self.domain  # built now, so that a model of no dimension raises here
+
+    @staticmethod
+    def _floored(P: np.ndarray) -> np.ndarray:
+        # Entries on the floor: within 1e-15 of it, so that a floored last
+        # category rebuilt as 1 - sum(rest) counts as floored, both for the
+        # repair, which leaves it as it is, and for ``_on_boundary``.
+        return P <= PROB_FLOOR + 1e-15
 
     @property
     def probs(self) -> np.ndarray:
@@ -897,7 +902,7 @@ class CategoricalProductModel(SearchModel):
         return F.reshape(d * k, d * k)
 
     def _on_boundary(self) -> bool:
-        return bool(np.any(self._probs <= PROB_FLOOR))
+        return bool(self._floored(self._probs).any())
 
     def natural_params(self) -> np.ndarray:
         logs = np.log(self._probs)

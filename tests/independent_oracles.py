@@ -427,3 +427,84 @@ def reference_run(family, init, f, shaping, gamma, n, iterations, seed):
         })
         params = nxt
     return records, theta(params)
+
+
+# ---------------------------------------------------------------------------
+# Textbook EDAs, each written from its own paper's update equations
+# ---------------------------------------------------------------------------
+
+
+def truncation_select(Z, f, rho):
+    """Truncation selection: the ceil(rho N) rows of Z with the largest f
+    (rho N rounded to 9 decimals), ties to the lower row index."""
+    n = len(f)
+    best = np.argsort(-np.asarray(f), kind="stable")[: math.ceil(round(rho * n, 9))]
+    return np.asarray(Z)[np.sort(best)]
+
+
+def _bernoulli_eda(p0, f, n, rho, iterations, seed, update):
+    # Shared by UMDA and PBIL: draw N bit strings from the product of
+    # Bernoullis p, select by truncation, update p from the selected rows
+    # and clip it into the run's floors [PROB_FLOOR, 1 - PROB_FLOOR] (the
+    # textbook algorithms have none).  Returns the (best f, mean f) of each
+    # generation and the final p.
+    p = np.clip(np.asarray(p0, dtype=np.float64), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    seeds = np.random.SeedSequence(seed).generate_state(iterations, dtype=np.uint64)
+    records = []
+    for t in range(iterations):
+        Z = bernoulli_reference_draw(p, n, int(seeds[t]))
+        raw = np.asarray(f(Z), dtype=np.float64)
+        records.append((raw.max(), raw.mean()))
+        selected_mean = truncation_select(Z, raw, rho).mean(axis=0)
+        p = np.clip(update(p, selected_mean), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return records, p
+
+
+def umda_run(p0, f, n, rho, iterations, seed):
+    """UMDA with truncation selection (Muehlenbein and Paass, PPSN IV 1996):
+    each marginal p_j becomes the frequency of ones at bit j among the
+    selected strings."""
+    return _bernoulli_eda(p0, f, n, rho, iterations, seed, lambda p, freq: freq)
+
+
+def pbil_run(p0, f, n, rho, alpha, iterations, seed):
+    """PBIL (Baluja, CMU-CS-94-163, 1994) learning from the mean of the
+    selected strings: p <- (1 - alpha) p + alpha * mean(selected), with
+    learning rate alpha."""
+    return _bernoulli_eda(p0, f, n, rho, iterations, seed,
+                          lambda p, freq: (1.0 - alpha) * p + alpha * freq)
+
+
+def cem_run(m0, C0, f, n, rho, iterations, seed):
+    """The cross-entropy method for continuous optimization with a Gaussian
+    family (Rubinstein 1999; de Boer, Kroese, Mannor and Rubinstein, Ann.
+    Oper. Res. 2005), unsmoothed: the next mean and covariance are the
+    elite sample's mean and its covariance about that mean.  Returns the
+    final (m, C)."""
+    m, C = np.asarray(m0, dtype=np.float64), np.asarray(C0, dtype=np.float64)
+    seeds = np.random.SeedSequence(seed).generate_state(iterations, dtype=np.uint64)
+    for t in range(iterations):
+        Z = gaussian_reference_draw(np.linalg.cholesky(C), m, n, int(seeds[t]))
+        elite = truncation_select(Z, f(Z), rho)
+        m = elite.mean(axis=0)
+        C = reference_repair_cov(np.cov(elite.T, bias=True))
+    return m, C
+
+
+def smoothed_cem_step(m, C, elite, gamma):
+    """One CEM step with smoothed updating (de Boer et al. 2005): the elite
+    mean and the covariance about it, each blended into (m, C) at rate
+    gamma."""
+    mt = elite.mean(axis=0)
+    return (1.0 - gamma) * m + gamma * mt, (1.0 - gamma) * C + gamma * np.cov(elite.T, bias=True)
+
+
+def rank_mu_cma_step(m, C, elite, weights, gamma):
+    """One rank-mu CMA-ES step (Hansen, arXiv:1604.00772: the weighted
+    recombination of the mean and the rank-mu update) with step size
+    sigma = 1, no rank-one term (c_1 = 0, no evolution paths) and learning
+    rates c_m = c_mu = gamma, for weights summing to 1: m' = m + c_m sum_i
+    w_i y_i and C' = (1 - c_mu) C + c_mu sum_i w_i y_i y_i^T, with
+    y_i = x_i - m centred on the old mean."""
+    Y = elite - m
+    return m + gamma * (weights @ Y), (1.0 - gamma) * C + gamma * (Y.T * weights) @ Y

@@ -43,7 +43,16 @@ from edaem.models import (
     SearchModel,
 )
 
-from independent_oracles import reference_run
+from edaem.config import RunConfig
+from independent_oracles import (
+    cem_run,
+    pbil_run,
+    rank_mu_cma_step,
+    reference_run,
+    smoothed_cem_step,
+    truncation_select,
+    umda_run,
+)
 
 IDENTITY = shaping.ShapingSpec("identity")
 
@@ -794,6 +803,34 @@ def test_run_aborts_on_infinite_objective_with_partial_trace():
     assert [r.iteration for r in err.value.trace.records] == [0, 1]
 
 
+def test_run_aborts_on_negative_identity_values_with_partial_trace():
+    # A custom objective turns negative from its fourth call on; identity
+    # shaping rejects negative values, and the three good iterations stay.
+    calls = []
+
+    def _eval(Z):
+        calls.append(None)
+        vals = np.sum(Z, axis=1, dtype=np.float64)
+        return vals - 100.0 if len(calls) > 3 else vals
+
+    obj = objectives.Objective(
+        name="neg:4", domain=objectives.Domain("binary", 4), batch_eval=_eval
+    )
+    cfg = runcfg(
+        model=BernoulliProductModel(np.full(4, 0.5)),
+        objective=obj,
+        shaping=IDENTITY,
+        rule=UpdateRule("closed_form"),
+        n_samples=10,
+        iterations=6,
+        seed=0,
+    )
+    with pytest.raises(RunAbortedError, match="at iteration 3") as err:
+        run(cfg)
+    assert isinstance(err.value.__cause__, ShapingInputError)
+    assert [r.iteration for r in err.value.trace.records] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_run_aborts_typed_on_objective_output_of_the_wrong_length(extra):
     short = objectives.Objective(
@@ -890,6 +927,77 @@ def test_run_matches_the_reference_loop(tmp_path, family, gamma, shaping_text):
         np.testing.assert_allclose(summary["free_energy_map"],
                                    [r["free_energy_map"] for r in records], rtol=1e-12, atol=0)
     np.testing.assert_allclose(summary["final_params"]["params"], theta, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Textbook EDAs, written from their own papers, against run() and _step
+# ---------------------------------------------------------------------------
+
+
+def _textbook_cfg(objective, model, update, shaping_text, iterations, seed=0):
+    return RunConfig.from_dict({"objective": objective, "model": model, "shaping": shaping_text,
+                                "update": update, "n_samples": 200, "iterations": iterations,
+                                "seed": seed})
+
+
+@pytest.mark.parametrize("gamma", [None, 0.3], ids=["umda", "pbil"])
+def test_umda_and_pbil_are_runs_bit_for_bit(gamma):
+    # UMDA is closed_form and PBIL map_smoothed, both under quantile:0.5
+    # truncation selection, record by record and in the final p.
+    objective, model, p0, f = _REFERENCE_FAMILIES["bernoulli"]
+    update = {"kind": "closed_form"} if gamma is None else {"kind": "map_smoothed", "gamma": gamma}
+    trace = run(_textbook_cfg(objective, model, update, "quantile:0.5", 30))
+    if gamma is None:
+        records, p = umda_run(p0, f, 200, 0.5, 30, 0)
+    else:
+        records, p = pbil_run(p0, f, 200, 0.5, gamma, 30, 0)
+    assert [(r.best_raw_f, r.mean_raw_f) for r in trace.records] == records
+    assert trace.final_model.probs.tobytes() == p.tobytes()
+
+
+def test_cem_is_a_closed_form_run():
+    # Elite mean and covariance, drawn by a plain matrix product: rounding
+    # apart, the closed_form Gaussian run under quantile:0.25.
+    objective, model, (m0, C0), f = _REFERENCE_FAMILIES["gaussian"]
+    trace = run(_textbook_cfg(objective, model, {"kind": "closed_form"}, "quantile:0.25", 30))
+    m, C = cem_run(m0, C0, f, 200, 0.25, 30, 0)
+    got = trace.final_model
+    np.testing.assert_allclose(got.cov, C, rtol=1e-12, atol=1e-12 * np.abs(C).max())
+    np.testing.assert_allclose(got.mean, m, rtol=0, atol=1e-11 * np.abs(m).max())
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.8])
+def test_map_is_smoothed_cem_and_rank_mu_cma_up_to_a_delta_term(gamma):
+    # Per step, on the generations of run()'s own trajectory, replayed by
+    # e_step and _step: C_MAP = C_CEM + gamma (1 - gamma) d d^T
+    # = C_CMA - gamma^2 d d^T with d = m~ - m, and all three share the mean.
+    objective, model, _, _ = _REFERENCE_FAMILIES["gaussian"]
+    cfg = _textbook_cfg(objective, model, {"kind": "map_smoothed", "gamma": gamma},
+                        "quantile:0.25", 30)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.iterations, dtype=np.uint64)
+    model, checked = cfg.model, 0
+    for seed in seeds:
+        pop = e_step(model, cfg.objective, cfg.shaping, cfg.n_samples, int(seed))
+        nxt, theta_tilde, _, _ = engine._step(model, pop, cfg.rule)
+        elite = truncation_select(pop.samples, pop.raw_f, 0.25)
+        m, C, k = model.mean, model.cov, elite.shape[0]
+        m_cem, C_cem = smoothed_cem_step(m, C, elite, gamma)
+        m_cma, C_cma = rank_mu_cma_step(m, C, elite, np.full(k, 1.0 / k), gamma)
+        np.testing.assert_allclose(theta_tilde.mean, elite.mean(axis=0), rtol=1e-13, atol=1e-15)
+        delta = elite.mean(axis=0) - m
+        C_map = C_cem + gamma * (1.0 - gamma) * np.outer(delta, delta)
+        if np.linalg.eigvalsh(C_map)[0] >= 10 * models.EIG_FLOOR:  # no repair fired
+            scale = np.abs(C_map).max()
+            np.testing.assert_allclose(nxt.cov, C_map, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(nxt.cov, C_cma - gamma**2 * np.outer(delta, delta),
+                                       rtol=0, atol=1e-13 * scale)
+            for mean in (m_cem, m_cma):
+                np.testing.assert_allclose(nxt.mean, mean, rtol=0, atol=1e-13 * np.abs(m).max())
+            checked += 1
+        model = nxt
+    assert checked >= 20
+    # The replayed trajectory is run()'s, bit for bit.
+    assert run(cfg).final_model.params.values.tobytes() == model.params.values.tobytes()
 
 
 def test_empty_trace_best_is_minus_infinity():
@@ -1163,8 +1271,9 @@ def test_no_helper_thread_outlives_the_run(monkeypatch, ending):
         cfg = _gaussian_cfg(UpdateRule("closed_form"), shaping_text="identity")
     before = threading.active_count()
     if ending == "raises":  # sphere values are negative: identity shaping rejects them
-        with pytest.raises(ShapingInputError):
+        with pytest.raises(RunAbortedError) as err:
             run(cfg)
+        assert isinstance(err.value.__cause__, ShapingInputError)
     else:
         trace = run(cfg)
         assert len(trace.records) == (12 if ending == "returns" else 4)
@@ -1212,3 +1321,52 @@ def test_e_step_leaves_the_weight_check_to_the_population():
         e_step(model, objectives.leadingones(8), IDENTITY, 40, seed=0)
     with pytest.raises(DegenerateWeightsError, match="all-zero weights"):
         shaping.shape(IDENTITY, np.zeros(40))
+
+
+# ---------------------------------------------------------------------------
+# The layers perfbench times: it wraps these functions through their module
+# globals, and a target renamed or called past its global reads 0.
+# ---------------------------------------------------------------------------
+
+
+def test_perfbench_wraps_each_engine_layer_once_per_iteration(monkeypatch):
+    import collections
+    import inspect
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import layers
+
+    leading = {
+        engine.e_step: ("model", "objective", "shaping_spec", "n", "seed"),
+        engine.m_step_closed_form: ("pop", "model"),
+        engine._free_energy: ("pop", "next_model"),
+        engine._log_prior: ("model", "lam1", "lam2"),
+    }
+    for fn, names in leading.items():
+        assert tuple(inspect.signature(fn).parameters)[: len(names)] == names
+    iterations = 7
+    cfg = runcfg(
+        model=GaussianModel.from_mean_cov(np.full(10, 0.5), np.eye(10)),
+        objective=objectives.parse_objective("sphere:10"),
+        shaping=shaping.ShapingSpec.parse("quantile:0.25"),
+        rule=UpdateRule("map_smoothed", gamma=0.8),
+        n_samples=50,
+        iterations=iterations,
+        seed=1,
+    )
+    calls = collections.Counter()
+
+    def counting(target, fn):
+        def wrapper(*args, **kwargs):
+            calls[target.attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wanted = ("engine.e_step", "engine.m_step", "engine.free_energy", "engine.log_prior")
+    with layers.patched(layers.targets_of(*wanted), counting) as status:
+        assert len(run(cfg).records) == iterations
+    assert set(status.values()) == {"ok"}, status
+    # The public MAP and gradient M-steps are layers too, but run calls neither.
+    assert calls == {name.__name__: iterations for name in leading}

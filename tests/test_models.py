@@ -860,6 +860,19 @@ def test_fisher_boundary_error():
         BernoulliProductModel([0.0]).fisher_information()
 
 
+@pytest.mark.parametrize("probs", [[[0.5, 0.5, 0.0]], [[0.6, 0.4, 0.0]], [[0.0, 0.3, 0.7]]])
+def test_categorical_floored_category_is_on_the_boundary(probs):
+    # A floored last category is rebuilt as 1 - sum(rest), a rounding above
+    # PROB_FLOOR (0.0010000000000000009 for the first row); it is still on
+    # the floor, where the score and the Fisher information are undefined.
+    model = CategoricalProductModel(probs)
+    assert model.probs.min() == pytest.approx(models.PROB_FLOOR, rel=1e-12)
+    with pytest.raises(BoundaryError):
+        model.fisher_information()
+    with pytest.raises(BoundaryError):
+        model.grad_log_density_batch(np.zeros((2, 1), dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # round trip: uniform-weight refit recovers theta at rate ~ 1/sqrt(N)
 # ---------------------------------------------------------------------------
