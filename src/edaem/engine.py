@@ -39,16 +39,26 @@ count: per-iteration sampling seeds derive from a fixed SeedSequence, and
 the weighted sums go through BLAS, whose summation order may change with
 the library or the number of threads.
 
-Draw-ahead.  A family whose draw is a theta-free array placed by theta (the
-Gaussian's standard normals x from ``_noise``, placed as m + L x by
-``_place``) can have generation t+1's array drawn from its seed while
-iteration t evaluates, refits and computes its free energy.  ``run`` does
-this on one helper thread when the generation has at least
-``models.BLOCK_CELLS`` cells (``_draws_ahead``); the helper calls the
-model's own ``_noise`` with the same seed, so the outputs do not change.
-The thread is started and joined inside ``run``, and ``run`` releases each
-generation before the next is placed, so at most two generations are alive
-at once.
+The helper thread.  ``run`` keeps at most one, started and joined inside
+it, when ``_uses_helper`` holds; that gate reads the family and the
+generation's n d cells alone, and the helper's work never changes an
+output byte.  It has two uses:
+
+* Draw-ahead.  A family whose draw is a theta-free array placed by theta
+  (the Gaussian's standard normals x from ``_noise``, placed as m + L x by
+  ``_place``) can have generation t+1's array drawn from its seed while
+  iteration t evaluates, refits and computes its free energy.  ``run``
+  does this from ``models.BLOCK_CELLS`` cells; the helper calls the
+  model's own ``_noise`` with the same seed.  ``run`` releases each
+  generation before the next is placed, so at most two generations are
+  alive at once.
+* A split draw.  A family whose draw reads a fixed number of generator
+  words per cell (the Bernoulli's ``_draw_rows``) can draw a later row
+  range from a generator jumped ahead to that range's first word.  From
+  ``SPLIT_MIN_CELLS`` cells, ``run`` hands the helper to ``sample``, which
+  draws the second half of each generation's rows there while it draws
+  the first; ``sample`` is still called once per generation, on the main
+  thread.
 """
 
 from __future__ import annotations
@@ -194,16 +204,18 @@ class Trace:
 
 def e_step(model: SearchModel, objective: objectives_mod.Objective,
            shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int,
-           *, _drawn: Optional[np.ndarray] = None) -> Population:
+           *, _drawn: Optional[np.ndarray] = None, _helper=None) -> Population:
     """Sample a generation, evaluate and shape it; the :class:`Population`
     sums and checks the weights, once.  The model must share the objective's
     domain; its samples then go to ``batch_eval`` unscanned.  The shaping's
     scan of the values is their one finiteness check; a NaN or infinite
     value raises :class:`ObjectiveError` naming its sample.
 
-    ``_drawn`` is private to ``run``: ``model._noise(seed, n, dim)``, drawn
-    ahead, which ``model._place`` turns into the generation in place, the
-    samples ``model.sample(n, seed)`` draws."""
+    ``_drawn`` and ``_helper`` are private to ``run``.  ``_drawn`` is
+    ``model._noise(seed, n, dim)``, drawn ahead, which ``model._place``
+    turns into the generation in place, the samples ``model.sample(n,
+    seed)`` draws.  ``_helper`` is the executor ``sample`` draws a second
+    row range on, the same samples."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
     if model.domain != objective.domain:
@@ -211,7 +223,7 @@ def e_step(model: SearchModel, objective: objectives_mod.Objective,
             f"{model.family_tag!r} samples {model.domain}; objective "
             f"{objective.name!r} takes {objective.domain}"
         )
-    Z = model.sample(n, seed) if _drawn is None else model._place(_drawn)
+    Z = model.sample(n, seed, _helper=_helper) if _drawn is None else model._place(_drawn)
     raw = objectives_mod.evaluate_unchecked(objective, Z)
     try:
         w = shaping_mod.shape(shaping_spec, raw, _checked_later=True)
@@ -309,12 +321,27 @@ def _log_prior(model: SearchModel, lam1: np.ndarray, lam2: float) -> float:
     return float(lam1 @ model.natural_params() - lam2 * model.log_partition())
 
 
-def _draws_ahead(model: SearchModel, n: int) -> bool:
-    """Whether ``run`` draws each generation's array on a helper thread:
-    the family draws a theta-free array (``_noise``) and the generation has
-    at least ``models.BLOCK_CELLS`` cells.  A smaller draw costs less than
-    the handoff."""
-    return hasattr(model, "_noise") and n * model.dim >= models.BLOCK_CELLS
+# Cells of a Bernoulli generation from which ``run`` draws its second row
+# range on the helper thread, where the split stops losing.  Measured on
+# 2 CPUs, p50 of 300-600 interleaved draws at d = 2048, in line against
+# split, in ms: 0.39-0.57 against 0.56-0.71 at 262,144 cells and 0.74-0.82
+# against 0.84-0.88 at 393,216 (lost in all 4 runs); at 524,288 two wins,
+# a tie and two losses in 5 runs (0.61-1.18 against 0.50-1.18); from
+# 589,824 cells 4 wins in 5 runs; at 2,000,000 (bern-wide, d = 2000)
+# 2.40-3.56 against 1.82-2.30 (won all 4).
+SPLIT_MIN_CELLS = 1 << 19
+
+
+def _uses_helper(model: SearchModel, n: int) -> bool:
+    """Whether ``run`` keeps a helper thread, from the family and the
+    generation's n d cells alone.  It draws ahead for a family that draws a
+    theta-free array (``_noise``) of at least ``models.BLOCK_CELLS`` cells,
+    and draws the second row range for a family with ``_draw_rows`` from
+    ``SPLIT_MIN_CELLS`` cells.  A smaller draw costs less than the handoff."""
+    cells = n * model.dim
+    if hasattr(model, "_noise"):
+        return cells >= models.BLOCK_CELLS
+    return hasattr(model, "_draw_rows") and cells >= SPLIT_MIN_CELLS
 
 
 def _step(model: SearchModel, pop: Population, rule: UpdateRule):
@@ -350,29 +377,34 @@ def run(config) -> Trace:
     best raw value has not improved for ``config.early_stop_window``
     iterations.  A failure of an iteration aborts with
     :class:`RunAbortedError`, which carries the trace so far and has the
-    failure as its cause.  When ``_draws_ahead`` holds, one helper thread
-    draws generation t+1's theta-free array during iteration t; it is joined
-    before ``run`` returns or raises.
+    failure as its cause.  When ``_uses_helper`` holds, one helper thread
+    draws generation t+1's theta-free array during iteration t, or the
+    second row range of generation t while ``sample`` draws the first; it is
+    joined before ``run`` returns or raises.
     """
     model, n, window = config.model, config.n_samples, config.early_stop_window
     records: list = []
     seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, dtype=np.uint64)
     best_so_far, stale = -np.inf, 0
-    pool = ahead = None
+    helper = ahead = None
     try:
-        if _draws_ahead(model, n):
+        if _uses_helper(model, n):
             # Imported here, so that importing edaem loads no thread pool.
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=1)
+            helper = ThreadPoolExecutor(max_workers=1)
+        # The helper draws ahead for a family with _noise, else it draws
+        # each generation's second row range.
+        draws_ahead = helper is not None and hasattr(model, "_noise")
+        split = None if draws_ahead else helper
         for t in range(config.iterations):
             # Generation t's array, drawn during iteration t - 1 (none at
             # t = 0: e_step draws it); generation t + 1's starts now.
             drawn = None if ahead is None else ahead.result()
-            if pool is not None and t + 1 < config.iterations:
-                ahead = pool.submit(model._noise, int(seeds[t + 1]), n, model.dim)
+            if draws_ahead and t + 1 < config.iterations:
+                ahead = helper.submit(model._noise, int(seeds[t + 1]), n, model.dim)
             pop = e_step(model, config.objective, config.shaping, n, int(seeds[t]),
-                         _drawn=drawn)
+                         _drawn=drawn, _helper=split)
             model, _, fe, fe_map = _step(model, pop, config.rule)
 
             best = float(pop.raw_f.max())
@@ -396,6 +428,6 @@ def run(config) -> Trace:
             trace=Trace(records=records, final_model=model),
         ) from exc
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
     return Trace(records=records, final_model=model)

@@ -49,9 +49,10 @@ MAX_JITTER_DOUBLINGS = 10
 
 # Cells in the one block a Bernoulli generation streams through, so that no
 # (n, d) copy of it wider than bool is ever made: 64 KB of raw words plus
-# 64 KB of tiled uint16 thresholds when it is drawn, and 256 KB of float64
-# when a refit takes the blocked gemv.  A categorical draw and the sphere
-# objective also stream through one block of this size.
+# 64 KB of tiled uint16 thresholds when it is drawn in line (a split draw's
+# two halves stream through 4 BLOCK_CELLS each, and share the thresholds),
+# and 256 KB of float64 when a refit takes the blocked gemv.  A categorical
+# draw and the sphere objective also stream through one block of this size.
 BLOCK_CELLS = 1 << 15
 # The Bernoulli refit counts the kept rows of a bool batch of at least
 # COUNT_MIN_DIM bits (below that the gemv is faster) in chunks of at most
@@ -184,6 +185,13 @@ class SearchModel:
       dim))``, so the engine may draw X ahead from the seed, on another
       thread.  ``_noise`` is a staticmethod, so a pending draw holds no
       model alive.
+    * ``_draw_rows(bitgen, Z, start, stop, thr)``, only in a family whose
+      draw reads a fixed number of raw generator words per cell (the
+      Bernoulli's quarter word): rows [start, stop) of a draw, from a bit
+      generator at the range's first word, returning the range's ties.
+      Its ``_draw`` takes an executor, on which it draws a second row
+      range from a PCG64 jumped ahead to it, so the engine may split one
+      generation's draw between two threads.
     * ``_mean_log_density(theta_bar)``: sum_i q_i log p(z_i | theta), in
       closed form from the refit theta_bar = sum_i q_i T(z_i) of weights q
       that sum to 1.  The engine's M-steps, its free energy and the
@@ -240,12 +248,17 @@ class SearchModel:
 
     # -- core operations ----------------------------------------------------
 
-    def sample(self, n: int, rng_seed: int) -> np.ndarray:
+    def sample(self, n: int, rng_seed: int, *, _helper=None) -> np.ndarray:
         """Draw ``n`` i.i.d. points; identical (seed, model, n) gives
-        bit-identical output."""
+        bit-identical output.
+
+        ``_helper`` is private to the engine's ``run``: a one-worker
+        executor on which a family with ``_draw_rows`` draws part of the
+        generation, the same bits."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self._draw(np.random.default_rng(rng_seed), n)
+        rng = np.random.default_rng(rng_seed)
+        return self._draw(rng, n) if _helper is None else self._draw(rng, n, _helper)
 
     def log_density_batch(self, Z) -> np.ndarray:
         return self._log_density(self._as_batch(Z))
@@ -346,44 +359,84 @@ class BernoulliProductModel(SearchModel):
         # Repair policy for updates: clip into the floored box.
         return BernoulliProductModel(np.clip(params.values, 0.0, 1.0))
 
-    def _draw(self, rng, n: int) -> np.ndarray:
+    def _draw(self, rng, n: int, helper=None) -> np.ndarray:
         # A bool array, one byte per bit, by the lazy bitwise comparison of
         # a uniform with p (Knuth and Yao 1976), 16 bits at a time.  Cell k
         # of the generation, in C order, takes quarter k of the raw PCG64
         # word stream, lowest quarter first, and z = b < thr with
         # thr = floor(p 2^16), compared as uint16.  A tie b == thr (2^-16
-        # per cell) is settled after the last block by one float64 uniform r
-        # per tie, in cell order: z = r < frac with frac = p 2^16 - thr.
-        # PROB_FLOOR >= 2^-17 makes frac a multiple of 2^-53, so
-        # P(z = 1) = p exactly.  A block holds whole words (a row count that
-        # is a multiple of 4 when d is not), so the stream does not depend
-        # on BLOCK_CELLS.
+        # per cell) is settled after the whole generation by one float64
+        # uniform r per tie, in cell order: z = r < frac with
+        # frac = p 2^16 - thr.  PROB_FLOOR >= 2^-17 makes frac a multiple of
+        # 2^-53, so P(z = 1) = p exactly.
+        #
+        # With a ``helper`` (a one-worker executor, from the engine's run),
+        # rows [0, h) are drawn here and rows [h, n) on the helper, at the
+        # same time and with the same bits: h, about n / 2, is a multiple
+        # of 4 (or n itself, for n <= 4), so row h starts word h d / 4,
+        # where a second PCG64, jumped ahead to it in O(log n) steps,
+        # begins.  Then this generator skips the helper's words and settles
+        # the ties of both ranges, as it would have.
+        # The halves stream through blocks of 4 BLOCK_CELLS, as GIL handoffs
+        # between them set the block size.  p50 of 200 interleaved 1000 x
+        # 2000 draws on 2 CPUs, two runs: in line 2.78-2.98 ms; split with
+        # blocks of 1, 2, 4, 8 and 16 BLOCK_CELLS 3.35-3.90, 2.51-2.75,
+        # 2.04-2.35, 2.29-2.54 and 3.09-3.43 ms.
         d = self.dim
-        rows = max(1, BLOCK_CELLS // d)
+        Z = np.empty((n, d), dtype=np.bool_)
+        bitgen = rng.bit_generator
+        if helper is None:
+            ties = self._draw_rows(bitgen, Z, 0, n, self._thresholds(BLOCK_CELLS, n))
+        else:
+            thr = self._thresholds(4 * BLOCK_CELLS, n)  # read by both halves
+            h = min(n, 4 * max(1, n // 8))
+            ahead = np.random.PCG64()
+            ahead.state = bitgen.state
+            ahead.advance(h * d // 4)
+            rest = helper.submit(self._draw_rows, ahead, Z, h, n, thr)
+            ties = self._draw_rows(bitgen, Z, 0, h, thr)
+            ties += rest.result()
+            bitgen.advance((n * d + 3) // 4 - (h * d + 3) // 4)
+        if ties:
+            k = np.concatenate(ties)
+            scaled = self._probs[k % d] * 2.0**16
+            Z.reshape(-1)[k] = rng.random(k.size) < scaled - np.floor(scaled)
+        return Z
+
+    def _thresholds(self, cells: int, n: int) -> np.ndarray:
+        """floor(p 2^16) as uint16, tiled over one block of a draw of n
+        rows: about ``cells`` cells, in whole rows, and in whole words (a
+        row count that is a multiple of 4 when d is not) unless it holds
+        all n rows, so that the stream does not depend on the block size."""
+        d = self.dim
+        rows = max(1, cells // d)
         if d % 4:
             rows = max(4, rows - rows % 4)
-        cells = min(rows, n) * d
         # Truncation is the floor here: p 2^16 is positive and below 2^16.
-        thr = np.tile((self._probs * 2.0**16).astype(np.uint16), cells // d)
-        Z = np.empty((n, d), dtype=np.bool_)
+        return np.tile((self._probs * 2.0**16).astype(np.uint16), min(rows, n))
+
+    def _draw_rows(self, bitgen, Z, start: int, stop: int, thr) -> list:
+        """Write rows [start, stop) of a draw into the bool array Z, from
+        the bit generator ``bitgen`` placed at the range's first word, in
+        blocks of ``thr`` (``_thresholds``); return the range's tie cells,
+        flat indices into Z in C order, as a list of arrays.  Reads no
+        model state but the probabilities, so the engine's helper thread
+        may run it on rows that no other call writes."""
         flat = Z.reshape(-1)
+        end = stop * Z.shape[1]
         ties = []
-        for start in range(0, n * d, cells):
-            out = flat[start : start + cells]
+        for lo in range(start * Z.shape[1], end, thr.size):
+            out = flat[lo : min(lo + thr.size, end)]
             t = thr[: out.size]
-            words = rng.bit_generator.random_raw((out.size + 3) // 4)
+            words = bitgen.random_raw((out.size + 3) // 4)
             b = words.astype("<u8", copy=False).view("<u2")[: out.size]
             # The output slice holds the tie mask until the comparison.
             k = np.flatnonzero(np.equal(b, t, out=out))
             if k.size:
-                ties.append(start + k)
+                ties.append(lo + k)
             np.less(b, t, out=out)
             del words, b  # so the next block's words never coexist with these
-        if ties:
-            k = np.concatenate(ties)
-            scaled = self._probs[k % d] * 2.0**16
-            flat[k] = rng.random(k.size) < scaled - np.floor(scaled)
-        return Z
+        return ties
 
     def _log_density(self, Z) -> np.ndarray:
         p = self._probs

@@ -12,6 +12,7 @@ Objectives are addressable by config strings: ``onemax:32``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -68,7 +69,11 @@ class Domain:
             if not np.all((Z >= 0.0) & (Z < self.arity) & (Z == np.floor(Z))):
                 raise DomainError(f"categorical support is {{0..{self.arity - 1}}}^d")
             return Z.astype(np.int64)
-        if not np.isfinite(Z).all():
+        # A finite sum means finite entries, with no (n, d) temporary; a sum
+        # that is not finite (a bad entry, or an overflow) is scanned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(Z.sum())
+        if not math.isfinite(total) and not np.isfinite(Z).all():
             raise DomainError("continuous support requires finite coordinates")
         return Z
 

@@ -1140,8 +1140,8 @@ def test_a_gradient_run_checks_its_rule_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _force_draw_ahead(monkeypatch, ahead):
-    monkeypatch.setattr(engine, "_draws_ahead", lambda model, n: ahead)
+def _force_helper(monkeypatch, on):
+    monkeypatch.setattr(engine, "_uses_helper", lambda model, n: on)
 
 
 def _gaussian_cfg(rule, shaping_text="quantile:0.25", objective=None, **kw):
@@ -1181,16 +1181,25 @@ def _stale_after(t):
         ("gauss:10", 200, False),  # gauss-small-map
         ("gauss:32", 1024, True),  # exactly BLOCK_CELLS
         ("gauss:31", 1024, False),
-        ("bern:2000", 1000, False),  # no _noise
+        ("bern:2000", 1000, True),  # bern-wide splits its draw
+        ("bern:2048", 256, True),  # exactly SPLIT_MIN_CELLS
+        ("bern:1", 524288, True),
+        ("bern:1", 524287, False),
+        ("bern:2047", 256, False),
+        ("bern:32", 1024, False),  # BLOCK_CELLS, below the split's gate
+        ("cat:2000", 1000, False),  # neither _noise nor _draw_rows
     ],
 )
 def test_the_draw_ahead_gate(gate_model, n, expected):
     family, _, d = gate_model.partition(":")
     d = int(d)
-    model = (GaussianModel.from_mean_cov(np.zeros(d), np.eye(d)) if family == "gauss"
-             else BernoulliProductModel(np.full(d, 0.5)))
-    assert models.BLOCK_CELLS == 32 * 1024
-    assert engine._draws_ahead(model, n) is expected
+    model = {
+        "gauss": lambda: GaussianModel.from_mean_cov(np.zeros(d), np.eye(d)),
+        "bern": lambda: BernoulliProductModel(np.full(d, 0.5)),
+        "cat": lambda: models.CategoricalProductModel(np.full((d, 3), 1.0 / 3.0)),
+    }[family]()
+    assert models.BLOCK_CELLS == 32 * 1024 and engine.SPLIT_MIN_CELLS == 512 * 1024
+    assert engine._uses_helper(model, n) is expected
 
 
 @pytest.mark.parametrize("shaping_text", ["quantile:0.25", "rank"])
@@ -1216,12 +1225,12 @@ def test_draw_ahead_gives_the_sequential_run(monkeypatch, rule, shaping_text, ea
         return e_step_fn(*args, **kwargs)
 
     monkeypatch.setattr(engine, "e_step", recording)
-    _force_draw_ahead(monkeypatch, False)
+    _force_helper(monkeypatch, False)
     ref = run(cfg())
     iterations = 7 if early_stop else 12
     assert drawn == [False] * iterations
     drawn.clear()
-    _force_draw_ahead(monkeypatch, True)
+    _force_helper(monkeypatch, True)
     got = run(cfg())
     # Every generation but the first was drawn ahead.
     assert drawn == [False] + [True] * (iterations - 1)
@@ -1246,7 +1255,7 @@ def test_draw_ahead_aborts_with_the_sequential_partial_trace(monkeypatch):
 
     errors = []
     for ahead in (False, True):
-        _force_draw_ahead(monkeypatch, ahead)
+        _force_helper(monkeypatch, ahead)
         with pytest.raises(RunAbortedError) as err:
             run(_gaussian_cfg(UpdateRule("closed_form"), objective=nan_at_3()))
         errors.append(err.value)
@@ -1262,7 +1271,7 @@ def test_draw_ahead_aborts_with_the_sequential_partial_trace(monkeypatch):
 def test_no_helper_thread_outlives_the_run(monkeypatch, ending):
     import threading
 
-    _force_draw_ahead(monkeypatch, True)
+    _force_helper(monkeypatch, True)
     cfg = _gaussian_cfg(UpdateRule("closed_form"))
     if ending == "stops_early":
         cfg = _gaussian_cfg(UpdateRule("closed_form"), objective=_stale_after(2),
@@ -1280,9 +1289,188 @@ def test_no_helper_thread_outlives_the_run(monkeypatch, ending):
     assert threading.active_count() == before
 
 
+# ---------------------------------------------------------------------------
+# Split draw: a wide Bernoulli run draws the second row range of each
+# generation on the helper thread.  Forced both ways here on small runs, at
+# d = 31 so that no row starts a word but every fourth.
+# ---------------------------------------------------------------------------
+
+
+def _bits_objective(name, values):
+    return objectives.Objective(name=name, domain=objectives.Domain("binary", 31),
+                                batch_eval=values)
+
+
+def _bernoulli_cfg(rule, shaping_text="quantile:0.25", objective=None, **kw):
+    base = dict(
+        model=BernoulliProductModel(np.linspace(0.2, 0.8, 31)),
+        objective=objective or objectives.onemax(31),
+        shaping=shaping.ShapingSpec.parse(shaping_text),
+        rule=rule,
+        n_samples=41,
+        iterations=12,
+        seed=5,
+    )
+    base.update(kw)
+    return runcfg(**base)
+
+
+def _bits_stale_after(t):
+    # OneMax lifted further at each of the first t calls, then a constant
+    # below them all: a window of w stops the run after t + w iterations.
+    calls = []
+
+    def _eval(Z):
+        calls.append(None)
+        if len(calls) > t:
+            return np.full(Z.shape[0], -1e9)
+        return 1e6 * len(calls) + Z.sum(axis=1)
+
+    return _bits_objective("stale:31", _eval)
+
+
+@pytest.mark.parametrize("shaping_text", ["quantile:0.25", "rank"])
 @pytest.mark.parametrize(
-    "family,ahead", [("gaussian", False), ("gaussian", True), ("bernoulli", False)],
-    ids=["gaussian-sequential", "gaussian-draw_ahead", "bernoulli"],
+    "rule",
+    [UpdateRule("closed_form"), UpdateRule("map_smoothed", gamma=0.8),
+     UpdateRule("gradient", alpha=1e-3, k=2)],
+    ids=["closed_form", "map_smoothed", "gradient"],
+)
+@pytest.mark.parametrize("early_stop", [False, True], ids=["full", "early_stop"])
+def test_split_draw_gives_the_sequential_run(monkeypatch, rule, shaping_text, early_stop):
+    def cfg():
+        if early_stop:
+            return _bernoulli_cfg(rule, shaping_text, objective=_bits_stale_after(4),
+                                  early_stop_window=3)
+        return _bernoulli_cfg(rule, shaping_text)
+
+    helpers = []
+    e_step_fn = engine.e_step
+
+    def recording(*args, **kwargs):
+        assert kwargs.get("_drawn") is None
+        helpers.append(kwargs.get("_helper") is not None)
+        return e_step_fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "e_step", recording)
+    _force_helper(monkeypatch, False)
+    ref = run(cfg())
+    iterations = 7 if early_stop else 12
+    assert helpers == [False] * iterations
+    helpers.clear()
+    _force_helper(monkeypatch, True)
+    got = run(cfg())
+    assert helpers == [True] * iterations
+    assert len(ref.records) == iterations
+    assert got.records == ref.records
+    assert got.final_model.params.values.tobytes() == ref.final_model.params.values.tobytes()
+
+
+def test_split_draw_aborts_with_the_sequential_partial_trace(monkeypatch):
+    def nan_at_3():
+        calls = []
+
+        def _eval(Z):
+            calls.append(None)
+            vals = Z.sum(axis=1).astype(np.float64)
+            if len(calls) == 4:  # iteration 3
+                vals[2] = np.nan
+            return vals
+
+        return _bits_objective("nan:31", _eval)
+
+    errors = []
+    for split in (False, True):
+        _force_helper(monkeypatch, split)
+        with pytest.raises(RunAbortedError) as err:
+            run(_bernoulli_cfg(UpdateRule("closed_form"), objective=nan_at_3()))
+        errors.append(err.value)
+    ref, got = errors
+    assert isinstance(got.__cause__, ObjectiveError) and got.__cause__.index == 2
+    assert [r.iteration for r in got.trace.records] == [0, 1, 2]
+    assert got.trace.records == ref.trace.records
+    assert np.array_equal(got.trace.final_model.probs, ref.trace.final_model.probs)
+
+
+@pytest.mark.parametrize("ending", ["returns", "stops_early", "raises"])
+def test_no_split_helper_outlives_the_run(monkeypatch, ending):
+    import threading
+
+    _force_helper(monkeypatch, True)
+    objective, shaping_text, window = None, "quantile:0.25", None
+    if ending == "stops_early":
+        objective, window = _bits_stale_after(2), 2
+    elif ending == "raises":  # negative values: identity shaping rejects them
+        objective = _bits_objective("negated:31", lambda Z: -1.0 - Z.sum(axis=1))
+        shaping_text = "identity"
+    cfg = _bernoulli_cfg(UpdateRule("closed_form"), shaping_text, objective=objective,
+                         early_stop_window=window)
+    before = threading.active_count()
+    during = []
+    e_step_fn = engine.e_step
+
+    def counting(*args, **kwargs):
+        pop = e_step_fn(*args, **kwargs)  # the helper has drawn by now
+        during.append(threading.active_count())
+        return pop
+
+    monkeypatch.setattr(engine, "e_step", counting)
+    if ending == "raises":
+        with pytest.raises(RunAbortedError) as err:
+            run(cfg)
+        assert isinstance(err.value.__cause__, ShapingInputError)
+    else:
+        trace = run(cfg)
+        assert len(trace.records) == (12 if ending == "returns" else 4)
+        assert during and set(during) == {before + 1}
+    assert threading.active_count() == before
+
+
+def test_perfbench_sees_every_wrapped_call_of_a_split_run_on_the_main_thread(monkeypatch):
+    # At exactly SPLIT_MIN_CELLS the run splits each draw by the gate alone.
+    # perfbench's span stack is not thread-safe: the helper runs only the
+    # unwrapped _draw_rows, and sample still times each whole draw.
+    import collections
+    import pathlib
+    import threading
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import layers
+
+    d, n, iterations = 2048, engine.SPLIT_MIN_CELLS // 2048, 4
+    cfg = runcfg(model=BernoulliProductModel(np.full(d, 0.5)), objective=objectives.onemax(d),
+                 shaping=shaping.ShapingSpec.parse("quantile:0.5"),
+                 rule=UpdateRule("closed_form"), n_samples=n, iterations=iterations, seed=3)
+    assert engine._uses_helper(cfg.model, n)
+    calls, threads = collections.Counter(), set()
+    row_threads = []
+    draw_rows = BernoulliProductModel._draw_rows
+
+    def rows(self, *args):
+        row_threads.append(threading.current_thread() is threading.main_thread())
+        return draw_rows(self, *args)
+
+    def wrapping(target, fn):
+        def wrapper(*args, **kwargs):
+            calls[target.layer] += 1
+            threads.add(threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(BernoulliProductModel, "_draw_rows", rows)
+    with layers.patched(layers.TARGETS, wrapping) as status:
+        assert len(run(cfg).records) == iterations
+    assert status[layers.targets_of("models.sample")[0]] == "ok"
+    assert calls["models.sample"] == iterations and calls["engine.e_step"] == iterations
+    assert threads == {True}
+    assert row_threads.count(False) == iterations and row_threads.count(True) == iterations
+
+
+@pytest.mark.parametrize(
+    "family,ahead",
+    [("gaussian", False), ("gaussian", True), ("bernoulli", False), ("bernoulli", True)],
+    ids=["gaussian-sequential", "gaussian-draw_ahead", "bernoulli", "bernoulli-split"],
 )
 def test_run_releases_each_generation_before_the_next(monkeypatch, family, ahead):
     import weakref
@@ -1294,7 +1482,7 @@ def test_run_releases_each_generation_before_the_next(monkeypatch, family, ahead
                      rule=UpdateRule("closed_form"), n_samples=30, iterations=8, seed=2)
     else:
         cfg = _gaussian_cfg(UpdateRule("map_smoothed", gamma=0.8))
-    _force_draw_ahead(monkeypatch, ahead)
+    _force_helper(monkeypatch, ahead)
     refs, alive = [], []
     e_step_fn = engine.e_step
 

@@ -293,6 +293,50 @@ def test_bernoulli_draw_memory_is_one_block_beyond_the_generation(n, d):
     assert peak - Z.nbytes <= models.BLOCK_CELLS * 4 + 4096
 
 
+@pytest.fixture(scope="module")
+def helper():
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("p", ["mid", "floored"])
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 1001])
+@pytest.mark.parametrize("d", [1, 3, 31, 2001])
+def test_bernoulli_split_draw_is_the_in_line_draw(d, n, p, helper):
+    # Rows [h, n) come from a PCG64 jumped ahead to word h d / 4; the
+    # generator then stands where the in-line draw leaves it.  Floored
+    # probabilities tie about 30 times in the 2001 x 1001 draws.
+    probs = (np.random.default_rng(d).uniform(0.0, 1.0, size=d) if p == "mid"
+             else np.full(d, PROB_FLOOR))
+    m = BernoulliProductModel(probs)
+    for seed in (0, 1, 23):
+        inline, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = m._draw(inline, n)
+        got = m._draw(split, n, helper)
+        assert got.dtype == np.bool_ and np.array_equal(got, ref)
+        assert split.random() == inline.random()
+    assert np.array_equal(m.sample(n, 23, _helper=helper), m.sample(n, 23))
+
+
+@pytest.mark.parametrize("n,d", [(1000, 2000), (2000, 31), (1001, 2001)])
+def test_bernoulli_split_draw_memory_is_two_halves_beyond_the_generation(n, d, helper):
+    # Each half streams its raw words (2 bytes a cell) through blocks of
+    # 4 BLOCK_CELLS, and both read one tile of uint16 thresholds (2 bytes a
+    # cell): 768 KB in all, with about 8 KB for the second generator, the
+    # future and the array headers.
+    m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
+    m.sample(n, 9, _helper=helper)  # the executor's thread already started
+    tracemalloc.start()
+    try:
+        Z = m.sample(n, 9, _helper=helper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - Z.nbytes <= 3 * 2 * 4 * models.BLOCK_CELLS + 8192
+
+
 @pytest.mark.parametrize("n,d", [(1, 3), (40, 7), (1000, 2000), (3, 40000)])
 def test_bernoulli_blocked_refit_is_the_gemv(n, d):
     rng = np.random.default_rng(n + d)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,38 @@ def test_domain_errors():
         evaluate_batch(sphere_max(3), [1.0, float("inf"), 0.0])
     with pytest.raises(DomainError):
         evaluate_batch(onemax(3), [1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_continuous_domain_rejects_a_non_finite_entry(bad):
+    Z = np.random.default_rng(3).normal(size=(50, 4))
+    Z[31, 2] = bad
+    with pytest.raises(DomainError, match="continuous support requires finite coordinates"):
+        Domain("continuous", 4).check(Z)
+
+
+def test_continuous_domain_accepts_finite_entries_whose_sum_overflows():
+    # The sum is inf, so the entries are scanned, and every one is finite.
+    Z = np.full((3, 2), 1e308)
+    Z[1, 0] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Domain("continuous", 2).check(Z)
+    assert out is Z
+
+
+def test_continuous_domain_check_makes_no_copy_of_the_batch():
+    # An (n, d) bool scan of this batch would take 100 KB.
+    Z = np.random.default_rng(0).normal(size=(1000, 100))
+    domain = Domain("continuous", 100)
+    domain.check(Z)
+    tracemalloc.start()
+    try:
+        domain.check(Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("obj", [onemax(12), leadingones(12), trap(3, 4)])

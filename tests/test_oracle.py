@@ -696,6 +696,34 @@ def test_ngd_random_two_bit_ratio_bounded():
         assert rep.passed, rep.values
 
 
+def _one_bit_space(f_table):
+    return EnumerableSpace.build(Domain("binary", 1), lambda Z: np.array(f_table))
+
+
+def test_ngd_rounding_level_discrepancies_agree():
+    # f << 1 makes f_s = 1 + s (f - 1) nearly constant, so |grad L|^2 is
+    # near 1e-8 and a rounding-level discrepancy divided by it reads past
+    # NGD_NOISE_FLOOR at s = 1/8; every discrepancy is below 6e-17.
+    rep = verify_ngd_correspondence(
+        BernoulliProductModel([0.4393711046405587]),
+        _one_bit_space((0.003394174053771335, 0.002989898039145167)),
+    )
+    assert max(rep.values["discrepancies"]) <= 5.6e-17
+    assert rep.values["ratios"][-1] > oracle.NGD_NOISE_FLOOR
+    assert rep.passed, rep.values
+
+
+def test_ngd_compares_with_the_unrepaired_refit():
+    # The tilted mean is 1.8e-4, below PROB_FLOOR: the refit the natural
+    # gradient step equals is the unrepaired one, not the floored model.
+    model = BernoulliProductModel([0.196])
+    space = _one_bit_space((3.418, 0.00255))
+    assert model._refit(space.states, space.at(model).tilted, 1.0).values[0] < PROB_FLOOR
+    rep = verify_ngd_correspondence(model, space)
+    assert rep.values["discrepancy"] <= 1e-15
+    assert rep.passed, rep.values
+
+
 @pytest.mark.parametrize(
     "probs",
     [np.full((2, 3), 1.0 / 3.0), [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]],

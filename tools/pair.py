@@ -78,8 +78,11 @@ def _run_doc(objective, family, dim, n, shaping, update, iterations, init="defau
 # each update rule and shaping kind, and a gradient run that exits 3 at
 # iteration 20 with a 20-row trace.csv; None is ``edaem diagnose default``.
 # The "-wide" Gaussian cases have at least models.BLOCK_CELLS cells per
-# generation, so they draw ahead (engine._draws_ahead), as gauss-wide does;
-# gauss-abort-wide exits 3 at iteration 10.
+# generation, so they draw ahead (engine._uses_helper), as gauss-wide does;
+# gauss-abort-wide exits 3 at iteration 10.  The "-wide" Bernoulli cases
+# have at least engine.SPLIT_MIN_CELLS, so they split each draw between two
+# threads, as bern-wide does; leadingones-cdf-stop-wide stops early after 21
+# of its 200 iterations.
 IDENTITY_RUNS = {
     "bern-wide": _run_doc("onemax:2000", "bernoulli", 2000, 1000, "quantile:0.5",
                           {"kind": "closed_form"}, 120),
@@ -110,6 +113,13 @@ IDENTITY_RUNS = {
                                     {"kind": "gradient", "alpha": 1e-4, "k": 2}, 12),
     "gauss-abort-wide": _run_doc("sphere:40", "gaussian", 40, 1000, "quantile:0.25",
                                  {"kind": "gradient", "alpha": 3e-4, "k": 3}, 40),
+    "onemax-rank-map-wide": _run_doc("onemax:1999", "bernoulli", 1999, 1001, "rank",
+                                     {"kind": "map_smoothed", "gamma": 0.5}, 40),
+    "trap-gradient-wide": _run_doc("trap:5x100", "bernoulli", 500, 1100, "quantile:0.5",
+                                   {"kind": "gradient", "alpha": 1e-3, "k": 2}, 30),
+    "leadingones-cdf-stop-wide": {**_run_doc("leadingones:999", "bernoulli", 999, 600, "cdf:0.5",
+                                             {"kind": "closed_form"}, 200),
+                                  "early_stop_window": 10},
     "diagnose": None,
 }
 
