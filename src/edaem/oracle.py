@@ -11,6 +11,9 @@ p(z|theta) f(z) / E_p[f], the exact EM refit (``run()``'s closed-form
 M-step over every state, weighted by the tilted distribution) and the
 enumerated gradient, the tilted mean score; F(q, theta) and KL(q || tilted)
 of any q, a random q and the view under a rescaled objective read log p.
+The free-energy row draws its random q as one array, from the stream that
+as many ``random_q`` calls read, and scores them as one batch through the
+row kernel of ``free_energy`` and ``kl``: the same floats as one q at a time.
 
 The ``verify_*`` functions are executable forms of identities the sampled
 algorithm is built on: the EM refit maximizes a proximal-point objective,
@@ -199,17 +202,34 @@ class Exact:
             raise DomainError("q must be a probability vector over the states")
         return q
 
+    def _rows(self, Q: np.ndarray, act: np.ndarray, kl: bool = True):
+        """(F, KL): F(q, theta) and, if ``kl``, KL(q || tilted) (else None)
+        of each row of Q, the entries of one q on the states ``act``; each
+        row is positive there and its q is zero elsewhere.  F is -inf (a
+        flag, not a crash) when f vanishes on ``act``, the KL +inf when the
+        tilted distribution does.  The sums run over ``act`` alone and row
+        by row, so a row gives the same floats alone as in a batch (zeros
+        on the other states would regroup numpy's pairwise sums)."""
+        m, f = len(Q), self.f_values[act]
+        log_q = np.log(Q)
+        if np.any(f <= 0.0):
+            F = np.full(m, -np.inf)
+        else:
+            F = np.sum(Q * (self.log_p[act] + np.log(f)), axis=1) - np.sum(Q * log_q, axis=1)
+        if not kl:
+            return F, None
+        r = self.tilted[act]
+        if np.any(r <= 0.0):
+            return F, np.full(m, np.inf)
+        return F, np.sum(Q * (log_q - np.log(r)), axis=1)
+
     def free_energy(self, q) -> float:
         """F(q, theta) = sum_z q(z) log(p(z|theta) f(z)) + H[q], with
         0 log 0 = 0.  Returns -inf (a flag, not a crash) when q places mass
         where p*f vanishes."""
         q = self._distribution(q)
         act = q > 0.0
-        f_act = self.f_values[act]
-        if np.any(f_act <= 0.0):
-            return float("-inf")
-        qa = q[act]
-        return float(np.sum(qa * (self.log_p[act] + np.log(f_act))) - np.sum(qa * np.log(qa)))
+        return float(self._rows(q[None, act], act, kl=False)[0][0])
 
     @functools.cached_property
     def scores(self) -> np.ndarray:
@@ -227,19 +247,24 @@ class Exact:
     def kl(self, q) -> float:
         """KL(q || tilted) with 0 log 0 = 0; +inf when q places mass where
         the tilted distribution has none."""
-        q, r = self._distribution(q), self.tilted
+        q = self._distribution(q)
         act = q > 0.0
-        if np.any(r[act] <= 0.0):
-            return float("inf")
-        return float(np.sum(q[act] * (np.log(q[act]) - np.log(r[act]))))
+        return float(self._rows(q[None, act], act)[1][0])
+
+    def _random_rows(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(support, Q): the states where f > 0, and m flat Dirichlet draws
+        on them, one per row of Q, from the stream m ``random_q`` calls
+        read, bit for bit."""
+        support = self.f_values > 0.0
+        return support, rng.dirichlet(np.ones(int(support.sum())), size=m)
 
     def random_q(self, rng: np.random.Generator) -> np.ndarray:
         """A random distribution over the states: a flat Dirichlet draw on
         the states where f > 0, zero elsewhere, so that F(q, theta) and the
         KL stay finite."""
-        support = self.f_values > 0.0
+        support, Q = self._random_rows(rng, 1)
         q = np.zeros(self.space.n_states)
-        q[support] = rng.dirichlet(np.ones(int(support.sum())))
+        q[support] = Q[0]
         return q
 
     def rescaled(self, s: float) -> "Exact":
@@ -463,6 +488,7 @@ def verify_mc_convergence(
         for seed in MC_SEEDS:
             pop = engine_mod.e_step(model, objective, identity, n, seed)
             theta = engine_mod.m_step_closed_form(pop, model).values
+            del pop  # released before the next generation is drawn
             errs.append(float(np.linalg.norm(theta - exact)))
         mean_errors.append(float(np.mean(errs)))
     inversions = sum(
@@ -511,20 +537,30 @@ def verify_free_energy_bound(
 
     ``FE_N_RANDOM_Q`` random q are Dirichlet draws restricted to the
     support of p*f so the identities stay finite; the -inf flag path is
-    exercised separately in unit tests.
+    exercised separately in unit tests.  The q are drawn as one array, from
+    the stream as many ``random_q`` calls read, and scored as one batch by
+    the kernel of ``free_energy`` and ``kl``: the same floats as a loop of
+    the three.  A q with a zero entry on the support is scored on its own.
     """
     rng = np.random.default_rng(seed)
     exact = space.at(model)
     L = exact.objective
 
     sat_gap = abs(exact.free_energy(exact.tilted) - L)
+    support, Q = exact._random_rows(rng, FE_N_RANDOM_Q)
+    whole = np.all(Q > 0.0, axis=1)
+    F, kl = np.empty(FE_N_RANDOM_Q), np.empty(FE_N_RANDOM_Q)
+    F[whole], kl[whole] = exact._rows(Q[whole], support)
+    for i in np.flatnonzero(~whole):  # positive on fewer states: its own sums
+        q = np.zeros(space.n_states)
+        q[support] = Q[i]
+        F[i], kl[i] = exact.free_energy(q), exact.kl(q)
     max_violation = 0.0
     max_identity_err = 0.0
-    for _ in range(FE_N_RANDOM_Q):
-        q = exact.random_q(rng)
-        gap = exact.free_energy(q) - L
+    for F_q, kl_q in zip(F.tolist(), kl.tolist()):
+        gap = F_q - L
         max_violation = max(max_violation, gap)
-        max_identity_err = max(max_identity_err, abs(gap + exact.kl(q)))
+        max_identity_err = max(max_identity_err, abs(gap + kl_q))
 
     passed = bool(
         sat_gap <= FE_TOL and max_violation <= FE_TOL and max_identity_err <= FE_TOL

@@ -878,7 +878,10 @@ _SCIPY_RUNS = {
 
 # scipy is loaded by the Gaussian family's kernels alone, on first use.  The
 # import, diagnose and the Bernoulli runs also load no concurrent.futures:
-# only a run that draws ahead imports it (and scipy.linalg does).
+# only a run that keeps the helper thread imports it (and scipy.linalg does).
+# The helper has two uses: a wide Gaussian run draws ahead on it, and a
+# Bernoulli run of at least engine.SPLIT_MIN_CELLS cells splits its draws
+# there.  The Bernoulli runs below stay under that gate.
 @pytest.mark.parametrize("case", ["import", "diagnose", *_SCIPY_RUNS])
 def test_only_the_gaussian_family_loads_scipy(tmp_path, case):
     if case in _SCIPY_RUNS:

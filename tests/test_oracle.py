@@ -271,6 +271,105 @@ def test_random_q_is_a_flat_dirichlet_draw_on_the_states_where_f_is_positive():
         assert np.isfinite(exact.free_energy(q)) and np.isfinite(exact.kl(q))
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("m", [1, 3, oracle.FE_N_RANDOM_Q])
+def test_one_dirichlet_array_is_m_random_q_calls(name, m):
+    exact = FIXTURES[name].space.at(FIXTURES[name].model)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    support, Q = exact._random_rows(rng, m)
+    assert np.array_equal(support, exact.f_values > 0.0) and Q.shape == (m, support.sum())
+    for row in Q:
+        q = exact.random_q(ref)
+        assert np.array_equal(q[support], row) and np.all(q[~support] == 0.0)
+    assert rng.random() == ref.random()
+
+
+def _loop_over(exact, qs):
+    # The free-energy row as the acceptance suite runs it: one q at a time.
+    L = exact.objective
+    violation = identity = 0.0
+    for q in qs:
+        gap = exact.free_energy(q) - L
+        violation = max(violation, gap)
+        identity = max(identity, abs(gap + exact.kl(q)))
+    return violation, identity
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("seed", [0, 5, 404])
+def test_free_energy_row_reports_what_a_loop_over_random_q_reads(name, seed):
+    fx = FIXTURES[name]
+    exact = fx.space.at(fx.model)
+    rng = np.random.default_rng(seed)
+    qs = [exact.random_q(rng) for _ in range(oracle.FE_N_RANDOM_Q)]
+    support, Q = exact._random_rows(np.random.default_rng(seed), oracle.FE_N_RANDOM_Q)
+    F, kl = exact._rows(Q, support)
+    for i, q in enumerate(qs):
+        assert F[i] == exact.free_energy(q) and kl[i] == exact.kl(q)
+    violation, identity = _loop_over(exact, qs)
+    rep = verify_free_energy_bound(fx.model, fx.space, seed=seed)
+    assert rep.values["max_bound_violation"] == violation
+    assert rep.values["max_gap_identity_error"] == identity
+    assert rep.values["satiation_gap"] == abs(exact.free_energy(exact.tilted) - exact.objective)
+
+
+def test_free_energy_row_scores_a_q_with_a_zero_entry_on_its_own(monkeypatch):
+    # A draw that leaves a zero on the support (a standard exponential of
+    # exactly 0; it has not been seen) is positive on fewer states than the
+    # other rows: it is scored alone, as free_energy and kl score it.
+    fx = FIXTURES["bern3_trap"]
+    exact = fx.space.at(fx.model)
+    support, Q = exact._random_rows(np.random.default_rng(0), oracle.FE_N_RANDOM_Q)
+    Q[[2, 7], [0, -1]] = 0.0
+    Q[[2, 7]] /= Q[[2, 7]].sum(axis=1, keepdims=True)
+    qs = np.zeros((len(Q), fx.space.n_states))
+    qs[:, support] = Q
+    monkeypatch.setattr(oracle.Exact, "_random_rows", lambda self, rng, m: (support, Q.copy()))
+    rep = verify_free_energy_bound(fx.model, fx.space, seed=0)
+    assert rep.passed
+    assert (rep.values["max_bound_violation"], rep.values["max_gap_identity_error"]) == (
+        _loop_over(exact, qs)
+    )
+
+
+@st.composite
+def scored_rows(draw):
+    """A view with a drawn log p (a spread wide enough that the tilted
+    distribution underflows to zero on some states where f > 0), an f table
+    with zeros, the states a batch is positive on, and its rows."""
+    d = draw(st.integers(1, 3))
+    n = 2**d
+    f = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n)
+        .filter(lambda v: max(v) > 0.0)
+    )
+    log_p = draw(st.lists(st.floats(-900.0, 0.0), min_size=n, max_size=n))
+    act = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    k = sum(act)
+    m = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    space = EnumerableSpace.build(Domain("binary", d), lambda Z: np.array(f))
+    exact = oracle.Exact(BernoulliProductModel([0.5] * d), space, np.array(log_p))
+    Q = np.array(rows)
+    return exact, np.array(act), Q / Q.sum(axis=1, keepdims=True)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(scored_rows())
+def test_a_batch_row_scores_as_free_energy_and_kl_score_its_q(problem):
+    # Off ``act`` each q is zero; on it, f may vanish (F = -inf) and the
+    # tilted distribution may underflow (KL = +inf).
+    exact, act, Q = problem
+    F, kl = exact._rows(Q, act)
+    assert np.array_equal(exact._rows(Q, act, kl=False)[0], F)
+    for i, row in enumerate(Q):
+        q = np.zeros(exact.space.n_states)
+        q[act] = row
+        assert exact.free_energy(q) == F[i] and exact.kl(q) == kl[i]
+        assert np.array_equal(exact._rows(Q[i : i + 1], act)[0], F[i : i + 1])
+
+
 @pytest.mark.parametrize("s", [1.0, 0.5, 0.125])
 def test_rescaled_view_is_the_view_of_the_rescaled_table(s):
     fx = FIXTURES["cat2x3_affine"]
@@ -783,6 +882,32 @@ def test_mc_convergence_on_calibrated_fixture():
     assert rep.passed, rep.values
     errs = rep.values["mean_errors"]
     assert errs[-1] < errs[0]
+
+
+def test_mc_convergence_holds_one_generation_at_a_time():
+    # Each generation is released before the next is drawn: the row's peak
+    # is one N = 1e5 e_step and its refit, plus less than 0.5 MB (two live
+    # generations add about 1.8 MB).
+    from edaem.engine import e_step, m_step_closed_form
+    from edaem.shaping import ShapingSpec
+
+    fx = FIXTURES["bern2_onemax1"]
+    identity = ShapingSpec("identity")
+    run_mc = lambda: verify_mc_convergence(  # noqa: E731
+        fx.model, fx.space, fx.objective, error_bound=MC_ERROR_BOUND_BERN2_ONEMAX1
+    )
+    run_one = lambda: m_step_closed_form(  # noqa: E731
+        e_step(fx.model, fx.objective, identity, oracle.MC_N_LIST[-1], 0), fx.model
+    )
+    peaks = []
+    for call in (run_mc, run_one, run_mc):  # the first call warms the caches
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 500_000, peaks
 
 
 def test_exact_e_step_weights_reproduce_exact_update():

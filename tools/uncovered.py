@@ -49,24 +49,35 @@ _SKIPPED = (
 
 
 class LineTracer:
-    """Records (real path, line) for every line executed under ``root``."""
+    """Marks every line executed in the ``.py`` files under ``root``.
+
+    The table, one ``bytearray`` per file indexed by line number, is built
+    before the run, so the tracer only sets entries: it allocates nothing
+    while a traced test runs, except the first time it meets a code object
+    of a file it has not seen (a test that bounds its ``tracemalloc`` peak
+    sees no growing line set)."""
 
     def __init__(self, root: Path):
-        self.prefix = os.path.join(os.path.realpath(root), "")
-        self.lines: set[tuple[str, int]] = set()
-        self._paths: dict[str, str | None] = {}
+        self.table: dict[str, bytearray] = {}
+        for file in Path(root).rglob("*.py"):
+            n_lines = len(file.read_text(encoding="utf-8").splitlines())
+            self.table[os.path.realpath(file)] = bytearray(n_lines + 2)
+        # Plain functions, not methods: a bound method would be a new object
+        # at every event.
+        tables: dict[str, bytearray | None] = {}
 
-    def _global(self, frame, event, arg):
-        name = frame.f_code.co_filename
-        if name not in self._paths:
-            real = os.path.realpath(name)
-            self._paths[name] = real if real.startswith(self.prefix) else None
-        return self._local if self._paths[name] else None
+        def local(frame, event, arg):
+            if event == "line":
+                tables[frame.f_code.co_filename][frame.f_lineno] = 1
+            return local
 
-    def _local(self, frame, event, arg):
-        if event == "line":
-            self.lines.add((self._paths[frame.f_code.co_filename], frame.f_lineno))
-        return self._local
+        def global_(frame, event, arg):
+            name = frame.f_code.co_filename
+            if name not in tables:
+                tables[name] = self.table.get(os.path.realpath(name))
+            return local if tables[name] is not None else None
+
+        self._global = global_
 
     def install(self) -> None:
         sys.settrace(self._global)
@@ -122,16 +133,16 @@ def statements(source: str) -> list[ast.stmt]:
     ]
 
 
-def unreached(root: Path, lines: set[tuple[str, int]]) -> list[tuple[Path, int, str]]:
+def unreached(root: Path, table: dict[str, bytearray]) -> list[tuple[Path, int, str]]:
     """(file, line, source line) of every statement under ``root`` that
-    ran no line, in file and line order."""
+    ran no line, by ``LineTracer.table``, in file and line order."""
     out = []
     for file in sorted(Path(root).rglob("*.py")):
         source = file.read_text(encoding="utf-8")
         text = source.splitlines()
         real = os.path.realpath(file)
         for node in statements(source):
-            if not any((real, line) in lines for line in _own_lines(node)):
+            if not any(table[real][line] for line in _own_lines(node)):
                 out.append((file, node.lineno, text[node.lineno - 1].strip()))
     return sorted(set(out))
 
@@ -146,7 +157,7 @@ def main(argv=None) -> int:
         code = pytest.main(pytest_args, plugins=[_Reinstall(tracer)])
     finally:
         tracer.remove()
-    missed = unreached(args.root, tracer.lines)
+    missed = unreached(args.root, tracer.table)
     for file, line, text in missed:
         print(f"{os.path.relpath(file)}:{line}: {text}")
     print(f"{len(missed)} statements never ran (pytest exit code {int(code)})")
