@@ -55,10 +55,9 @@ MAX_JITTER_DOUBLINGS = 10
 # draw and the sphere objective also stream through one block of this size.
 BLOCK_CELLS = 1 << 15
 # The Bernoulli refit counts the kept rows of a bool batch of at least
-# COUNT_MIN_DIM bits (below that the gemv is faster) in chunks of at most
-# COUNT_CHUNK_ROWS rows, the most a uint16 count holds.
+# COUNT_MIN_DIM bits (below that the gemv is faster) in chunks of 8 BLOCK_CELLS
+# bytes: at most 4096 rows at d >= 64, too few to wrap a uint16 count.
 COUNT_MIN_DIM = 64
-COUNT_CHUNK_ROWS = 65535
 
 
 class ExpectationParams:
@@ -448,18 +447,18 @@ class BernoulliProductModel(SearchModel):
     def _refit(self, Z, w, total: float) -> ExpectationParams:
         # With integer-valued weights every partial sum is exact, so the sum
         # equals w @ Z bit for bit; otherwise only the summation order differs.
-        # Weights of 0 and 1 (quantile and cdf shaping) make it a count of
-        # ones over the kept rows, which a wide bool batch gathers as bool
-        # and counts in uint16; any other batch takes a blocked gemv over
-        # float64 copies of every row.
+        # Weights of 0 and 1 (quantile and cdf shaping) make it a count of the
+        # ones in the kept rows of a wide bool batch, read in place in uint16
+        # chunks of 8 BLOCK_CELLS bytes, the gemv block's size (1000 x 2000, 500
+        # kept, 2 CPUs: 147-152 us at 131 rows, 165-285 us at 65-16 rows, 161 us
+        # for one copy of all kept rows); any other batch takes a blocked gemv.
         acc = np.zeros(self.dim)
         if Z.dtype == np.bool_ and self.dim >= COUNT_MIN_DIM:
             keep = np.flatnonzero(w)
             if np.all(w[keep] == 1.0):
-                kept = Z[keep].view(np.uint8)
-                for start in range(0, keep.size, COUNT_CHUNK_ROWS):
-                    chunk = kept[start : start + COUNT_CHUNK_ROWS]
-                    acc += np.add.reduce(chunk, axis=0, dtype=np.uint16)
+                bits, step = Z.view(np.uint8), max(1, 8 * BLOCK_CELLS // self.dim)
+                for start in range(0, keep.size, step):
+                    acc += np.add.reduce(bits[keep[start : start + step]], axis=0, dtype=np.uint16)
                 return ExpectationParams(acc / total, self.family_tag)
         for rows, block in _row_blocks(*Z.shape):
             block[...] = Z[rows]

@@ -359,32 +359,78 @@ def _gemv_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("chunk", [3, models.COUNT_CHUNK_ROWS])
-@pytest.mark.parametrize("n,d", [(1, 64), (10, 64), (7, 100), (1000, 2000)])
-def test_bernoulli_refit_counts_the_kept_rows(n, d, chunk, monkeypatch):
-    # 0/1 weights on a bool batch of at least COUNT_MIN_DIM bits: a count
-    # over the kept rows, in chunks of `chunk` rows, equal to the gemv bit
-    # for bit.
-    monkeypatch.setattr(models, "COUNT_CHUNK_ROWS", chunk)
+def _count_chunk(d: int, chunk) -> int:
+    # The BLOCK_CELLS at which the count's chunk, max(1, 8 BLOCK_CELLS // d)
+    # rows, is `chunk` rows ("default" keeps the module's own).
+    if chunk == "default":
+        return models.BLOCK_CELLS
+    return -(-chunk * d // 8)
+
+
+def _chunk_rows(d: int, chunk) -> int:
+    return max(1, 8 * _count_chunk(d, chunk) // d)
+
+
+_COUNT_SHAPES = [(1, 64), (10, 64), (7, 100), (1000, 2000), (40, 20000)]
+
+
+# 0/1 weights on a bool batch of at least COUNT_MIN_DIM bits, counted in
+# chunks of 1 row, 3 rows and the default, with about half the rows kept or
+# one more than a full chunk.
+@pytest.mark.parametrize(
+    "n,d,chunk,kept",
+    [pytest.param(n, d, c, "half", id=f"{n}-{d}-{c}")
+     for n, d in _COUNT_SHAPES for c in (1, 3, "default")]
+    + [pytest.param(n, d, c, "chunk+1", id=f"{n}-{d}-{c}-chunk+1")
+       for n, d in [*_COUNT_SHAPES, (4100, 64)] for c in (1, 3, "default")
+       if _chunk_rows(d, c) < n],
+)
+def test_bernoulli_refit_counts_the_kept_rows(n, d, chunk, kept, monkeypatch):
+    # The count over the kept rows equals the gemv bit for bit.
     gemv = _gemv_calls(monkeypatch)
     assert d >= models.COUNT_MIN_DIM
     m = BernoulliProductModel(np.random.default_rng(d).uniform(0.0, 1.0, size=d))
     Z = m.sample(n, 5)
-    w = (np.random.default_rng(n + d).uniform(size=n) < 0.5).astype(np.float64)
-    w[0] = 1.0
+    rng = np.random.default_rng(n + d)
+    if kept == "half":
+        w = (rng.uniform(size=n) < 0.5).astype(np.float64)
+        w[0] = 1.0
+    else:
+        w = np.zeros(n)
+        w[rng.choice(n, size=_chunk_rows(d, chunk) + 1, replace=False)] = 1.0
+    monkeypatch.setattr(models, "BLOCK_CELLS", _count_chunk(d, chunk))
     t = float(w.sum())
     assert np.array_equal(m._refit(Z, w, t).values, (w @ Z.astype(np.float64)) / t)
     assert gemv == []
 
 
 def test_bernoulli_count_chunk_is_the_uint16_limit():
-    # 65536 kept rows of ones would wrap a single uint16 count to 0.
+    # 65536 kept rows of ones, one more than a uint16 holds, count to 1.
     d = models.COUNT_MIN_DIM
-    Z = np.ones((models.COUNT_CHUNK_ROWS + 1, d), dtype=np.bool_)
+    Z = np.ones((np.iinfo(np.uint16).max + 1, d), dtype=np.bool_)
     w = np.ones(Z.shape[0])
-    assert models.COUNT_CHUNK_ROWS == np.iinfo(np.uint16).max
     m = BernoulliProductModel(np.full(d, 0.5))
     assert np.array_equal(m._refit(Z, w, float(w.sum())).values, np.ones(d))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    st.integers(1, 3000),
+    st.one_of(st.integers(64, 300), st.sampled_from([2000, 2001])),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3]),
+    st.floats(0.0, 1.0),
+)
+def test_bernoulli_refit_is_the_gemv_on_drawn_batches(n, d, seed, top, frac):
+    # 0/1 keep sets (the count) and integer weights up to 3 (the gemv) of at
+    # least one row: every partial sum is an exact integer.
+    rng = np.random.default_rng(seed)
+    Z = rng.uniform(size=(n, d)) < rng.uniform()
+    w = np.where(rng.uniform(size=n) < frac, rng.integers(1, top + 1, size=n), 0).astype(float)
+    w[rng.integers(n)] = 1.0
+    t = float(w.sum())
+    m = BernoulliProductModel(np.full(d, 0.5))
+    assert np.array_equal(m._refit(Z, w, t).values, (w @ Z.astype(np.float64)) / t)
 
 
 @pytest.mark.parametrize("case", ["rank", "exp", "narrow", "float batch", "weight 2"])
@@ -408,22 +454,22 @@ def test_bernoulli_refit_keeps_the_gemv(case, monkeypatch):
     np.testing.assert_allclose(got, (w @ Z.astype(np.float64)) / t, rtol=1e-12, atol=0.0)
 
 
-def test_bernoulli_count_refit_memory_is_the_kept_rows():
-    # The kept rows as bool, plus the row indices and a few float64 rows of
-    # d (the accumulator, the mean and its read-only copy).
+def test_bernoulli_count_refit_memory_is_one_chunk():
+    # One chunk of kept rows as bool (8 BLOCK_CELLS bytes), plus the row
+    # indices and a few float64 rows of d (the accumulator, the chunk's
+    # uint16 count and its float64 cast, the mean and its read-only copy).
     n, d = 1000, 2000
     m = BernoulliProductModel(np.full(d, 0.5))
     Z = m.sample(n, 3)
     w = np.zeros(n)
     w[::2] = 1.0
-    kept = int(w.sum()) * d
     tracemalloc.start()
     try:
         m._refit(Z, w, float(w.sum()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= kept + 16 * n + 40 * d
+    assert peak <= 8 * models.BLOCK_CELLS + 16 * n + 40 * d
 
 
 @pytest.mark.parametrize(

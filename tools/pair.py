@@ -82,7 +82,9 @@ def _run_doc(objective, family, dim, n, shaping, update, iterations, init="defau
 # gauss-abort-wide exits 3 at iteration 10.  The "-wide" Bernoulli cases
 # have at least engine.SPLIT_MIN_CELLS, so they split each draw between two
 # threads, as bern-wide does; leadingones-cdf-stop-wide stops early after 21
-# of its 200 iterations.
+# of its 200 iterations.  onemax-quantile-chunks-wide keeps about 124 of its 333
+# rows of 20000 bits, which the refit counts in place in 13-row chunks (8
+# models.BLOCK_CELLS bytes) with a remainder.
 IDENTITY_RUNS = {
     "bern-wide": _run_doc("onemax:2000", "bernoulli", 2000, 1000, "quantile:0.5",
                           {"kind": "closed_form"}, 120),
@@ -120,6 +122,8 @@ IDENTITY_RUNS = {
     "leadingones-cdf-stop-wide": {**_run_doc("leadingones:999", "bernoulli", 999, 600, "cdf:0.5",
                                              {"kind": "closed_form"}, 200),
                                   "early_stop_window": 10},
+    "onemax-quantile-chunks-wide": _run_doc("onemax:20000", "bernoulli", 20000, 333,
+                                            "quantile:0.37", {"kind": "closed_form"}, 6),
     "diagnose": None,
 }
 
