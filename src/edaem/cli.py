@@ -21,7 +21,6 @@ from (config, seed) through the public engine/oracle API.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -227,6 +226,8 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_child, payloads))
     else:
         rows = [_sweep_child(p) for p in payloads]
+
+    import csv  # only sweep.csv needs it: its status strings may need quoting
 
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,9 +1,11 @@
 """Trace persistence: CSV with a frozen column order plus a JSON sidecar.
 
-The CSV column order is part of the tool's contract for downstream
-plotting: iter, best_raw_f, mean_raw_f, weighted_mean_shaped_f,
-free_energy_estimate, ess.  Floats are written with shortest-roundtrip
-repr, so identical runs produce byte-identical files.
+The CSV format is part of the tool's contract for downstream plotting:
+one header line (iter, best_raw_f, mean_raw_f, weighted_mean_shaped_f,
+free_energy_estimate, ess), then one line per record, comma-separated,
+CRLF line ends, no quoting (no name or float repr, inf and nan included,
+holds a comma, quote or line break).  Floats are written with
+shortest-roundtrip repr, so identical runs produce byte-identical files.
 
 The sidecar carries the final parameter vector (the model's JSON form),
 run summary numbers, the config echo, and -- in MAP mode -- the
@@ -13,7 +15,6 @@ frozen CSV schema.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -30,20 +31,13 @@ TRACE_COLUMNS = (
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
+    # The lines are formatted here: csv.writer's first row allocates a
+    # 128 KB record buffer, more than a whole trace of short rows needs.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for r in trace.records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    repr(r.best_raw_f),
-                    repr(r.mean_raw_f),
-                    repr(r.weighted_mean_shaped_f),
-                    repr(r.free_energy_estimate),
-                    repr(r.ess),
-                ]
-            )
+            fh.write(f"{r.iteration},{r.best_raw_f!r},{r.mean_raw_f!r},"
+                     f"{r.weighted_mean_shaped_f!r},{r.free_energy_estimate!r},{r.ess!r}\r\n")
 
 
 def summary_dict(trace: Trace, config_echo: dict | None = None) -> dict:

@@ -6,7 +6,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,10 +19,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edaem import cli, objectives, oracle
 from edaem.config import RunConfig
-from edaem.engine import UpdateRule
+from edaem.engine import IterationRecord, Trace, UpdateRule
 from edaem.engine import run as engine_run
 from edaem.errors import ConfigError, RunAbortedError
 from edaem.models import BernoulliProductModel
@@ -530,6 +534,51 @@ def test_cli_matches_library_results(tmp_path):
     )
 
 
+def _trace_of(rows):
+    return Trace([IterationRecord(i, *floats) for i, floats in rows], final_model=None)
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2e-308, 1.79e308,
+                     -1.79e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+# write_trace_csv formats its lines itself; the csv module's default
+# dialect is the reference for the bytes it must write.
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.tuples(*[_FLOATS] * 5)), max_size=600))
+def test_trace_csv_is_what_the_csv_module_writes(tmp_path_factory, rows):
+    trace = _trace_of(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACE_COLUMNS)
+    for r in trace.records:
+        writer.writerow([r.iteration, repr(r.best_raw_f), repr(r.mean_raw_f),
+                         repr(r.weighted_mean_shaped_f), repr(r.free_energy_estimate),
+                         repr(r.ess)])
+    path = tmp_path_factory.getbasetemp() / "drawn_trace.csv"
+    write_trace_csv(trace, str(path))
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n_rows", [500, 5000])
+def test_trace_csv_memory_does_not_grow_with_the_rows(tmp_path, n_rows):
+    # csv.writer's first row allocates a 128 KB record buffer; the lines
+    # themselves are under 200 bytes each.
+    values = np.random.default_rng(5).standard_normal((n_rows, 5)) * 1e3
+    trace = _trace_of((i, tuple(v)) for i, v in enumerate(values.tolist()))
+    path = str(tmp_path / "trace.csv")
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # CLI: diagnose
 # ---------------------------------------------------------------------------
@@ -853,7 +902,7 @@ import json, sys
 from edaem import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.partition(".")[0] in ("scipy", "concurrent"))]))
+                               if m.partition(".")[0] in ("scipy", "concurrent", "csv", "_csv"))]))
 """
 
 
@@ -881,7 +930,10 @@ _SCIPY_RUNS = {
 # only a run that keeps the helper thread imports it (and scipy.linalg does).
 # The helper has two uses: a wide Gaussian run draws ahead on it, and a
 # Bernoulli run of at least engine.SPLIT_MIN_CELLS cells splits its draws
-# there.  The Bernoulli runs below stay under that gate.
+# there.  The Bernoulli runs below stay under that gate.  Nor do they load
+# the csv module: trace.csv is formatted by hand, and only sweep.csv goes
+# through csv.  scipy.linalg's own imports (numpy.testing, then
+# importlib.metadata) load csv, so the Gaussian case cannot hold that.
 @pytest.mark.parametrize("case", ["import", "diagnose", *_SCIPY_RUNS])
 def test_only_the_gaussian_family_loads_scipy(tmp_path, case):
     if case in _SCIPY_RUNS:
