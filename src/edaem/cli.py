@@ -31,7 +31,7 @@ from .engine import _RULE_PARAMS
 from .engine import run as engine_run
 from .errors import ConfigError, RunAbortedError
 from .fixtures import load_fixture_set
-from .traceio import write_trace, write_trace_csv
+from .traceio import write_csv, write_trace, write_trace_csv
 
 logger = logging.getLogger("edaem")
 
@@ -43,6 +43,7 @@ EXIT_IO = 4
 
 # The update parameters, then the generation size and the shaping parameters.
 SWEEP_PARAMS = sum(_RULE_PARAMS.values(), ()) + ("N", "rho", "beta")
+SWEEP_COLUMNS = ("param", "value", "index", "seed", "status", "best_raw_f", "iters_to_threshold")
 
 
 def _setup_logging() -> None:
@@ -227,21 +228,10 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_child(p) for p in payloads]
 
-    import csv  # only sweep.csv needs it: its status strings may need quoting
-
     try:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "sweep.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "param", "value", "index", "seed", "status",
-                    "best_raw_f", "iters_to_threshold",
-                ],
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(path, SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
     except OSError as exc:
         return _fail(exc, EXIT_IO)
     n_err = sum(1 for r in rows if r["status"] != "ok")

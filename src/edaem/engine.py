@@ -25,11 +25,11 @@ its weights (see ``_free_energy``).  ``_step`` alone reads the update kind.
 Checks.  A run's config is checked once, when it is built (``UpdateRule``,
 ``ShapingSpec``, the start model and its domain).  Per generation ``run``
 checks only what the data can get wrong: finite objective values (the
-shaping's one scan; :class:`ObjectiveError` names the sample), a weight
-total that is positive and finite (summed once, by :class:`Population`),
-the generation on the support (the refit's one domain scan), and a
-repairable covariance and a finite theta for the next model; ``e_step``'s
-O(1) checks of n and of the domain pairing remain.  ``_step`` skips the
+shaping's one scan; :class:`ObjectiveError` names the sample), weights
+not all zero (the shaping's test), a finite total (summed once, by
+:class:`Population`), the generation on the support (the refit's one
+domain scan), and a repairable covariance and a finite theta for the next
+model; ``e_step``'s O(1) checks of n and of the domain pairing remain.  ``_step`` skips the
 public M-steps' checks of gamma, alpha and k, and builds each Gaussian from
 the exactly symmetric (m, C) its refit or blend made, which the constructor
 neither copies nor symmetrizes; only its theta is formed.
@@ -42,23 +42,25 @@ the library or the number of threads.
 The helper thread.  ``run`` keeps at most one, started and joined inside
 it, when ``_uses_helper`` holds; that gate reads the family and the
 generation's n d cells alone, and the helper's work never changes an
-output byte.  It has two uses:
+output byte.  ``sample`` makes every generation, once, on the main
+thread: ``run`` hands it the helper's part of the draw (``_helper``),
+which the family reads.  The helper has two uses:
 
 * Draw-ahead.  A family whose draw is a theta-free array placed by theta
-  (the Gaussian's standard normals x from ``_noise``, placed as m + L x by
-  ``_place``) can have generation t+1's array drawn from its seed while
-  iteration t evaluates, refits and computes its free energy.  ``run``
-  does this from ``models.BLOCK_CELLS`` cells; the helper calls the
-  model's own ``_noise`` with the same seed.  ``run`` releases each
+  (the Gaussian's standard normals x from ``_noise``, placed as m + L x)
+  can have generation t+1's array drawn from its seed while iteration t
+  evaluates, refits and computes its free energy.  ``run`` does this from
+  ``models.BLOCK_CELLS`` cells; the helper calls the model's own
+  ``_noise`` with the same seed, and the part is that call's future.  The
+  one worker runs its draws in order, and ``run`` releases each
   generation before the next is placed, so at most two generations are
   alive at once.
 * A split draw.  A family whose draw reads a fixed number of generator
   words per cell (the Bernoulli's ``_draw_rows``) can draw a later row
   range from a generator jumped ahead to that range's first word.  From
-  ``SPLIT_MIN_CELLS`` cells, ``run`` hands the helper to ``sample``, which
-  draws the second half of each generation's rows there while it draws
-  the first; ``sample`` is still called once per generation, on the main
-  thread.
+  ``SPLIT_MIN_CELLS`` cells, the part is the helper itself, on which
+  ``sample`` draws the second half of each generation's rows while it
+  draws the first.
 """
 
 from __future__ import annotations
@@ -204,18 +206,17 @@ class Trace:
 
 def e_step(model: SearchModel, objective: objectives_mod.Objective,
            shaping_spec: shaping_mod.ShapingSpec, n: int, seed: int,
-           *, _drawn: Optional[np.ndarray] = None, _helper=None) -> Population:
-    """Sample a generation, evaluate and shape it; the :class:`Population`
-    sums and checks the weights, once.  The model must share the objective's
-    domain; its samples then go to ``batch_eval`` unscanned.  The shaping's
-    scan of the values is their one finiteness check; a NaN or infinite
-    value raises :class:`ObjectiveError` naming its sample.
+           *, _helper=None) -> Population:
+    """Sample a generation, evaluate and shape it; the shaping rejects
+    all-zero weights, and the :class:`Population` sums and checks them,
+    once.  The model must share the objective's domain; its samples then go
+    to ``batch_eval`` unscanned.  The shaping's scan of the values is their
+    one finiteness check; a NaN or infinite value raises
+    :class:`ObjectiveError` naming its sample.
 
-    ``_drawn`` and ``_helper`` are private to ``run``.  ``_drawn`` is
-    ``model._noise(seed, n, dim)``, drawn ahead, which ``model._place``
-    turns into the generation in place, the samples ``model.sample(n,
-    seed)`` draws.  ``_helper`` is the executor ``sample`` draws a second
-    row range on, the same samples."""
+    ``_helper`` is private to ``run``: the helper thread's part of the
+    draw, which ``model.sample`` reads (see there); the samples are the
+    same."""
     if n < 2:
         raise ValueError("generation size n must be >= 2")
     if model.domain != objective.domain:
@@ -223,10 +224,10 @@ def e_step(model: SearchModel, objective: objectives_mod.Objective,
             f"{model.family_tag!r} samples {model.domain}; objective "
             f"{objective.name!r} takes {objective.domain}"
         )
-    Z = model.sample(n, seed, _helper=_helper) if _drawn is None else model._place(_drawn)
+    Z = model.sample(n, seed, _helper=_helper)
     raw = objectives_mod.evaluate_unchecked(objective, Z)
     try:
-        w = shaping_mod.shape(shaping_spec, raw, _checked_later=True)
+        w = shaping_mod.shape(shaping_spec, raw)
     except ShapingInputError:
         bad = np.flatnonzero(~np.isfinite(raw))
         if not bad.size:
@@ -396,15 +397,14 @@ def run(config) -> Trace:
         # The helper draws ahead for a family with _noise, else it draws
         # each generation's second row range.
         draws_ahead = helper is not None and hasattr(model, "_noise")
-        split = None if draws_ahead else helper
         for t in range(config.iterations):
-            # Generation t's array, drawn during iteration t - 1 (none at
-            # t = 0: e_step draws it); generation t + 1's starts now.
-            drawn = None if ahead is None else ahead.result()
+            # The helper's part of generation t's draw: the helper, or the
+            # future of the array it drew during iteration t - 1 (none at
+            # t = 0: sample draws it); generation t + 1's starts now.
+            part = ahead if draws_ahead else helper
             if draws_ahead and t + 1 < config.iterations:
                 ahead = helper.submit(model._noise, int(seeds[t + 1]), n, model.dim)
-            pop = e_step(model, config.objective, config.shaping, n, int(seeds[t]),
-                         _drawn=drawn, _helper=split)
+            pop = e_step(model, config.objective, config.shaping, n, int(seeds[t]), _helper=part)
             model, _, fe, fe_map = _step(model, pop, config.rule)
 
             best = float(pop.raw_f.max())

@@ -175,22 +175,21 @@ class SearchModel:
       theta is ``values``; the constructor's checks and repair apply.
       ``_from_params(params)``: the same for ``with_params``, which repairs
       an update.
-    * ``_draw(rng, n)``, ``_log_density(Z)``, ``_suff_stats(Z)``,
+    * ``_draw(rng, n[, part])``, ``_log_density(Z)``, ``_suff_stats(Z)``,
       ``_score_batch(Z)``, ``_fisher()``: the public methods' kernels.
-    * ``_noise(rng, n, dim)`` and ``_place(X)``, only in a family whose
-      draw is a theta-free array X that theta places (the Gaussian's
-      normals): X drawn from a Generator or its seed, and the generation
-      made from X in place.  Its ``_draw`` is ``_place(_noise(rng, n,
-      dim))``, so the engine may draw X ahead from the seed, on another
-      thread.  ``_noise`` is a staticmethod, so a pending draw holds no
-      model alive.
+    * ``_noise(rng, n, dim)``, only in a family whose draw is a theta-free
+      array X that theta places (the Gaussian's normals): X drawn from a
+      Generator or its seed.  Its ``_draw`` places ``_noise(rng, n, dim)``,
+      or, as its part, the future of ``_noise(seed, n, dim)``, so the engine
+      may draw X ahead from the seed, on another thread.  ``_noise`` is a
+      staticmethod, so a pending draw holds no model alive.
     * ``_draw_rows(bitgen, Z, start, stop, thr)``, only in a family whose
       draw reads a fixed number of raw generator words per cell (the
       Bernoulli's quarter word): rows [start, stop) of a draw, from a bit
       generator at the range's first word, returning the range's ties.
-      Its ``_draw`` takes an executor, on which it draws a second row
-      range from a PCG64 jumped ahead to it, so the engine may split one
-      generation's draw between two threads.
+      Its ``_draw`` takes an executor as its part, on which it draws a
+      second row range from a PCG64 jumped ahead to it, so the engine may
+      split one generation's draw between two threads.
     * ``_mean_log_density(theta_bar)``: sum_i q_i log p(z_i | theta), in
       closed form from the refit theta_bar = sum_i q_i T(z_i) of weights q
       that sum to 1.  The engine's M-steps, its free energy and the
@@ -251,9 +250,10 @@ class SearchModel:
         """Draw ``n`` i.i.d. points; identical (seed, model, n) gives
         bit-identical output.
 
-        ``_helper`` is private to the engine's ``run``: a one-worker
-        executor on which a family with ``_draw_rows`` draws part of the
-        generation, the same bits."""
+        ``_helper`` is private to the engine's ``run``: the helper thread's
+        part of this draw, the same bits.  It is a one-worker executor for
+        a family with ``_draw_rows``, and for a family with ``_noise`` the
+        future of ``_noise(rng_seed, n, dim)``, drawn ahead."""
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(rng_seed)
@@ -543,6 +543,24 @@ def _mean_cov_of(params: ExpectationParams):
     return m, S - np.outer(m, m)
 
 
+def _checked_pair(mean, M, name: str):
+    """(m, M) of a public Gaussian form, (m, S) or (m, C): read-only float64
+    copies, M of shape d x d, both finite, and M replaced by its symmetric
+    part when it is not symmetric."""
+    m = _readonly(mean).reshape(-1)
+    M = np.array(M, dtype=np.float64)
+    d = m.shape[0]
+    if M.shape != (d, d):
+        raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
+    _require_finite(m, "mean")
+    _require_finite(M, name)
+    if not np.array_equal(M, M.T):
+        # Halving each side first cannot overflow.
+        M = 0.5 * M + 0.5 * M.T
+    M.setflags(write=False)
+    return m, M
+
+
 def _vech_doubled(M: np.ndarray) -> np.ndarray:
     """vech over the last two axes with the off-diagonals doubled: the
     coefficients on vech(S) of sum_ij M_ij S_ij for symmetric S."""
@@ -564,42 +582,34 @@ class GaussianModel(SearchModel):
     Construction repairs C to smallest eigenvalue >= ``EIG_FLOOR`` by
     trace-scaled jitter (see ``_repair_cov``), doubling at most
     ``MAX_JITTER_DOUBLINGS`` times; if that fails the model raises instead
-    of silently clamping.  A model built from theta keeps its S, and so
-    reports theta as given; otherwise theta derives from C, is formed and
-    checked at construction, and ``params`` carries C alongside.
+    of silently clamping.  A model built from (m, S) that needs no jitter
+    reports theta as given; otherwise theta derives from C, and ``params``
+    carries C alongside.  Either is formed and checked at construction.
     """
 
     family = "gaussian"
     kind = "continuous"
 
-    def __init__(self, mean, second_moment, *, _is_cov=False, _own=False):
-        # Private: ``from_mean_cov`` passes C in place of S with ``_is_cov``,
-        # and ``with_params`` passes parameters' (m, C) with ``_own``: arrays
-        # a refit, a blend or a model made, read-only and C exactly
-        # symmetric, so they are neither copied nor symmetrized.
-        m, C0, M = mean, second_moment, None
+    def __init__(self, mean, second_moment, *, _own=False):
+        # Private: ``from_mean_cov`` and ``with_params`` pass (m, C) in place
+        # of (m, S) with ``_own``: arrays checked by ``_checked_pair`` or made
+        # by a refit, a blend or a model, read-only and C exactly symmetric,
+        # so they are neither copied nor symmetrized.
+        m, C0, S = mean, second_moment, None
         if not _own:
-            name = "cov" if _is_cov else "second_moment"
-            m = _readonly(mean).reshape(-1)
-            M = np.array(second_moment, dtype=np.float64)
-            d = m.shape[0]
-            if M.shape != (d, d):
-                raise DomainError(f"{name} must be {d}x{d}, got {M.shape}")
-            _require_finite(m, "mean")
-            _require_finite(M, name)
-            if not np.array_equal(M, M.T):
-                # Halving each side first cannot overflow.
-                M = 0.5 * M + 0.5 * M.T
-            M.setflags(write=False)
-            C0 = M if _is_cov else M - np.outer(m, m)
+            m, S = _checked_pair(mean, second_moment, "second_moment")
+            C0 = S - np.outer(m, m)
         self._mean = m
         self.domain  # built now, so that a model of no dimension raises here
         self._cov, self._chol = self._repair_cov(C0)
-        # Keep S exactly as given when no jitter was needed, so that
-        # params -> model -> params round-trips bit-identically.
-        self._given_S = M if not _is_cov and self._cov is C0 else None
-        if self._given_S is None:
-            self.params  # formed now, so that an overflowing theta raises here
+        # Formed now, so that an overflowing theta raises here: theta as
+        # given when no jitter was needed, so that params -> model -> params
+        # round-trips bit-identically; else derived from C, with C alongside.
+        if S is not None and self._cov is C0:
+            self.params = ExpectationParams(_theta_join(m, vech(S)), self.family_tag)
+        else:
+            self.params = ExpectationParams._of_mean_cov(m, self._cov, self.family_tag)
+            self.params.values
 
     @staticmethod
     def _repair_cov(C: np.ndarray):
@@ -644,7 +654,7 @@ class GaussianModel(SearchModel):
 
     @classmethod
     def from_mean_cov(cls, mean, cov) -> "GaussianModel":
-        return cls(mean, cov, _is_cov=True)
+        return cls(*_checked_pair(mean, cov, "cov"), _own=True)
 
     @property
     def mean(self) -> np.ndarray:
@@ -657,16 +667,6 @@ class GaussianModel(SearchModel):
     @property
     def cov(self) -> np.ndarray:
         return self._cov
-
-    # Immutable, like the model.  theta as given, or derived from C with C
-    # alongside, so that with_params(model.params) rebuilds this model.
-    @functools.cached_property
-    def params(self) -> ExpectationParams:
-        if self._given_S is None:
-            params = ExpectationParams._of_mean_cov(self._mean, self._cov, self.family_tag)
-            params.values  # formed now, so that an overflowing theta raises here
-            return params
-        return ExpectationParams(_theta_join(self._mean, vech(self._given_S)), self.family_tag)
 
     def _shape(self) -> tuple:
         return self._mean.shape
@@ -700,21 +700,21 @@ class GaussianModel(SearchModel):
     def _log_det(self) -> float:
         return 2.0 * float(np.log(self._chol.diagonal()).sum())
 
-    def _draw(self, rng, n: int) -> np.ndarray:
-        return self._place(self._noise(rng, n, self.dim))
+    def _draw(self, rng, n: int, ahead=None) -> np.ndarray:
+        # The (n, d) standard normals X, drawn here or, with ``ahead``, the
+        # future of ``_noise`` on the engine's helper, become m + L x row by
+        # row, in place: trmm on the transposed view, which is the Fortran
+        # layout BLAS takes.
+        X = self._noise(rng, n, self.dim) if ahead is None else ahead.result()
+        X = _linalg().blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
+        X += self._mean
+        return X
 
     @staticmethod
     def _noise(rng, n: int, dim: int) -> np.ndarray:
         # The (n, d) standard normals of a draw.  default_rng returns a
         # Generator unaltered, and makes one from a seed.
         return np.random.default_rng(rng).standard_normal((n, dim))
-
-    def _place(self, X: np.ndarray) -> np.ndarray:
-        # The (n, d) standard normals X become m + L x row by row, in place:
-        # trmm on the transposed view, which is the Fortran layout BLAS takes.
-        X = _linalg().blas.dtrmm(1.0, self._chol, X.T, side=0, lower=1, overwrite_b=1).T
-        X += self._mean
-        return X
 
     def _log_density(self, Z) -> np.ndarray:
         U = Z - self._mean

@@ -91,7 +91,7 @@ class ShapingSpec:
         return f"{short}:{getattr(self, name)}"
 
 
-def shape(spec: ShapingSpec, f_values, *, _checked_later: bool = False) -> np.ndarray:
+def shape(spec: ShapingSpec, f_values) -> np.ndarray:
     """Map raw objective values to nonnegative weights, monotone in rank.
     All-zero weights raise :class:`DegenerateWeightsError`."""
     f = np.asarray(f_values, dtype=np.float64).reshape(-1)
@@ -123,9 +123,7 @@ def shape(spec: ShapingSpec, f_values, *, _checked_later: bool = False) -> np.nd
         tau = np.quantile(f, spec.level)
         w = (f >= tau).astype(np.float64)
 
-    # Private: ``engine.e_step`` passes ``_checked_later``, because its
-    # Population sums the weights and checks the total.
-    if not _checked_later and not (w > 0.0).any():
+    if not (w > 0.0).any():
         raise DegenerateWeightsError(
             f"{spec.kind} shaping produced all-zero weights for this generation"
         )

@@ -30,14 +30,22 @@ TRACE_COLUMNS = (
 )
 
 
-def write_trace_csv(trace: Trace, path: str) -> None:
-    # The lines are formatted here: csv.writer's first row allocates a
-    # 128 KB record buffer, more than a whole trace of short rows needs.
+def write_csv(path: str, columns, rows) -> None:
+    """Write a header of ``columns``, then each row's values as their
+    ``str`` (a float's shortest-roundtrip repr), comma-separated, with CRLF
+    line ends and no quoting: no value written here holds a comma, quote or
+    line break.  The lines are formatted here, as csv.writer's first row
+    allocates a 128 KB record buffer, more than a whole trace needs."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for r in trace.records:
-            fh.write(f"{r.iteration},{r.best_raw_f!r},{r.mean_raw_f!r},"
-                     f"{r.weighted_mean_shaped_f!r},{r.free_energy_estimate!r},{r.ess!r}\r\n")
+        fh.write(",".join(columns) + "\r\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\r\n")
+
+
+def write_trace_csv(trace: Trace, path: str) -> None:
+    rows = ((r.iteration, r.best_raw_f, r.mean_raw_f, r.weighted_mean_shaped_f,
+             r.free_energy_estimate, r.ess) for r in trace.records)
+    write_csv(path, TRACE_COLUMNS, rows)
 
 
 def summary_dict(trace: Trace, config_echo: dict | None = None) -> dict:

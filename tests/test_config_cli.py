@@ -868,7 +868,33 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.parametrize("jobs, values, workers", [("5000", "0.3,0.9", [2]), ("4", "0.3", [])])
+def test_sweep_csv_is_the_csv_modules_bytes(tmp_path, monkeypatch):
+    # sweep.csv is formatted by hand; its bytes are those csv.DictWriter
+    # writes for the same rows, with failed children (error statuses and
+    # empty fields) and thresholds both hit and missed.
+    rows, child = [], cli._sweep_child
+
+    def recording(payload):
+        rows.append(child(payload))
+        return rows[-1]
+
+    monkeypatch.setattr(cli, "_sweep_child", recording)
+    doc = dict(sweep_doc(), objective="onemax:30",
+               model={"family": "bernoulli", "dim": 30, "init": "default"})
+    code = cli.main(["sweep", "--config", write_config(tmp_path, doc), "--param", "gamma",
+                     "--values", "1.0,1.5,1e-3,-1,0.9", "--out", str(tmp_path / "sw")])
+    assert code == 0
+    assert [r["status"] for r in rows] == ["ok", "error:ConfigError"] * 2 + ["ok"]
+    assert [r["iters_to_threshold"] == "" for r in rows] == [False, True, True, True, False]
+    ref = io.StringIO(newline="")
+    writer = csv.DictWriter(ref, fieldnames=["param", "value", "index", "seed", "status",
+                                             "best_raw_f", "iters_to_threshold"])
+    writer.writeheader()
+    writer.writerows(rows)
+    assert (tmp_path / "sw" / "sweep.csv").read_bytes() == ref.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("jobs, values, workers",[("5000", "0.3,0.9", [2]), ("4", "0.3", [])])
 def test_cmd_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, jobs, values,
                                                       workers):
     # A stand-in pool records its worker count and maps in this process,
@@ -930,15 +956,18 @@ _SCIPY_RUNS = {
 # only a run that keeps the helper thread imports it (and scipy.linalg does).
 # The helper has two uses: a wide Gaussian run draws ahead on it, and a
 # Bernoulli run of at least engine.SPLIT_MIN_CELLS cells splits its draws
-# there.  The Bernoulli runs below stay under that gate.  Nor do they load
-# the csv module: trace.csv is formatted by hand, and only sweep.csv goes
-# through csv.  scipy.linalg's own imports (numpy.testing, then
-# importlib.metadata) load csv, so the Gaussian case cannot hold that.
-@pytest.mark.parametrize("case", ["import", "diagnose", *_SCIPY_RUNS])
+# there.  The Bernoulli runs and sweep below stay under that gate.  Nor do
+# they load the csv module: trace.csv and sweep.csv are formatted by hand.
+# scipy.linalg's own imports (numpy.testing, then importlib.metadata) load
+# csv, so the Gaussian case cannot hold that.
+@pytest.mark.parametrize("case", ["import", "diagnose", "sweep", *_SCIPY_RUNS])
 def test_only_the_gaussian_family_loads_scipy(tmp_path, case):
     if case in _SCIPY_RUNS:
         cfg = write_config(tmp_path, base_doc(**_SCIPY_RUNS[case]))
         argv = ["run", "--config", cfg, "--out", "out"]
+    elif case == "sweep":
+        cfg = write_config(tmp_path, base_doc())
+        argv = ["sweep", "--config", cfg, "--param", "N", "--values", "1,20", "--out", "out"]
     else:
         argv = ["diagnose", "default"] if case == "diagnose" else []
     modules = _scipy_modules_after(tmp_path, argv)

@@ -1217,11 +1217,14 @@ def test_draw_ahead_gives_the_sequential_run(monkeypatch, rule, shaping_text, ea
                                  early_stop_window=3)
         return _gaussian_cfg(rule, shaping_text)
 
+    from concurrent.futures import Future
+
     drawn = []
     e_step_fn = engine.e_step
 
     def recording(*args, **kwargs):
-        drawn.append(kwargs.get("_drawn") is not None)
+        # A generation drawn ahead reaches sample as the future of its normals.
+        drawn.append(isinstance(kwargs.get("_helper"), Future))
         return e_step_fn(*args, **kwargs)
 
     monkeypatch.setattr(engine, "e_step", recording)
@@ -1344,12 +1347,16 @@ def test_split_draw_gives_the_sequential_run(monkeypatch, rule, shaping_text, ea
                                   early_stop_window=3)
         return _bernoulli_cfg(rule, shaping_text)
 
+    from concurrent.futures import Executor
+
     helpers = []
     e_step_fn = engine.e_step
 
     def recording(*args, **kwargs):
-        assert kwargs.get("_drawn") is None
-        helpers.append(kwargs.get("_helper") is not None)
+        # The part of a split draw is the executor itself: nothing drawn ahead.
+        part = kwargs.get("_helper")
+        assert part is None or isinstance(part, Executor)
+        helpers.append(part is not None)
         return e_step_fn(*args, **kwargs)
 
     monkeypatch.setattr(engine, "e_step", recording)
@@ -1467,6 +1474,40 @@ def test_perfbench_sees_every_wrapped_call_of_a_split_run_on_the_main_thread(mon
     assert row_threads.count(False) == iterations and row_threads.count(True) == iterations
 
 
+def test_perfbench_times_every_generation_of_a_draw_ahead_run_in_sample(monkeypatch):
+    # A run that draws ahead still makes each generation by one call of
+    # sample, on the main thread, and that call returns the very array
+    # e_step evaluates: perfbench's models.sample counts every draw.
+    import pathlib
+    import threading
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import layers
+
+    _force_helper(monkeypatch, True)
+    cfg = _gaussian_cfg(UpdateRule("closed_form"))
+    drawn, evaluated, threads = [], [], set()
+
+    def wrapping(target, fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.current_thread() is threading.main_thread())
+            out = fn(*args, **kwargs)
+            if target.layer == "models.sample":
+                drawn.append(out)
+            else:
+                evaluated.append(out.samples)
+            return out
+
+        return wrapper
+
+    with layers.patched(layers.targets_of("models.sample", "engine.e_step"), wrapping) as status:
+        assert len(run(cfg).records) == cfg.iterations
+    assert set(status.values()) == {"ok"}, status
+    assert len(drawn) == len(evaluated) == cfg.iterations
+    assert all(z is s for z, s in zip(drawn, evaluated))
+    assert threads == {True}
+
+
 @pytest.mark.parametrize(
     "family,ahead",
     [("gaussian", False), ("gaussian", True), ("bernoulli", False), ("bernoulli", True)],
@@ -1501,11 +1542,11 @@ def test_run_releases_each_generation_before_the_next(monkeypatch, family, ahead
     assert alive == [0] * cfg.iterations
 
 
-def test_e_step_leaves_the_weight_check_to_the_population():
-    # An all-zero identity generation: shape() would reject it by its own
-    # scan, but e_step's one check is the Population's total.
+def test_e_step_rejects_all_zero_weights_by_the_shaping():
+    # An all-zero identity generation aborts by shape()'s own test, which
+    # names the shaping, before the Population sums the weights.
     model = BernoulliProductModel([0.0] * 8)
-    with pytest.raises(DegenerateWeightsError, match="shaped weights total 0.0"):
+    with pytest.raises(DegenerateWeightsError, match="identity shaping produced all-zero weights"):
         e_step(model, objectives.leadingones(8), IDENTITY, 40, seed=0)
     with pytest.raises(DegenerateWeightsError, match="all-zero weights"):
         shaping.shape(IDENTITY, np.zeros(40))

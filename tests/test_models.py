@@ -635,12 +635,18 @@ def test_gaussian_draw_is_the_matrix_product():
 
 
 def test_gaussian_draw_is_its_noise_placed():
-    # The engine draws ahead with _noise(seed, n, dim) and places the
-    # result: the same bits as sample(n, seed).
+    # The engine draws ahead with _noise(seed, n, dim) and hands sample the
+    # future of the result, which it places: the same bits as sample(n, seed).
+    from concurrent.futures import Future
+
     g, _ = _gaussian_5d(3)
     X = g._noise(4, 400, 5)
     assert X.tobytes() == g._noise(np.random.default_rng(4), 400, 5).tobytes()
-    assert g._place(X).tobytes() == g.sample(400, 4).tobytes()
+    ahead = Future()
+    ahead.set_result(X)
+    Z = g.sample(400, 4, _helper=ahead)
+    assert np.shares_memory(Z, X)  # placed in place
+    assert Z.tobytes() == g.sample(400, 4).tobytes()
     # A draw pending on the engine's helper holds no model (and its factors).
     assert not hasattr(g._noise, "__self__")
 
