@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError
-from .models import BernoulliProductModel, CategoricalProductModel, SearchModel
+from .models import BernoulliProductModel, CategoricalProductModel, SearchModel, _row_blocks
 from .objectives import Domain, Objective, trap
 
 # Calibrated by pilot: mean over 20 seeds of ||theta_N - exact|| at N=1e5
@@ -85,11 +85,19 @@ def _affine_bit() -> Fixture:
 
 
 def _onemax_plus_one(dim: int, *checks) -> Fixture:
-    obj = _binary_objective(
-        f"onemax_plus_one:{dim}",
-        dim,
-        lambda Z: 1.0 + np.asarray(Z, dtype=np.float64) @ np.ones(dim),
-    )
+    def _eval(Z):
+        # Casts one block of rows at a time, with no (n, dim) float64 copy
+        # of the generation; every value is a small integer, so the sums
+        # equal 1.0 + Z.astype(float64) @ ones bit for bit.
+        Z = np.asarray(Z)
+        ones, out = np.ones(dim), np.empty(Z.shape[0])
+        for rows, block in _row_blocks(*Z.shape):
+            np.copyto(block, Z[rows])
+            np.matmul(block, ones, out=out[rows])
+        out += 1.0
+        return out
+
+    obj = _binary_objective(f"onemax_plus_one:{dim}", dim, _eval)
     return Fixture(f"bern{dim}_onemax1", BernoulliProductModel(np.full(dim, 0.5)), obj, checks)
 
 

@@ -93,7 +93,9 @@ class ShapingSpec:
 
 def shape(spec: ShapingSpec, f_values) -> np.ndarray:
     """Map raw objective values to nonnegative weights, monotone in rank.
-    All-zero weights raise :class:`DegenerateWeightsError`."""
+    All-zero weights raise :class:`DegenerateWeightsError`.  Identity
+    weights are a read-only view of the float64 values, with no copy; every
+    other kind returns a fresh array."""
     f = np.asarray(f_values, dtype=np.float64).reshape(-1)
     if f.shape[0] < 1:
         raise ShapingInputError("need at least one objective value")
@@ -107,7 +109,8 @@ def shape(spec: ShapingSpec, f_values) -> np.ndarray:
                 "identity shaping assumes nonnegative objective values; "
                 "use rank/quantile/exponential shaping for signed objectives"
             )
-        w = f.copy()
+        w = f.view()
+        w.setflags(write=False)
     elif spec.kind == "exponential":
         w = np.exp(spec.beta * (f - f.max()))
     elif spec.kind == "quantile":

@@ -92,6 +92,14 @@ def test_e_step_realized_example():
     np.testing.assert_allclose(pop.norm_w, [0, 0, 0.5, 0.5])
 
 
+def test_e_step_identity_weights_are_the_raw_values():
+    model = BernoulliProductModel(np.full(5, 0.5))
+    pop = e_step(model, objectives.onemax(5), IDENTITY, 50, seed=4)
+    assert np.shares_memory(pop.shaped_w, pop.raw_f)
+    assert not pop.shaped_w.flags.writeable
+    assert pop.shaped_w.tobytes() == pop.raw_f.tobytes()
+
+
 def test_e_step_constant_objective_uniform_weights():
     const = objectives.Objective(
         name="const:3",

@@ -910,6 +910,44 @@ def test_mc_convergence_holds_one_generation_at_a_time():
     assert peaks[2] - peaks[1] < 500_000, peaks
 
 
+def test_mc_row_holds_the_generation_its_values_and_one_block():
+    # One N = 1e5 generation and its refit hold the bool samples, one
+    # float64 value array (the identity weights are a view of it) and one
+    # BLOCK_CELLS block of the objective's cast, plus small arrays.
+    from edaem.engine import e_step, m_step_closed_form
+    from edaem.shaping import ShapingSpec
+
+    fx = FIXTURES["bern2_onemax1"]
+    n = oracle.MC_N_LIST[-1]
+    run_one = lambda: m_step_closed_form(  # noqa: E731
+        e_step(fx.model, fx.objective, ShapingSpec("identity"), n, 0), fx.model
+    )
+    run_one()  # warms the caches
+    tracemalloc.start()
+    try:
+        run_one()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = n * fx.model.dim + 8 * n + 8 * models.BLOCK_CELLS + 16_384
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("block", [1, 7, models.BLOCK_CELLS])
+@pytest.mark.parametrize("n", [1, 17, 100_003])
+@pytest.mark.parametrize("d", [2, 3])
+def test_onemax_plus_one_is_the_one_shot_cast_bit_for_bit(d, n, block, monkeypatch):
+    # The fixture casts one block of rows at a time; its values are those
+    # of the whole cast and gemv, at any block size and for a partial
+    # last block, on drawn bool batches and on the int64 states.
+    monkeypatch.setattr(models, "BLOCK_CELLS", block)
+    objective = FIXTURES[f"bern{d}_onemax1"].objective
+    Z = np.random.default_rng(n + d).random((n, d)) < 0.5
+    expected = (1.0 + Z.astype(np.float64) @ np.ones(d)).tobytes()
+    for batch in (Z, Z.astype(np.int64)):
+        assert objective.batch_eval(batch).tobytes() == expected
+
+
 def test_exact_e_step_weights_reproduce_exact_update():
     # replacing sampling with full enumeration weighted by p * f must
     # reproduce the exact refit to rounding

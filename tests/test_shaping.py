@@ -39,6 +39,26 @@ def test_identity_passthrough():
     np.testing.assert_array_equal(shape(spec, [0, 2, 5]), [0, 2, 5])
 
 
+def test_identity_weights_are_a_read_only_view_of_the_values():
+    f = np.array([0.0, 2.0, 5.0])
+    w = shape(ShapingSpec("identity"), f)
+    assert np.shares_memory(w, f)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert f.flags.writeable  # the caller's array stays writeable
+    np.testing.assert_array_equal(f, [0.0, 2.0, 5.0])
+    np.testing.assert_array_equal(shape(ShapingSpec("identity"), [0, 2, 5]), [0.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("text", ["rank", "quantile:0.5", "exp:1.0", "cdf:0.5"])
+def test_other_shapings_return_a_fresh_array(text):
+    f = np.array([0.0, 2.0, 5.0, 1.0])
+    w = shape(ShapingSpec.parse(text), f)
+    assert not np.shares_memory(w, f)
+    assert w.flags.writeable
+
+
 def test_exponential_max_shifted():
     spec = ShapingSpec("exponential", beta=1.0)
     np.testing.assert_allclose(shape(spec, [0.0, np.log(2.0)]), [0.5, 1.0])
