@@ -9,10 +9,10 @@ Subcommands:
                    [--out DIR] [--seed INT] [--jobs INT] [--threshold X]
 
 Exit codes: 0 success; 1 diagnostics found a failing check; 2 config or
-argument violation; 3 the run raised (a degeneracy or any other error);
-4 I/O failure.  Failures emit a machine-readable JSON object on stderr.
-A run that aborts still writes the trace.csv rows of the iterations it
-completed, and no summary.json.  Set EDAEM_LOG=debug|info|warning for verbosity.
+argument violation; 3 any failure inside a run, which still writes the
+trace.csv rows it completed (no summary.json); 4 I/O failure.  Failures emit
+a JSON object on stderr, whose message names a non-edaem cause's type; a sweep
+row's status names its run's cause.  Set EDAEM_LOG=debug|info|warning for verbosity.
 
 The CLI composes library calls only; every number it writes is computable
 from (config, seed) through the public engine/oracle API.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -92,9 +93,6 @@ def cmd_run(args) -> int:
             write_trace_csv(exc.trace, os.path.join(out_dir, "trace.csv"))
         except OSError as io_exc:
             return _fail(io_exc, EXIT_IO)
-        return _fail(exc, EXIT_RUNTIME)
-    except Exception as exc:
-        logger.debug("run failed", exc_info=True)
         return _fail(exc, EXIT_RUNTIME)
     try:
         csv_path, json_path = write_trace(trace, out_dir, config.raw)
@@ -180,7 +178,8 @@ def _sweep_child(payload):
         trace = engine_run(config)
     except Exception as exc:
         logger.debug("sweep point %d failed", index, exc_info=True)
-        row["status"] = f"error:{type(exc).__name__}"
+        cause = exc.__cause__ if isinstance(exc, RunAbortedError) else exc
+        row["status"] = f"error:{type(cause).__name__}"
         return row
     row["best_raw_f"] = repr(trace.best_raw_f)
     if threshold is not None:
@@ -205,7 +204,11 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --values entry: {exc}") from exc
         out_dir = _resolve_out(config, args.out)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         threshold = args.threshold
+        if threshold is not None and not math.isfinite(threshold):
+            raise ConfigError(f"--threshold must be finite, got {threshold}")
         if threshold is None and config.objective.known_opt is not None:
             threshold = config.objective.known_opt[1]
         payloads = []

@@ -82,6 +82,7 @@ from .errors import (
     DegenerateUpdateError,
     DegenerateWeightsError,
     DomainError,
+    EdaemError,
     FamilyMismatchError,
     ObjectiveError,
     RunAbortedError,
@@ -376,19 +377,19 @@ def run(config) -> Trace:
     """Execute ``config.iterations`` rounds of ``e_step`` and ``_step``, and
     record one :class:`IterationRecord` per iteration; stop early when the
     best raw value has not improved for ``config.early_stop_window``
-    iterations.  A failure of an iteration aborts with
-    :class:`RunAbortedError`, which carries the trace so far and has the
-    failure as its cause.  When ``_uses_helper`` holds, one helper thread
-    draws generation t+1's theta-free array during iteration t, or the
-    second row range of generation t while ``sample`` draws the first; it is
-    joined before ``run`` returns or raises.
+    iterations.  Any ``Exception`` past the config's unpacking raises
+    :class:`RunAbortedError` with the trace so far, the failure as its cause
+    and a non-edaem cause's type named; ``KeyboardInterrupt`` passes.  With
+    ``_uses_helper``, one helper thread draws generation t+1's theta-free
+    array during iteration t, or the second row range of generation t while
+    ``sample`` draws the first; it is joined before ``run`` returns or raises.
     """
     model, n, window = config.model, config.n_samples, config.early_stop_window
     records: list = []
-    seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, dtype=np.uint64)
     best_so_far, stale = -np.inf, 0
     helper = ahead = None
     try:
+        seeds = np.random.SeedSequence(config.seed).generate_state(config.iterations, np.uint64)
         if _uses_helper(model, n):
             # Imported here, so that importing edaem loads no thread pool.
             from concurrent.futures import ThreadPoolExecutor
@@ -421,10 +422,10 @@ def run(config) -> Trace:
                 stale += 1
             if window is not None and stale >= window:
                 break
-    except (DegenerateWeightsError, DegenerateUpdateError, ObjectiveError, ShapingInputError,
-            StepSizeError) as exc:
+    except Exception as exc:
+        cause = exc if isinstance(exc, EdaemError) else f"{type(exc).__name__}: {exc}"
         raise RunAbortedError(
-            f"run aborted at iteration {len(records)}: {exc}",
+            f"run aborted at iteration {len(records)}: {cause}",
             trace=Trace(records=records, final_model=model),
         ) from exc
     finally:

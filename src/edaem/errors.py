@@ -69,10 +69,10 @@ class ConfigError(EdaemError):
 
 
 class RunAbortedError(EdaemError):
-    """An optimization run aborted mid-way.
+    """A run aborted mid-way: any ``Exception`` raised inside ``run``.
 
-    ``trace`` holds the records accumulated before the failure and
-    ``__cause__`` the underlying error.
+    ``trace`` holds the records of the iterations completed before the
+    failure, and ``__cause__`` the failure itself.
     """
 
     def __init__(self, message: str, trace=None):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edaem import cli, objectives, oracle
+from edaem import cli, engine, objectives, oracle
 from edaem.config import RunConfig
 from edaem.engine import IterationRecord, Trace, UpdateRule
 from edaem.engine import run as engine_run
@@ -486,15 +486,37 @@ def _raise_linalg_error(config):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
+def _free_energy_fails_at(monkeypatch, call: int) -> None:
+    """``engine._free_energy`` raises LinAlgError on its ``call``-th call,
+    inside iteration ``call - 1`` of the run."""
+    calls, real = [], engine._free_energy
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_free_energy", failing)
+
+
 def test_cmd_run_non_edaem_error_exit_3(tmp_path, capsys, monkeypatch):
-    # exit 1 is reserved for failed diagnostic checks
-    monkeypatch.setattr(cli, "engine_run", _raise_linalg_error)
+    # A failure of no edaem type inside the run aborts it like any other:
+    # exit 3 (1 is reserved for failed diagnostic checks), the rows of the
+    # iterations it completed, and a message that names the cause's type.
     cfg = write_config(tmp_path, base_doc())
-    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 3
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    _free_energy_fails_at(monkeypatch, 4)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "LinAlgError"
-    assert err["exit_code"] == 3
+    assert err == {"error": "RunAbortedError", "exit_code": 3,
+                   "message": "run aborted at iteration 3: LinAlgError: Matrix is not "
+                              "positive definite"}
+    full = (tmp_path / "full" / "trace.csv").read_bytes().splitlines(keepends=True)
+    assert (out / "trace.csv").read_bytes() == b"".join(full[:4])  # header and 3 rows
+    assert not (out / "summary.json").exists()
 
 
 def test_cmd_run_byte_identical_reruns(tmp_path):
@@ -824,6 +846,22 @@ def test_cmd_sweep_rejects_before_running_exit_2(tmp_path, capsys, over, param, 
     assert not (tmp_path / "sw").exists()
 
 
+# Each row is an argument the sweep rejects with exit 2, before any child
+# runs and before anything is written.
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-1"),
+                                        ("--threshold", "nan"), ("--threshold", "inf")])
+def test_cmd_sweep_rejects_bad_jobs_and_threshold_exit_2(tmp_path, capsys, monkeypatch,
+                                                         flag, value):
+    ran = []
+    monkeypatch.setattr(cli, "_sweep_child", ran.append)
+    argv = ["sweep", "--config", write_config(tmp_path, sweep_doc()), "--param", "gamma",
+            "--values", "0.5", "--out", str(tmp_path / "sw"), flag, value]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and flag in err["message"]
+    assert ran == [] and not (tmp_path / "sw").exists()
+
+
 def test_cmd_sweep_continues_past_child_failures(tmp_path):
     cfg = write_config(tmp_path, sweep_doc())
     code = cli.main(
@@ -851,6 +889,31 @@ def test_cmd_sweep_marks_non_edaem_child_errors(tmp_path, monkeypatch):
     with open(tmp_path / "sw" / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["error:LinAlgError"] * 2
+
+
+def test_cmd_sweep_names_the_cause_of_an_aborted_child(tmp_path, monkeypatch):
+    # The first child's run aborts in iteration 3; the second runs through.
+    _free_energy_fails_at(monkeypatch, 4)
+    cfg = write_config(tmp_path, sweep_doc())
+    code = cli.main(
+        ["sweep", "--config", cfg, "--param", "gamma", "--values", "0.3,0.9",
+         "--out", str(tmp_path / "sw"), "--jobs", "1"]
+    )
+    assert code == 0
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["error:LinAlgError", "ok"]
+
+
+def test_cmd_sweep_names_the_cause_of_a_typed_abort(tmp_path):
+    # The gradient abort's cause is a DegenerateUpdateError.
+    cfg = write_config(tmp_path, GRADIENT_ABORT_DOC)
+    code = cli.main(["sweep", "--config", cfg, "--param", "alpha", "--values", "1e-3",
+                     "--out", str(tmp_path / "sw")])
+    assert code == 0
+    with open(tmp_path / "sw" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["error:DegenerateUpdateError"]
 
 
 def test_cmd_sweep_parallel_matches_serial(tmp_path):
